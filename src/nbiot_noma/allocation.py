@@ -9,6 +9,19 @@ spreads its full power budget evenly over the cluster's owned tones, so
 row sums stay exactly on budget instead of leaking a fraction per update.
 Rates and satisfaction flags are recomputed from the current powers after
 every assignment, never extrapolated.
+
+Under equal split a tone's rates in a cluster depend only on the cluster,
+the tone and how many tones the cluster owns.  So each cluster keeps a
+cached per-member rate sum over the tones it owns, evaluated at the split
+that one more tone would bring.  A step scores every candidate cluster at
+once: it computes the new tone's SIC rates on zero-padded
+(cluster, rank) arrays and adds them to the caches.  After the commit
+only the receiving cluster's cache is rebuilt, over its owned tones at
+the next split.  With C clusters of at most K members, and k tones owned
+by the receiving cluster, a step costs O(C*K + K*k) instead of
+re-evaluating every candidate over all of its tones.  Final rates come
+from :func:`~nbiot_noma.rate_model.sic_member_rates` on each cluster's
+final owned set.
 """
 
 from __future__ import annotations
@@ -19,13 +32,14 @@ from typing import Callable
 import numpy as np
 
 from .clustering import check_structure
-from .errors import InvalidAssignmentError
+from .errors import InvalidAssignmentError, NonFiniteRateError
 from .rate_model import (
     ClusterAssignment,
     PowerMatrix,
     RateReport,
     SubcarrierMap,
     build_report,
+    sic_log_terms,
     sic_member_rates,
 )
 from .scenario import Scenario
@@ -71,7 +85,9 @@ def allocate(
 
     ``on_step``, if given, is called after every assignment with
     (subcarrier, cluster, satisfied mask copy, phase) and exists for
-    instrumentation in tests.
+    instrumentation in tests.  Raises
+    :class:`~nbiot_noma.errors.NonFiniteRateError` when a candidate's sum
+    rate is NaN or infinite.
     """
     violations = check_structure(assignment, scenario)
     if violations:
@@ -85,67 +101,84 @@ def allocate(
     num_c = len(clusters)
     budgets = scenario.power_budgets
     thresholds = scenario.rate_thresholds
-
-    owned: list[list[int]] = [[] for _ in range(num_c)]
-    member_rates = [np.zeros(len(m)) for m in clusters]
-    rates = np.zeros(scenario.num_devices)
     log2 = math.log(2.0)
 
-    def eval_cluster(c: int, tones: list[int]) -> np.ndarray:
-        members = clusters[c]
-        if not members or not tones:
-            return np.zeros(len(members))
-        gains = scenario.gain_matrix[np.ix_(members, tones)]
-        per_tone = budgets[members] / len(tones)
-        powers = np.broadcast_to(per_tone[:, None], gains.shape)
-        return sic_member_rates(gains, powers, noise, tone_bw)
+    # (cluster, rank) slots padded with zero gain and budget, which add
+    # nothing to any rate or interference sum.  Padding slots point at a
+    # sentinel device past the last one that always counts as satisfied.
+    depth = max(len(m) for m in clusters)
+    slot_dev = np.full((num_c, depth), scenario.num_devices)
+    for c, members in enumerate(clusters):
+        slot_dev[c, : len(members)] = members
+    gains_ext = np.vstack([scenario.gain_matrix, np.zeros(num_s)])
+    tone_gains = np.ascontiguousarray(gains_ext.T[:, slot_dev])  # (S, C, K)
+    slot_budgets = np.append(budgets, 0.0)[slot_dev]
+    member_gains = [scenario.gain_matrix[members] for members in clusters]
 
-    def commit(s: int, c: int, new_rates: np.ndarray, phase: int) -> None:
-        owned[c].append(s)
-        member_rates[c] = new_rates
-        rates[clusters[c]] = new_rates
+    owned: list[list[int]] = [[] for _ in range(num_c)]
+    # split[c, k]: member k's per-tone power if cluster c gains one more tone.
+    split = slot_budgets.copy()
+    # grown[c, k]: member k's sum of ln(1 + SINR) over cluster c's owned
+    # tones, at that split.
+    grown = np.zeros((num_c, depth))
+    cluster_sum = np.zeros(num_c)  # current sum rate of each cluster, bps
+    rates = np.zeros(scenario.num_devices)
+    total = 0.0
+
+    def choose(s: int, candidates: np.ndarray) -> tuple[int, float, np.ndarray]:
+        """Best candidate for tone s: (cluster, total sum rate, member rates)."""
+        received = tone_gains[s] * split
+        cand = tone_bw * (grown + sic_log_terms(received.T, noise).T) / log2
+        cand_total = total - cluster_sum + cand.sum(axis=1)
+        cand_total = np.where(candidates, cand_total, -math.inf)
+        # argmax keeps the first maximum, and returns the first NaN if any.
+        c = int(np.argmax(cand_total))
+        if not math.isfinite(cand_total[c]):
+            raise NonFiniteRateError(
+                f"subcarrier {s}: cluster {c} would reach a sum rate of "
+                f"{cand_total[c]} bps"
+            )
+        return c, float(cand_total[c]), cand[c]
+
+    def commit(s: int, c: int, new_total: float, new_rates: np.ndarray, phase: int) -> None:
+        """Give tone s to cluster c and rebuild that cluster's cache."""
+        nonlocal total
+        members = clusters[c]
+        tones = owned[c]
+        tones.append(s)
+        new_rates = new_rates[: len(members)]
+        rates[members] = new_rates
+        cluster_sum[c] = new_rates.sum()
+        total = new_total
+        split[c] = slot_budgets[c] / (len(tones) + 1)
+        received = member_gains[c].take(tones, axis=1) * split[c, : len(members), None]
+        grown[c, : len(members)] = sic_log_terms(received, noise).sum(axis=1)
         if on_step is not None:
             on_step(s, c, rates >= thresholds, phase)
 
-    satisfied = rates >= thresholds
-    total = 0.0
+    satisfied = np.append(rates >= thresholds, True)
     next_s = 0
 
     # Phase 1: serve clusters that still contain an unsatisfied device.
     while next_s < num_s and not satisfied.all():
-        s = next_s
-        best_c, best_total, best_rates = -1, -math.inf, None
-        for c in range(num_c):
-            members = clusters[c]
-            if not members or satisfied[members].all():
-                continue
-            cand = eval_cluster(c, owned[c] + [s])
-            cand_total = total - member_rates[c].sum() + cand.sum()
-            if cand_total > best_total:
-                best_c, best_total, best_rates = c, cand_total, cand
-        if best_c < 0:
-            break  # no nonempty cluster holds an unsatisfied device
-        total = best_total
-        commit(s, best_c, best_rates, phase=1)
-        satisfied = rates >= thresholds
+        commit(next_s, *choose(next_s, ~satisfied[slot_dev].all(axis=1)), phase=1)
+        satisfied[:-1] = rates >= thresholds
         next_s += 1
 
     # Phase 2: spend leftover spectrum on whichever cluster gains the most.
+    nonempty = slot_dev[:, 0] < scenario.num_devices
     for s in range(next_s, num_s):
-        best_c, best_total, best_rates = -1, -math.inf, None
-        for c in range(num_c):
-            if not clusters[c]:
-                continue
-            cand = eval_cluster(c, owned[c] + [s])
-            cand_total = total - member_rates[c].sum() + cand.sum()
-            if cand_total > best_total:
-                best_c, best_total, best_rates = c, cand_total, cand
-        total = best_total
-        commit(s, best_c, best_rates, phase=2)
+        commit(s, *choose(s, nonempty), phase=2)
 
     owner = np.full(num_s, -1, dtype=int)
+    powers = _powers_for(scenario, clusters, owned)
     for c, tones in enumerate(owned):
         owner[tones] = c
-    sub_map = SubcarrierMap(owner=owner)
-    powers = _powers_for(scenario, clusters, owned)
-    return sub_map, powers, build_report(scenario, rates)
+        if tones:
+            members = clusters[c]
+            # take() keeps the (members, tones) arrays C-ordered, so the
+            # per-member sums add up in the same order as everywhere else.
+            gains = member_gains[c].take(tones, axis=1)
+            watts = powers.watts[members].take(tones, axis=1)
+            rates[members] = sic_member_rates(gains, watts, noise, tone_bw)
+    return SubcarrierMap(owner=owner), powers, build_report(scenario, rates)

@@ -54,18 +54,6 @@ EXHAUSTIVE_MAX_SUBCARRIERS = 6
 GRID_MAX_USERS = 3
 
 
-def _oma_rates(scenario: Scenario, tones_of: list[list[int]]) -> np.ndarray:
-    noise = scenario.config.noise_per_subcarrier
-    bw = scenario.config.subcarrier_bandwidth
-    rates = np.zeros(scenario.num_devices)
-    for dev, tones in enumerate(tones_of):
-        if tones:
-            h = scenario.gain_matrix[dev, tones]
-            p = scenario.power_budgets[dev] / len(tones)
-            rates[dev] = bw * float(np.log1p(h * p / noise).sum()) / _LOG2
-    return rates
-
-
 def ofdma_allocate(scenario: Scenario) -> tuple[np.ndarray, PowerMatrix, RateReport]:
     """Greedy one-device-per-subcarrier allocation.
 
@@ -77,6 +65,8 @@ def ofdma_allocate(scenario: Scenario) -> tuple[np.ndarray, PowerMatrix, RateRep
     """
     n = scenario.num_devices
     num_s = scenario.config.num_subcarriers
+    noise = scenario.config.noise_per_subcarrier
+    bw = scenario.config.subcarrier_bandwidth
     owner = np.full(num_s, -1, dtype=int)
     tones_of: list[list[int]] = [[] for _ in range(n)]
     rates = np.zeros(n)
@@ -87,8 +77,12 @@ def ofdma_allocate(scenario: Scenario) -> tuple[np.ndarray, PowerMatrix, RateRep
         pool = unsat if unsat.size else np.arange(n)
         dev = int(pool[np.argmax(scenario.gain_matrix[pool, s])])
         owner[s] = dev
-        tones_of[dev].append(s)
-        rates[dev] = _oma_rates(scenario, tones_of)[dev]
+        tones = tones_of[dev]
+        tones.append(s)
+        # Only the receiving device's split changes; the others keep their rates.
+        h = scenario.gain_matrix[dev, tones]
+        p = scenario.power_budgets[dev] / len(tones)
+        rates[dev] = bw * float(np.log1p(h * p / noise).sum()) / _LOG2
 
     watts = np.zeros((n, num_s))
     for dev, tones in enumerate(tones_of):

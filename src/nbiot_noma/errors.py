@@ -24,6 +24,10 @@ class InvalidAssignmentError(ValueError):
         )
 
 
+class NonFiniteRateError(ValueError):
+    """A candidate rate came out NaN or infinite, so no argmax is meaningful."""
+
+
 class UnassignedDeviceError(LookupError):
     """The device is not placed in any cluster."""
 

@@ -30,6 +30,7 @@ __all__ = [
     "RateReport",
     "Violation",
     "sic_member_rates",
+    "sic_log_terms",
     "device_rate",
     "rate_report",
     "build_report",
@@ -114,6 +115,16 @@ def interference_below(received: np.ndarray) -> np.ndarray:
     return below
 
 
+def sic_log_terms(received: np.ndarray, noise_watts: float) -> np.ndarray:
+    """ln(1 + SINR) of every entry, rows in rank order along axis 0.
+
+    Each row is interfered by the received power of all rows below it
+    (the lower-ranked members, decoded later).  Multiply by W / ln 2 for
+    bps.
+    """
+    return np.log1p(received / (noise_watts + interference_below(received)))
+
+
 def sic_member_rates(
     gains: np.ndarray,
     powers: np.ndarray,
@@ -127,10 +138,8 @@ def sic_member_rates(
     """
     if gains.size == 0:
         return np.zeros(gains.shape[0])
-    received = gains * powers
-    # Interference on each tone: received power of all lower-ranked members.
-    sinr = received / (noise_watts + interference_below(received))
-    return tone_bandwidth * np.log1p(sinr).sum(axis=1) / math.log(2.0)
+    terms = sic_log_terms(gains * powers, noise_watts)
+    return tone_bandwidth * terms.sum(axis=1) / math.log(2.0)
 
 
 def _cluster_rates(
@@ -245,7 +254,7 @@ def sic_chain_mismatch(
             scenario.gain_matrix[np.ix_(members, tones)]
             * powers.watts[np.ix_(members, tones)]
         )
-        chain = np.log1p(received / (noise + interference_below(received))).sum(axis=0)
+        chain = sic_log_terms(received, noise).sum(axis=0)
         direct = np.log1p(received.sum(axis=0) / noise)
         mismatch = np.abs(chain - direct) / np.maximum(np.abs(direct), 1e-300)
         worst = max(worst, float(mismatch.max()))

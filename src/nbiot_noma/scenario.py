@@ -99,12 +99,6 @@ class ScenarioConfig:
                 "num_urllc + num_mmtc exceeds num_clusters * max_rank "
                 f"({self.num_devices} > {self.num_clusters * self.max_rank})"
             )
-        if self.num_subcarriers * self.subcarrier_bandwidth > self.rb_bandwidth * (
-            1 + 1e-12
-        ):
-            raise ConfigError(
-                "total subcarrier bandwidth exceeds the resource-block bandwidth"
-            )
         positive = (
             "subcarrier_bandwidth",
             "rb_bandwidth",
@@ -116,14 +110,21 @@ class ScenarioConfig:
             "min_distance",
         )
         for name in positive:
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be strictly positive and finite")
+        if self.num_subcarriers * self.subcarrier_bandwidth > self.rb_bandwidth * (
+            1 + 1e-12
+        ):
+            raise ConfigError(
+                "total subcarrier bandwidth exceeds the resource-block bandwidth"
+            )
         if self.min_distance > self.cell_radius:
             raise ConfigError("min_distance must not exceed cell_radius")
         for name in ("urllc_rate_threshold_range", "mmtc_rate_threshold_range"):
             lo, hi = getattr(self, name)
-            if not (0 <= lo <= hi):
-                raise ConfigError(f"{name} must satisfy 0 <= min <= max")
+            if not (0 <= lo <= hi and math.isfinite(hi)):
+                raise ConfigError(f"{name} must satisfy 0 <= min <= max < inf")
 
 
 @dataclass(eq=False)

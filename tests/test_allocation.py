@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nbiot_noma.allocation import allocate, equal_split
 from nbiot_noma.clustering import build_clusters
-from nbiot_noma.errors import InvalidAssignmentError
+from nbiot_noma.errors import InvalidAssignmentError, NonFiniteRateError
 from nbiot_noma.rate_model import ClusterAssignment, PowerMatrix, validate
 from nbiot_noma.scenario import ScenarioConfig, generate_scenario
 
@@ -75,6 +75,22 @@ class TestAllocate:
         sub_map, _, report = allocate(sc, assignment)
         assert np.all(sub_map.owner == 0)  # spectrum exhausted, no error
         assert report.satisfied_count < 2
+
+    @pytest.mark.parametrize("thresholds", [None, [1e9] * 4])
+    @pytest.mark.parametrize(
+        "gain, budget", [(np.nan, 1.0), (1.0, np.inf)], ids=["nan_gain", "inf_budget"]
+    )
+    def test_non_finite_candidate_raises_named_error(self, thresholds, gain, budget):
+        # a NaN candidate must stop the loop with a named error instead of
+        # losing every comparison and crashing later
+        gains = [[gain, 1.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]]
+        sc = make_scenario(
+            gains, "mmmm", thresholds=thresholds, budgets=[budget, 1.0, 1.0, 1.0],
+            num_clusters=2,
+        )
+        assignment = ClusterAssignment(clusters=[[0, 1], [2, 3]])
+        with pytest.raises(NonFiniteRateError, match="subcarrier 0: cluster 0"):
+            allocate(sc, assignment)
 
     def test_invalid_assignment_rejected(self):
         sc = make_scenario([[1.0], [1.0]], "mm")

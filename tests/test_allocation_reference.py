@@ -1,0 +1,143 @@
+"""The incremental allocators against their slow references, bit for bit.
+
+``reference_allocation.py`` keeps the greedy loop and the OFDMA loop as
+they stood before the incremental rewrite.  Both versions must give the
+same subcarrier map, power matrix, rates and ``on_step`` sequence, with
+exact array equality, on the benchmark cells and on small hand-built
+instances.
+"""
+
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nbiot_noma.allocation import allocate
+from nbiot_noma.baselines import fast_ofdm_allocate, ofdma_allocate
+from nbiot_noma.clustering import build_clusters
+from nbiot_noma.harness import ExperimentSpec, trial_config
+from nbiot_noma.rate_model import ClusterAssignment
+from nbiot_noma.scenario import generate_scenario, read_config_file
+
+from conftest import make_scenario
+from reference_allocation import (
+    reference_allocate,
+    reference_fast_ofdm_allocate,
+    reference_ofdma_allocate,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SEEDS_PER_CELL = 20
+
+# (sweep variable, sweep value, overrides): k_max 2/4/8 on the standard
+# cell, and the connectivity cell (k_max 2, 100 bps thresholds) at 60 and
+# 96 devices.
+CONNECTIVITY = {
+    "max_rank": 2,
+    "urllc_rate_threshold_range": (100.0, 100.0),
+    "mmtc_rate_threshold_range": (100.0, 100.0),
+}
+CELLS = {
+    "kmax2": ("k_max", 2, {}),
+    "kmax4": ("k_max", 4, {}),
+    "kmax8": ("k_max", 8, {}),
+    "conn60": ("total_devices", 60, CONNECTIVITY),
+    "conn96": ("total_devices", 96, CONNECTIVITY),
+}
+
+
+def cell_scenario(cell: str, seed: int):
+    variable, value, overrides = CELLS[cell]
+    base = replace(read_config_file(CONFIGS / "cell_default.cfg"), **overrides)
+    spec = ExperimentSpec(
+        base_config=base, sweep_variable=variable, sweep_values=(value,), trials=1
+    )
+    return generate_scenario(trial_config(spec, value, seed))
+
+
+def assert_same_allocation(scenario, assignment):
+    ref_steps, new_steps = [], []
+    ref = reference_allocate(scenario, assignment, on_step=lambda *a: ref_steps.append(a))
+    new = allocate(scenario, assignment, on_step=lambda *a: new_steps.append(a))
+    assert np.array_equal(new[0].owner, ref[0].owner)
+    assert np.array_equal(new[1].watts, ref[1].watts)
+    assert np.array_equal(new[2].rates, ref[2].rates)
+    assert [(s, c, phase) for s, c, _, phase in new_steps] == [
+        (s, c, phase) for s, c, _, phase in ref_steps
+    ]
+    for (_, _, new_mask, _), (_, _, ref_mask, _) in zip(new_steps, ref_steps):
+        assert np.array_equal(new_mask, ref_mask)
+
+
+def assert_same_oma(new, ref):
+    assert np.array_equal(new[0], ref[0])
+    assert np.array_equal(new[1].watts, ref[1].watts)
+    assert np.array_equal(new[2].rates, ref[2].rates)
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_bench_cells_match_reference(cell):
+    for seed in range(SEEDS_PER_CELL):
+        sc = cell_scenario(cell, seed)
+        assert_same_allocation(sc, build_clusters(sc))
+        assert_same_oma(ofdma_allocate(sc), reference_ofdma_allocate(sc))
+        assert_same_oma(fast_ofdm_allocate(sc), reference_fast_ofdm_allocate(sc))
+
+
+@st.composite
+def small_instances(draw):
+    """A hand-built cell with some zero gains, a valid rank-ordered
+    clustering that may hold empty clusters, and thresholds that are all
+    zero (phase 2 only), unreachable (phase 1 exhausts the spectrum) or
+    drawn in between, zero included."""
+    sizes = draw(st.lists(st.sampled_from([0, 2, 3]), min_size=1, max_size=4))
+    if not any(sizes):
+        sizes[0] = 2
+    n = sum(sizes)
+    num_s = draw(st.integers(1, 6))
+    num_urllc = draw(st.integers(0, n))
+    kinds = "u" * num_urllc + "m" * (n - num_urllc)
+    order = draw(st.permutations(range(n)))
+    clusters, start = [], 0
+    for size in sizes:
+        members = list(order[start : start + size])
+        start += size
+        clusters.append(sorted(members, key=lambda d: kinds[d] != "u"))
+    gain = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    gains = draw(st.lists(st.lists(gain, min_size=num_s, max_size=num_s),
+                          min_size=n, max_size=n))
+    budgets = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    mode = draw(st.sampled_from(["zero", "unreachable", "drawn"]))
+    if mode == "zero":
+        thresholds = [0.0] * n
+    elif mode == "unreachable":
+        thresholds = [1e12] * n
+    else:
+        threshold = st.one_of(st.just(0.0), st.floats(0.0, 20.0))
+        thresholds = draw(st.lists(threshold, min_size=n, max_size=n))
+    sc = make_scenario(
+        gains, kinds, thresholds=thresholds, budgets=budgets,
+        num_clusters=len(sizes), max_rank=max(max(sizes), 2),
+    )
+    return sc, ClusterAssignment(clusters=clusters)
+
+
+@given(small_instances())
+@settings(max_examples=200, deadline=None)
+def test_small_instances_match_reference(instance):
+    sc, assignment = instance
+    assert_same_allocation(sc, assignment)
+    assert_same_oma(ofdma_allocate(sc), reference_ofdma_allocate(sc))
+    assert_same_oma(fast_ofdm_allocate(sc), reference_fast_ofdm_allocate(sc))
+
+
+@pytest.mark.parametrize("thresholds", [None, [1e9] * 4])
+def test_exact_ties_go_to_the_first_cluster(thresholds):
+    # two identical clusters tie whenever they own equally many tones
+    sc = make_scenario(np.ones((4, 4)), "mmmm", thresholds=thresholds, num_clusters=2)
+    assignment = ClusterAssignment(clusters=[[0, 1], [2, 3]])
+    assert_same_allocation(sc, assignment)
+    assert list(allocate(sc, assignment)[0].owner) == [0, 1, 0, 1]

@@ -54,6 +54,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bandwidth"):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "subcarrier_bandwidth",
+            "rb_bandwidth",
+            "cell_radius",
+            "pathloss_exponent",
+            "noise_psd",
+            "power_budget_urllc",
+            "power_budget_mmtc",
+            "min_distance",
+        ],
+    )
+    def test_infinite_value_rejected(self, name):
+        cfg = dataclasses.replace(ScenarioConfig(), **{name: math.inf})
+        with pytest.raises(ConfigError, match=name):
+            cfg.validate()
+
+    @pytest.mark.parametrize(
+        "bounds", [(100.0, math.inf), (math.inf, math.inf), (math.nan, 1.0)]
+    )
+    @pytest.mark.parametrize(
+        "name", ["urllc_rate_threshold_range", "mmtc_rate_threshold_range"]
+    )
+    def test_non_finite_threshold_range_rejected(self, name, bounds):
+        cfg = dataclasses.replace(ScenarioConfig(), **{name: bounds})
+        with pytest.raises(ConfigError, match=name):
+            cfg.validate()
+
     def test_max_rank_floor(self):
         cfg = dataclasses.replace(
             ScenarioConfig(), max_rank=1, num_urllc=2, num_mmtc=2, num_clusters=4
@@ -160,6 +189,12 @@ class TestConfigFile:
         path = tmp_path / "cell.cfg"
         path.write_text("frequency = 900\n")
         with pytest.raises(ConfigError, match="unknown key"):
+            read_config_file(path)
+
+    def test_infinite_budget_rejected(self, tmp_path):
+        path = tmp_path / "cell.cfg"
+        path.write_text("power_budget_mmtc_dbm = inf\n")
+        with pytest.raises(ConfigError, match="power_budget_mmtc"):
             read_config_file(path)
 
     def test_malformed_line_rejected(self, tmp_path):
