@@ -21,13 +21,12 @@ from .rate_model import (
     PowerMatrix,
     RateReport,
     SubcarrierMap,
-    device_rate,
     jain_fairness,
     rate_report,
     validate,
 )
-from .clustering import average_gain, build_clusters, check_structure, cluster_mmtc, cluster_urllc
-from .allocation import allocate, equal_split
+from .clustering import build_clusters, cluster_mmtc, cluster_urllc
+from .allocation import allocate
 from .power_opt import (
     OrderedCluster,
     PowerSolution,
@@ -42,7 +41,6 @@ from .baselines import (
     exhaustive_clustering,
     fast_ofdm_allocate,
     grid_power_oracle,
-    heuristic_pipeline,
     mckp_oracle,
     ofdma_allocate,
 )

@@ -20,8 +20,7 @@ only the receiving cluster's cache is rebuilt, over its owned tones at
 the next split.  With C clusters of at most K members, and k tones owned
 by the receiving cluster, a step costs O(C*K + K*k) instead of
 re-evaluating every candidate over all of its tones.  Final rates come
-from :func:`~nbiot_noma.rate_model.sic_member_rates` on each cluster's
-final owned set.
+from :func:`~nbiot_noma.rate_model.rate_report` on the final map.
 """
 
 from __future__ import annotations
@@ -31,49 +30,20 @@ from typing import Callable
 
 import numpy as np
 
-from .clustering import check_structure
 from .errors import InvalidAssignmentError, NonFiniteRateError
 from .rate_model import (
     ClusterAssignment,
     PowerMatrix,
     RateReport,
     SubcarrierMap,
-    build_report,
+    equal_split_powers,
+    rate_report,
     sic_log_terms,
-    sic_member_rates,
+    structural_violations,
 )
 from .scenario import Scenario
 
-__all__ = ["allocate", "equal_split"]
-
-
-def equal_split(
-    powers: PowerMatrix,
-    scenario: Scenario,
-    members: list[int],
-    owned,
-) -> PowerMatrix:
-    """Spread each member's budget uniformly over the cluster's owned tones.
-
-    p[d, s] = budget(d) / len(owned) on owned tones, 0 elsewhere in the row.
-    """
-    owned = np.asarray(owned, dtype=int)
-    if owned.size == 0:
-        raise ValueError("owned subcarrier set must be nonempty")
-    watts = powers.watts.copy()
-    for dev in members:
-        watts[dev, :] = 0.0
-        watts[dev, owned] = scenario.power_budgets[dev] / owned.size
-    return PowerMatrix(watts=watts)
-
-
-def _powers_for(scenario: Scenario, clusters, owned_tones) -> PowerMatrix:
-    watts = np.zeros((scenario.num_devices, scenario.config.num_subcarriers))
-    for members, tones in zip(clusters, owned_tones):
-        if tones:
-            for dev in members:
-                watts[dev, tones] = scenario.power_budgets[dev] / len(tones)
-    return PowerMatrix(watts=watts)
+__all__ = ["allocate"]
 
 
 def allocate(
@@ -89,7 +59,7 @@ def allocate(
     :class:`~nbiot_noma.errors.NonFiniteRateError` when a candidate's sum
     rate is NaN or infinite.
     """
-    violations = check_structure(assignment, scenario)
+    violations = structural_violations(assignment, scenario)
     if violations:
         raise InvalidAssignmentError(violations)
 
@@ -171,14 +141,8 @@ def allocate(
         commit(s, *choose(s, nonempty), phase=2)
 
     owner = np.full(num_s, -1, dtype=int)
-    powers = _powers_for(scenario, clusters, owned)
     for c, tones in enumerate(owned):
         owner[tones] = c
-        if tones:
-            members = clusters[c]
-            # take() keeps the (members, tones) arrays C-ordered, so the
-            # per-member sums add up in the same order as everywhere else.
-            gains = member_gains[c].take(tones, axis=1)
-            watts = powers.watts[members].take(tones, axis=1)
-            rates[members] = sic_member_rates(gains, watts, noise, tone_bw)
-    return SubcarrierMap(owner=owner), powers, build_report(scenario, rates)
+    sub_map = SubcarrierMap(owner=owner)
+    powers = equal_split_powers(scenario, clusters, owned)
+    return sub_map, powers, rate_report(scenario, assignment, sub_map, powers)

@@ -13,8 +13,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .allocation import allocate
-from .clustering import build_clusters
 from .errors import GridResolutionError, InstanceTooLargeError
 from .power_opt import (
     OrderedCluster,
@@ -28,8 +26,9 @@ from .rate_model import (
     RateReport,
     SubcarrierMap,
     build_report,
-    interference_below,
-    sic_member_rates,
+    equal_split_powers,
+    rate_report,
+    sic_log_terms,
 )
 from .scenario import Device, Scenario
 
@@ -82,13 +81,11 @@ def ofdma_allocate(scenario: Scenario) -> tuple[np.ndarray, PowerMatrix, RateRep
         # Only the receiving device's split changes; the others keep their rates.
         h = scenario.gain_matrix[dev, tones]
         p = scenario.power_budgets[dev] / len(tones)
+        # The K = 1 SIC case, inline: sic_member_rates gives the same bits at 2-3x the cost.
         rates[dev] = bw * float(np.log1p(h * p / noise).sum()) / _LOG2
 
-    watts = np.zeros((n, num_s))
-    for dev, tones in enumerate(tones_of):
-        if tones:
-            watts[dev, tones] = scenario.power_budgets[dev] / len(tones)
-    return owner, PowerMatrix(watts=watts), build_report(scenario, rates)
+    powers = equal_split_powers(scenario, [[dev] for dev in range(n)], tones_of)
+    return owner, powers, build_report(scenario, rates)
 
 
 def half_tone_scenario(scenario: Scenario) -> Scenario:
@@ -124,11 +121,9 @@ def _tone_values_fixed(scenario, assignment, powers) -> np.ndarray:
     for c, members in enumerate(assignment.clusters):
         if not members:
             continue
-        gains = scenario.gain_matrix[members]  # (m, S)
-        p = powers.watts[members]
-        received = gains * p
-        sinr = received / (cfg.noise_per_subcarrier + interference_below(received))
-        values[:, c] = cfg.subcarrier_bandwidth * np.log1p(sinr).sum(axis=0) / _LOG2
+        received = scenario.gain_matrix[members] * powers.watts[members]  # (m, S)
+        terms = sic_log_terms(received, cfg.noise_per_subcarrier)
+        values[:, c] = cfg.subcarrier_bandwidth * terms.sum(axis=0) / _LOG2
     return values
 
 
@@ -147,11 +142,8 @@ def _tone_values_equal_split(scenario, assignment) -> np.ndarray:
         gains = scenario.gain_matrix[members]
         budgets = scenario.power_budgets[members][:, None]
         for k in range(num_s):
-            received = gains * (budgets / (k + 1))
-            sinr = received / (cfg.noise_per_subcarrier + interference_below(received))
-            values[:, c, k] = (
-                cfg.subcarrier_bandwidth * np.log1p(sinr).sum(axis=0) / _LOG2
-            )
+            terms = sic_log_terms(gains * (budgets / (k + 1)), cfg.noise_per_subcarrier)
+            values[:, c, k] = cfg.subcarrier_bandwidth * terms.sum(axis=0) / _LOG2
     return values
 
 
@@ -231,27 +223,6 @@ def _valid_assignments(scenario: Scenario, num_clusters: int, k_max: int):
             yield ClusterAssignment(clusters=[list(order) for order in combo])
 
 
-def _equal_split_outputs(scenario, assignment, sub_map):
-    watts = np.zeros((scenario.num_devices, scenario.config.num_subcarriers))
-    for c, members in enumerate(assignment.clusters):
-        tones = sub_map.owned_by(c)
-        if tones.size and members:
-            for dev in members:
-                watts[dev, tones] = scenario.power_budgets[dev] / tones.size
-    powers = PowerMatrix(watts=watts)
-    rates = np.zeros(scenario.num_devices)
-    for c, members in enumerate(assignment.clusters):
-        tones = sub_map.owned_by(c)
-        if members:
-            rates[members] = sic_member_rates(
-                scenario.gain_matrix[np.ix_(members, tones)],
-                watts[np.ix_(members, tones)],
-                scenario.config.noise_per_subcarrier,
-                scenario.config.subcarrier_bandwidth,
-            )
-    return powers, build_report(scenario, rates)
-
-
 def exhaustive_clustering(
     scenario: Scenario,
 ) -> tuple[ClusterAssignment, SubcarrierMap, RateReport]:
@@ -276,21 +247,14 @@ def exhaustive_clustering(
     best = None
     for assignment in _valid_assignments(scenario, cfg.num_clusters, cfg.max_rank):
         sub_map = mckp_oracle(scenario, assignment)
-        powers, report = _equal_split_outputs(scenario, assignment, sub_map)
+        tone_sets = [sub_map.owned_by(c) for c in range(assignment.num_clusters)]
+        powers = equal_split_powers(scenario, assignment.clusters, tone_sets)
+        report = rate_report(scenario, assignment, sub_map, powers)
         if best is None or report.sum_rate > best[2].sum_rate:
             best = (assignment, sub_map, report)
     if best is None:
         raise InstanceTooLargeError("no structurally valid clustering exists")
     return best
-
-
-def heuristic_pipeline(
-    scenario: Scenario,
-) -> tuple[ClusterAssignment, SubcarrierMap, PowerMatrix, RateReport]:
-    """Clustering followed by greedy allocation, as one call."""
-    assignment = build_clusters(scenario)
-    sub_map, powers, report = allocate(scenario, assignment)
-    return assignment, sub_map, powers, report
 
 
 def grid_power_oracle(
@@ -312,6 +276,7 @@ def grid_power_oracle(
     delta, rho, theta = threshold_coefficients(cluster)
     g = cluster.normalized_gains
     bw = cluster.bandwidth_hz
+    # The objective is written out again on purpose: an oracle shares no code with its subject.
 
     if n == 1:
         if p_max < theta[0]:

@@ -101,7 +101,6 @@ def _experiment_spec(args, sweep_variable, sweep_values):
         trials=args.trials,
         schemes=schemes,
         mmtc_to_urllc_ratio=ratio,
-        output_path=args.out,
     )
 
 

@@ -13,27 +13,21 @@ import logging
 import numpy as np
 
 from .errors import CapacityExceededError, SingletonClusterError
-from .rate_model import ClusterAssignment, Violation, structural_violations
+from .rate_model import ClusterAssignment
 from .scenario import Scenario
 
 __all__ = [
-    "average_gain",
     "average_gains",
     "cluster_urllc",
     "cluster_mmtc",
     "build_clusters",
-    "check_structure",
 ]
 
 log = logging.getLogger(__name__)
 
 
-def average_gain(scenario: Scenario, device_id: int) -> float:
-    """Mean linear power gain of one device across all subcarriers."""
-    return float(scenario.gain_matrix[device_id].mean())
-
-
 def average_gains(scenario: Scenario) -> np.ndarray:
+    """Mean linear power gain of every device across all subcarriers."""
     return scenario.gain_matrix.mean(axis=1)
 
 
@@ -135,10 +129,3 @@ def build_clusters(scenario: Scenario, num_clusters: int | None = None) -> Clust
     if num_clusters is None:
         num_clusters = scenario.config.num_clusters
     return cluster_mmtc(scenario, cluster_urllc(scenario, num_clusters))
-
-
-def check_structure(
-    assignment: ClusterAssignment, scenario: Scenario
-) -> list[Violation]:
-    """Clustering constraints only (C5-C11); spectrum-free validation."""
-    return structural_violations(assignment, scenario)

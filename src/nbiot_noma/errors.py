@@ -32,10 +32,6 @@ class UnassignedDeviceError(LookupError):
     """The device is not placed in any cluster."""
 
 
-class InconsistentPowerError(ValueError):
-    """Transmit power is positive on a subcarrier the device's cluster does not own."""
-
-
 class DegenerateRatesError(ValueError):
     """All rates are zero; the fairness index is undefined."""
 

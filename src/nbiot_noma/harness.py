@@ -50,7 +50,6 @@ class ExperimentSpec:
     trials: int = 100
     schemes: tuple[str, ...] = ("noma", "ofdma")
     mmtc_to_urllc_ratio: float = 3.0
-    output_path: str | None = None
 
     def validate(self) -> None:
         if self.sweep_variable not in SWEEP_VARIABLES:

@@ -41,7 +41,6 @@ __all__ = [
     "ConcavityReport",
     "tail_powers",
     "powers_from_tail",
-    "objective_term",
     "cluster_objective",
     "ordered_user_rates",
     "threshold_coefficients",
@@ -122,17 +121,6 @@ def powers_from_tail(tail, *, tol: float = 0.0) -> np.ndarray:
     return np.maximum(p, 0.0)
 
 
-def objective_term(index: int, tail_value: float, cluster: OrderedCluster) -> float:
-    """Rate contribution of user ``index`` (0-based) as a function of its tail power."""
-    g = cluster.normalized_gains
-    scale = cluster.bandwidth_hz / _LOG2
-    if index == 0:
-        return scale * math.log1p(g[0] * tail_value)
-    return scale * (
-        math.log1p(g[index] * tail_value) - math.log1p(g[index - 1] * tail_value)
-    )
-
-
 def cluster_objective(tail, cluster: OrderedCluster) -> float:
     t = np.asarray(tail, dtype=float)
     g = cluster.normalized_gains
@@ -158,6 +146,7 @@ def ordered_user_rates(powers, cluster: OrderedCluster) -> np.ndarray:
     """Per-user SIC rates straight from the SINR definition (no transform)."""
     p = np.asarray(powers, dtype=float)
     g = cluster.normalized_gains
+    # Not sic_log_terms: interference is g[j] * (sum of later powers), the subproblem's model.
     later = np.concatenate([p[::-1].cumsum()[::-1][1:], [0.0]])
     sinr = g * p / (1.0 + g * later)
     return cluster.bandwidth_hz * np.log1p(sinr) / _LOG2

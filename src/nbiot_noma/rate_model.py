@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRatesError, InconsistentPowerError, UnassignedDeviceError
+from .errors import DegenerateRatesError, UnassignedDeviceError
 from .scenario import Scenario
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
     "Violation",
     "sic_member_rates",
     "sic_log_terms",
-    "device_rate",
+    "equal_split_powers",
     "rate_report",
     "build_report",
     "jain_fairness",
@@ -60,12 +60,6 @@ class ClusterAssignment:
             for rank, dev in enumerate(members):
                 out[dev] = (c, rank)
         return out
-
-    def slot_of(self, device_id: int) -> tuple[int, int]:
-        for c, members in enumerate(self.clusters):
-            if device_id in members:
-                return c, members.index(device_id)
-        raise UnassignedDeviceError(f"device {device_id} is in no cluster")
 
 
 @dataclass
@@ -142,6 +136,20 @@ def sic_member_rates(
     return tone_bandwidth * terms.sum(axis=1) / math.log(2.0)
 
 
+def equal_split_powers(scenario: Scenario, groups, tone_sets) -> PowerMatrix:
+    """Every member of a group spreads its budget evenly over the group's tones.
+
+    p[d, s] = budget(d) / len(tones) on the group's tones, 0 elsewhere.  A
+    group with no tones keeps zero rows.
+    """
+    watts = np.zeros((scenario.num_devices, scenario.config.num_subcarriers))
+    for members, tones in zip(groups, tone_sets):
+        if len(tones):
+            for dev in members:
+                watts[dev, tones] = scenario.power_budgets[dev] / len(tones)
+    return PowerMatrix(watts=watts)
+
+
 def _cluster_rates(
     scenario: Scenario,
     assignment: ClusterAssignment,
@@ -159,26 +167,6 @@ def _cluster_rates(
         gains, p, scenario.config.noise_per_subcarrier,
         scenario.config.subcarrier_bandwidth,
     )
-
-
-def device_rate(
-    device_id: int,
-    scenario: Scenario,
-    assignment: ClusterAssignment,
-    sub_map: SubcarrierMap,
-    powers: PowerMatrix,
-) -> float:
-    """Achievable rate of one device in bps under the current allocation."""
-    cluster, rank = assignment.slot_of(device_id)
-    off_cluster = powers.watts[device_id].copy()
-    off_cluster[sub_map.owned_by(cluster)] = 0.0
-    if np.any(off_cluster > 0):
-        bad = int(np.flatnonzero(off_cluster > 0)[0])
-        raise InconsistentPowerError(
-            f"device {device_id} transmits on subcarrier {bad}, "
-            f"which cluster {cluster} does not own"
-        )
-    return float(_cluster_rates(scenario, assignment, sub_map, powers, cluster)[rank])
 
 
 def jain_fairness(rates) -> float:
@@ -347,13 +335,14 @@ def validate(
         cid = "C15" if scenario.is_urllc[d] else "C14"
         out.append(Violation(cid, f"negative power p[{int(d)},{int(s)}]"))
 
+    owned = [sub_map.owned_by(c) for c in range(assignment.num_clusters)]
     slots = assignment.slots()
     for dev in range(scenario.num_devices):
         if dev not in slots:
             continue  # already a C8/C9 violation
         cluster, _ = slots[dev]
         off = w[dev].copy()
-        off[sub_map.owned_by(cluster)] = 0.0
+        off[owned[cluster]] = 0.0
         if np.any(off > 0):
             s = int(np.flatnonzero(off > 0)[0])
             out.append(
@@ -365,7 +354,7 @@ def validate(
         row_sum = float(w[dev].sum())
         budget = scenario.power_budgets[dev]
         if scenario.is_urllc[dev]:
-            has_spectrum = sub_map.owned_by(cluster).size > 0
+            has_spectrum = owned[cluster].size > 0
             if has_spectrum and not math.isclose(
                 row_sum, budget, rel_tol=BUDGET_RTOL, abs_tol=0.0
             ):

@@ -15,12 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .allocation import allocate
-from .baselines import (
-    exhaustive_clustering,
-    grid_power_oracle,
-    heuristic_pipeline,
-    mckp_oracle,
-)
+from .baselines import exhaustive_clustering, grid_power_oracle, mckp_oracle
 from .clustering import build_clusters
 from .errors import GridResolutionError
 from .power_opt import (
@@ -148,7 +143,8 @@ def _check_oracle_dominance(base, rng, trials=15) -> CheckResult:
     for _ in range(trials):
         cfg = tiny_config(base, rng)
         scenario = generate_scenario(cfg)
-        assignment, _, powers, report = heuristic_pipeline(scenario)
+        assignment = build_clusters(scenario)
+        _, powers, report = allocate(scenario, assignment)
         oracle_map = mckp_oracle(scenario, assignment, powers)
         oracle_rate = rate_report(scenario, assignment, oracle_map, powers).sum_rate
         if oracle_rate < report.sum_rate * (1 - 1e-9):
@@ -163,7 +159,7 @@ def _check_exhaustive_dominance(base, rng, trials=8) -> CheckResult:
     for _ in range(trials):
         cfg = tiny_config(base, rng)
         scenario = generate_scenario(cfg)
-        _, _, _, heuristic_report = heuristic_pipeline(scenario)
+        _, _, heuristic_report = allocate(scenario, build_clusters(scenario))
         _, _, best_report = exhaustive_clustering(scenario)
         if best_report.sum_rate < heuristic_report.sum_rate * (1 - 1e-9):
             failures += 1

@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from nbiot_noma.baselines import half_tone_scenario
-from nbiot_noma.clustering import check_structure
 from nbiot_noma.errors import InvalidAssignmentError
 from nbiot_noma.rate_model import (
     ClusterAssignment,
@@ -27,6 +26,7 @@ from nbiot_noma.rate_model import (
     SubcarrierMap,
     build_report,
     sic_member_rates,
+    structural_violations,
 )
 from nbiot_noma.scenario import Scenario
 
@@ -53,7 +53,7 @@ def reference_allocate(
     (subcarrier, cluster, satisfied mask copy, phase) and exists for
     instrumentation in tests.
     """
-    violations = check_structure(assignment, scenario)
+    violations = structural_violations(assignment, scenario)
     if violations:
         raise InvalidAssignmentError(violations)
 

@@ -16,11 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from nbiot_noma.baselines import (
-    exhaustive_clustering,
-    grid_power_oracle,
-    heuristic_pipeline,
-)
+from nbiot_noma.baselines import exhaustive_clustering, grid_power_oracle
 from nbiot_noma.clustering import build_clusters
 from nbiot_noma.allocation import allocate
 from nbiot_noma.harness import (
@@ -339,7 +335,7 @@ def test_criterion_7_oracle_dominance():
     dominated = True
     for _ in range(500):
         scenario = generate_scenario(tiny_config(base, rng))
-        _, _, _, heuristic = heuristic_pipeline(scenario)
+        _, _, heuristic = allocate(scenario, build_clusters(scenario))
         _, _, best = exhaustive_clustering(scenario)
         if best.sum_rate < heuristic.sum_rate * (1 - 1e-9):
             dominated = False

@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbiot_noma.allocation import allocate, equal_split
+from nbiot_noma.allocation import allocate
 from nbiot_noma.clustering import build_clusters
 from nbiot_noma.errors import InvalidAssignmentError, NonFiniteRateError
-from nbiot_noma.rate_model import ClusterAssignment, PowerMatrix, validate
+from nbiot_noma.rate_model import (
+    ClusterAssignment,
+    PowerMatrix,
+    equal_split_powers,
+    validate,
+)
 from nbiot_noma.scenario import ScenarioConfig, generate_scenario
 
 from conftest import make_scenario
@@ -18,26 +23,22 @@ from conftest import make_scenario
 class TestEqualSplit:
     def test_four_tones(self):
         sc = make_scenario([[1.0] * 4], "m", budgets=[0.2], max_rank=2)
-        powers = equal_split(PowerMatrix(np.zeros((1, 4))), sc, [0], [0, 1, 2, 3])
+        powers = equal_split_powers(sc, [[0]], [[0, 1, 2, 3]])
         assert np.allclose(powers.watts[0], 0.05, rtol=1e-15)
 
     def test_single_tone(self):
         sc = make_scenario([[1.0] * 4], "m", budgets=[0.2], max_rank=2)
-        powers = equal_split(PowerMatrix(np.zeros((1, 4))), sc, [0], [2])
+        powers = equal_split_powers(sc, [[0]], [[2]])
         assert powers.watts[0, 2] == 0.2
         assert powers.watts[0].sum() == 0.2
 
     def test_adding_fifth_tone_conserves_budget(self):
         sc = make_scenario([[1.0] * 5], "m", budgets=[0.2], max_rank=2)
-        first = equal_split(PowerMatrix(np.zeros((1, 5))), sc, [0], [0, 1, 2, 3])
-        second = equal_split(first, sc, [0], [0, 1, 2, 3, 4])
+        first = equal_split_powers(sc, [[0]], [[0, 1, 2, 3]])
+        second = equal_split_powers(sc, [[0]], [[0, 1, 2, 3, 4]])
+        assert np.allclose(first.watts[0, :4], 0.05, rtol=1e-15)
         assert np.allclose(second.watts[0], 0.04, rtol=1e-15)
         assert second.watts[0].sum() == pytest.approx(0.2, rel=1e-12)
-
-    def test_empty_owned_set_rejected(self):
-        sc = make_scenario([[1.0]], "m", max_rank=2)
-        with pytest.raises(ValueError):
-            equal_split(PowerMatrix(np.zeros((1, 1))), sc, [0], [])
 
 
 class TestAllocate:
@@ -127,7 +128,7 @@ class TestAllocate:
         assert validate(assignment, sub_map, powers, sc) == []
         row_sums = powers.watts.sum(axis=1)
         for dev in range(sc.num_devices):
-            cluster, _ = assignment.slot_of(dev)
+            cluster, _ = assignment.slots()[dev]
             if sub_map.owned_by(cluster).size:
                 assert row_sums[dev] == pytest.approx(
                     sc.power_budgets[dev], rel=1e-12

@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from nbiot_noma.allocation import allocate
 from nbiot_noma.baselines import (
     exhaustive_clustering,
     fast_ofdm_allocate,
     grid_power_oracle,
     half_tone_scenario,
-    heuristic_pipeline,
     mckp_oracle,
     ofdma_allocate,
 )
+from nbiot_noma.clustering import build_clusters
 from nbiot_noma.errors import GridResolutionError, InstanceTooLargeError
 from nbiot_noma.power_opt import OrderedCluster, find_feasible_tail, maximize_rates
 from nbiot_noma.rate_model import ClusterAssignment, PowerMatrix, rate_report
@@ -129,7 +130,8 @@ class TestMckpOracle:
         rng = np.random.default_rng(17)
         for _ in range(100):
             sc = generate_scenario(tiny_config(base, rng))
-            assignment, sub_map, powers, report = heuristic_pipeline(sc)
+            assignment = build_clusters(sc)
+            _, powers, report = allocate(sc, assignment)
             oracle_map = mckp_oracle(sc, assignment, powers)
             oracle_rate = rate_report(sc, assignment, oracle_map, powers).sum_rate
             assert oracle_rate >= report.sum_rate * (1 - 1e-9)
@@ -166,7 +168,7 @@ class TestExhaustiveClustering:
         rng = np.random.default_rng(23)
         for _ in range(40):
             sc = generate_scenario(tiny_config(base, rng))
-            _, _, _, heuristic_report = heuristic_pipeline(sc)
+            _, _, heuristic_report = allocate(sc, build_clusters(sc))
             _, _, best = exhaustive_clustering(sc)
             assert best.sum_rate >= heuristic_report.sum_rate * (1 - 1e-9)
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from nbiot_noma.cli import (
@@ -5,6 +7,16 @@ from nbiot_noma.cli import (
     EXIT_RUNTIME,
     EXIT_USAGE,
     main,
+)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+HEADER = "seed,scheme,sweep_value,sum_rate_bps,fairness,satisfied_count,runtime_s"
+
+# The README's three experiment lines, each cut to one small sweep value.
+PRESETS = (
+    ("sum_rate_kmax8.cfg", "total_devices", "24", "noma,ofdma"),
+    ("cell_default.cfg", "k_max", "2", "noma,ofdma"),
+    ("connectivity.cfg", "total_devices", "24", "noma,ofdma,fast_ofdm"),
 )
 
 
@@ -50,6 +62,24 @@ def test_sweep_command(tmp_path, config_file):
     )
     assert code == EXIT_OK
     assert len(out.read_text().splitlines()) == 1 + 2
+
+    for config, var, value, schemes in PRESETS:
+        out = tmp_path / f"{config}.csv"
+        code = main(
+            [
+                "sweep",
+                "--config", str(CONFIGS / config),
+                "--var", var,
+                "--values", value,
+                "--out", str(out),
+                "--trials", "1",
+                "--schemes", schemes,
+            ]
+        )
+        assert code == EXIT_OK, config
+        lines = out.read_text().splitlines()
+        assert lines[0] == HEADER
+        assert len(lines) == 1 + len(schemes.split(","))
 
 
 def test_validate_command(config_file, capsys):

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbiot_noma.clustering import (
-    average_gain,
+    average_gains,
     build_clusters,
-    check_structure,
     cluster_mmtc,
     cluster_urllc,
 )
 from nbiot_noma.errors import CapacityExceededError, SingletonClusterError
+from nbiot_noma.rate_model import structural_violations
 from nbiot_noma.scenario import ScenarioConfig, generate_scenario
 
 from conftest import make_scenario
@@ -25,17 +25,17 @@ def gains_row(value, s=4):
 class TestAverageGain:
     def test_constant(self):
         sc = make_scenario([gains_row(3.5)], "m")
-        assert average_gain(sc, 0) == 3.5
+        assert average_gains(sc)[0] == 3.5
 
     def test_mean(self):
         sc = make_scenario([[1.0, 2.0, 3.0, 4.0]], "m")
-        assert average_gain(sc, 0) == pytest.approx(2.5, rel=1e-15)
+        assert average_gains(sc)[0] == pytest.approx(2.5, rel=1e-15)
 
     def test_matches_independent_mean(self):
         sc = generate_scenario(ScenarioConfig(rng_seed=11))
         dev = sc.devices[5]
         expected = sum(float(g) for g in dev.gains) / len(dev.gains)
-        assert average_gain(sc, 5) == pytest.approx(expected, rel=1e-12)
+        assert average_gains(sc)[5] == pytest.approx(expected, rel=1e-12)
 
 
 def descending_scenario(kinds, s=2):
@@ -105,7 +105,7 @@ class TestMmtcClustering:
         )
         assignment = cluster_mmtc(sc, cluster_urllc(sc, 2))
         assert assignment.clusters == [[0, 2], [1, 3]]
-        assert check_structure(assignment, sc) == []
+        assert structural_violations(assignment, sc) == []
 
     def test_unrepairable_singleton(self):
         sc = make_scenario(
@@ -148,7 +148,7 @@ class TestStructureProperties:
         )
         sc = generate_scenario(cfg)
         assignment = build_clusters(sc)
-        assert check_structure(assignment, sc) == []
+        assert structural_violations(assignment, sc) == []
 
     def test_urllc_all_rank_one_when_u_le_c(self):
         cfg = dataclasses.replace(
@@ -187,10 +187,11 @@ class TestStructureProperties:
         )
         def placement_multiset(scenario):
             assignment = build_clusters(scenario)
+            gains = average_gains(scenario)
             out = []
             for c, members in enumerate(assignment.clusters):
                 for rank, dev in enumerate(members):
-                    out.append((c, rank, round(average_gain(scenario, dev), 12)))
+                    out.append((c, rank, round(float(gains[dev]), 12)))
             return sorted(out)
 
         assert placement_multiset(sc) == placement_multiset(permuted)

@@ -16,7 +16,6 @@ from nbiot_noma.power_opt import (
     cluster_objective,
     find_feasible_tail,
     maximize_rates,
-    objective_term,
     ordered_user_rates,
     powers_from_tail,
     probe_concavity,
@@ -63,13 +62,16 @@ class TestTransform:
 
 class TestObjectiveTerms:
     def test_equal_gains_vanish(self):
+        # user 2's term is zero, so its tail value cannot move the objective
         cluster = simple_cluster([2.0, 2.0])
         for z in (0.0, 0.3, 5.0):
-            assert objective_term(1, z, cluster) == 0.0
+            assert cluster_objective([1.0, z], cluster) == cluster_objective(
+                [1.0, 0.0], cluster
+            )
 
     def test_unit_snr_first_term(self):
         cluster = simple_cluster([2.0, 4.0])
-        assert objective_term(0, 0.5, cluster) == pytest.approx(1.0, rel=1e-12)
+        assert cluster_objective([0.5, 0.0], cluster) == pytest.approx(1.0, rel=1e-12)
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=100, deadline=None)

@@ -6,17 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nbiot_noma.errors import (
-    DegenerateRatesError,
-    InconsistentPowerError,
-    UnassignedDeviceError,
-)
+from nbiot_noma.errors import DegenerateRatesError, UnassignedDeviceError
 from nbiot_noma.power_opt import OrderedCluster, ordered_user_rates
 from nbiot_noma.rate_model import (
     ClusterAssignment,
     PowerMatrix,
     SubcarrierMap,
-    device_rate,
     jain_fairness,
     rate_report,
     sic_chain_mismatch,
@@ -44,35 +39,25 @@ class TestDeviceRate:
         assignment = ClusterAssignment(clusters=[[0, 1]])
         sub_map = SubcarrierMap(owner=np.array([0]))
         powers = PowerMatrix(watts=np.array([[0.0], [7.5]]))  # noise N0*W = 7.5
-        assert device_rate(1, scenario, assignment, sub_map, powers) == pytest.approx(
-            7.5, rel=1e-12
-        )
+        rates = rate_report(scenario, assignment, sub_map, powers).rates
+        assert rates[1] == pytest.approx(7.5, rel=1e-12)
 
     def test_two_device_sinr(self):
         scenario, assignment, sub_map, powers = two_device_cluster()
-        r1 = device_rate(0, scenario, assignment, sub_map, powers)
-        r2 = device_rate(1, scenario, assignment, sub_map, powers)
+        r1, r2 = rate_report(scenario, assignment, sub_map, powers).rates
         assert r1 == pytest.approx(LOG2_3, rel=1e-12)
         assert r2 == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_power_zero_rate(self):
         scenario, assignment, sub_map, powers = two_device_cluster()
         powers = PowerMatrix(watts=np.zeros((2, 1)))
-        assert device_rate(0, scenario, assignment, sub_map, powers) == 0.0
+        assert rate_report(scenario, assignment, sub_map, powers).rates[0] == 0.0
 
     def test_unassigned_device(self):
         scenario, _, sub_map, powers = two_device_cluster()
         assignment = ClusterAssignment(clusters=[[0]])
         with pytest.raises(UnassignedDeviceError):
-            device_rate(1, scenario, assignment, sub_map, powers)
-
-    def test_power_outside_cluster(self):
-        scenario = make_scenario([[1.0, 1.0], [1.0, 1.0]], "mm")
-        assignment = ClusterAssignment(clusters=[[0, 1]])
-        sub_map = SubcarrierMap(owner=np.array([0, -1]))
-        powers = PowerMatrix(watts=np.array([[0.5, 0.5], [1.0, 0.0]]))
-        with pytest.raises(InconsistentPowerError):
-            device_rate(0, scenario, assignment, sub_map, powers)
+            rate_report(scenario, assignment, sub_map, powers)
 
     def test_empty_cluster_rate_zero(self):
         # a cluster with no subcarriers yields zero rate, not an error
@@ -80,7 +65,7 @@ class TestDeviceRate:
         assignment = ClusterAssignment(clusters=[[0, 1]])
         sub_map = SubcarrierMap(owner=np.array([-1]))
         powers = PowerMatrix(watts=np.zeros((2, 1)))
-        assert device_rate(0, scenario, assignment, sub_map, powers) == 0.0
+        assert rate_report(scenario, assignment, sub_map, powers).rates[0] == 0.0
 
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e6)
@@ -108,17 +93,17 @@ class TestSicProperties:
 
     def test_highest_rank_power_monotonicity(self):
         scenario, assignment, sub_map, powers = two_device_cluster()
-        base_low = device_rate(0, scenario, assignment, sub_map, powers)
-        base_high = device_rate(1, scenario, assignment, sub_map, powers)
+        base_low, base_high = rate_report(scenario, assignment, sub_map, powers).rates
         boosted = PowerMatrix(watts=np.array([[1.0], [2.0]]))
-        assert device_rate(1, scenario, assignment, sub_map, boosted) > base_high
-        assert device_rate(0, scenario, assignment, sub_map, boosted) < base_low
+        low, high = rate_report(scenario, assignment, sub_map, boosted).rates
+        assert high > base_high
+        assert low < base_low
 
     def test_rank_invariant_to_lower_rank_power(self):
         scenario, assignment, sub_map, powers = two_device_cluster()
-        base = device_rate(1, scenario, assignment, sub_map, powers)
+        base = rate_report(scenario, assignment, sub_map, powers).rates[1]
         boosted = PowerMatrix(watts=np.array([[9.0], [1.0]]))
-        assert device_rate(1, scenario, assignment, sub_map, boosted) == base
+        assert rate_report(scenario, assignment, sub_map, boosted).rates[1] == base
 
     def test_matches_ordered_user_formula_on_equal_gain_tone(self):
         # With one shared gain the per-interferer SINR and the
@@ -137,9 +122,9 @@ class TestSicProperties:
             bandwidth_hz=1.0,
         )
         expected = ordered_user_rates(p, cluster)
+        rates = rate_report(scenario, assignment, sub_map, pm).rates
         for rank in range(3):
-            got = device_rate(rank, scenario, assignment, sub_map, pm)
-            assert got == pytest.approx(expected[rank], rel=1e-12)
+            assert rates[rank] == pytest.approx(expected[rank], rel=1e-12)
 
 
 class TestJain:
