@@ -136,14 +136,14 @@ def _tone_values_equal_split(scenario, assignment) -> np.ndarray:
     cfg = scenario.config
     num_s, num_c = cfg.num_subcarriers, assignment.num_clusters
     values = np.zeros((num_s, num_c, num_s))
+    shares = np.arange(1, num_s + 1)[:, None]  # (k, 1): owned-tone counts
     for c, members in enumerate(assignment.clusters):
         if not members:
             continue
-        gains = scenario.gain_matrix[members]
-        budgets = scenario.power_budgets[members][:, None]
-        for k in range(num_s):
-            terms = sic_log_terms(gains * (budgets / (k + 1)), cfg.noise_per_subcarrier)
-            values[:, c, k] = cfg.subcarrier_bandwidth * terms.sum(axis=0) / _LOG2
+        gains = scenario.gain_matrix[members][:, None, :]  # (m, 1, S)
+        budgets = scenario.power_budgets[members][:, None, None]  # (m, 1, 1)
+        terms = sic_log_terms(gains * (budgets / shares), cfg.noise_per_subcarrier)
+        values[:, c, :] = (cfg.subcarrier_bandwidth * terms.sum(axis=0) / _LOG2).T
     return values
 
 
@@ -183,14 +183,11 @@ def mckp_oracle(
         if powers is not None:
             obj = per_tone[np.arange(num_s)[None, :], digits].sum(axis=1)
         else:
-            counts = np.zeros((idx.size, num_c), dtype=np.int64)
-            for c in range(num_c):
-                counts[:, c] = (digits == c).sum(axis=1)
-            rows = np.arange(idx.size)
-            obj = np.zeros(idx.size)
-            for s in range(num_s):
-                owner_col = digits[:, s]
-                obj += per_tone[s, owner_col, counts[rows, owner_col] - 1]
+            counts = (digits[:, :, None] == np.arange(num_c)).sum(axis=1)  # (maps, C)
+            owned = np.take_along_axis(counts, digits, axis=1)
+            # (S, maps), C-ordered: the axis-0 sum adds tones in order, as a
+            # running total would; a last-axis sum is pairwise and can flip a near-tie.
+            obj = per_tone[np.arange(num_s)[:, None], digits.T, owned.T - 1].sum(axis=0)
         k = int(np.argmax(obj))  # first maximum keeps the lexicographic winner
         if obj[k] > best_obj:
             best_obj = float(obj[k])
@@ -257,6 +254,21 @@ def exhaustive_clustering(
     return best
 
 
+def _grid_box(axis, p_max, delta, rho, theta) -> tuple[int, int, int]:
+    """(rows, first, last) bounding the feasible points of the 3-user mesh.
+
+    Every feasible (T2, T3) = (axis[i], axis[j]) has i < rows and
+    first <= j < last.  Rows pass the 1-D bound on T2.  Columns start at
+    theta[2] and end at the last T3 with T2 - T3 >= T3 on the largest row:
+    a rounded difference never shrinks as T2 grows, so no smaller row
+    admits a larger T3.
+    """
+    rows = int(np.count_nonzero(axis <= delta[0] * p_max - rho[0]))
+    first = int(np.searchsorted(axis, theta[2]))
+    last = int(np.count_nonzero(axis[rows - 1] - axis >= axis)) if rows else 0
+    return rows, first, last
+
+
 def grid_power_oracle(
     cluster: OrderedCluster, step: float
 ) -> tuple[np.ndarray, float]:
@@ -307,27 +319,26 @@ def grid_power_oracle(
         tail = np.array([p_max, t2[k]])
         return powers_from_tail(tail), float(obj[k])
 
-    t2, t3 = np.meshgrid(axis, axis, indexing="ij")
-    feasible = (
-        (t2 <= delta[0] * p_max - rho[0])
-        & (t3 <= delta[1] * t2 - rho[1])
-        & (t3 >= theta[2])
-        & (p_max - t2 >= t2 - t3)
-        & (t2 - t3 >= t3)
-    )
+    rows, first, last = _grid_box(axis, p_max, delta, rho, theta)
+    t2, t3 = axis[:rows, None], axis[first:last]
+    gap = t2 - t3
+    feasible = (t3 <= delta[1] * t2 - rho[1]) & (p_max - t2 >= gap) & (gap >= t3)
     if not feasible.any():
         raise GridResolutionError("no feasible grid point; refine the step")
-    t2, t3 = t2[feasible], t3[feasible]
+    # Each log term is a 1-D table on the axis, gathered in the full mesh's
+    # row-major order and summed left to right as the mesh form would be.
+    log_g1 = np.log1p(g[1] * axis)
+    i, j = np.nonzero(feasible)
     obj = (
         bw / _LOG2
         * (
             math.log1p(g[0] * p_max)
-            + np.log1p(g[1] * t2)
-            - np.log1p(g[0] * t2)
-            + np.log1p(g[2] * t3)
-            - np.log1p(g[1] * t3)
+            + log_g1[i]
+            - np.log1p(g[0] * axis[:rows])[i]
+            + np.log1p(g[2] * t3)[j]
+            - log_g1[first + j]
         )
     )
     k = int(np.argmax(obj))
-    tail = np.array([p_max, float(t2[k]), float(t3[k])])
+    tail = np.array([p_max, float(axis[i[k]]), float(t3[j[k]])])
     return powers_from_tail(tail), float(obj[k])

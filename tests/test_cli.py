@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,8 @@ from nbiot_noma.cli import (
     main,
 )
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 HEADER = "seed,scheme,sweep_value,sum_rate_bps,fairness,satisfied_count,runtime_s"
 
 # The README's three experiment lines, each cut to one small sweep value.
@@ -45,6 +49,24 @@ def test_run_writes_csv(tmp_path, config_file, capsys):
     assert lines[0].startswith("seed,scheme,sweep_value")
     assert len(lines) == 1 + 2 * 2  # 2 trials x {noma, ofdma}
     assert "sum rate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module", ["nbiot_noma", "nbiot_noma.cli"])
+def test_module_form_writes_csv(tmp_path, module):
+    # Without an installed script, `python -m` must still run the command.
+    out = tmp_path / "module.csv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", module, "run",
+            "--config", str(CONFIGS / "cell_small.cfg"),
+            "--trials", "1",
+            "--out", str(out),
+        ],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert out.read_text().splitlines()[0] == HEADER
 
 
 def test_sweep_command(tmp_path, config_file):

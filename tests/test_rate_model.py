@@ -15,6 +15,7 @@ from nbiot_noma.rate_model import (
     jain_fairness,
     rate_report,
     sic_chain_mismatch,
+    sic_log_terms,
     validate,
 )
 
@@ -69,6 +70,8 @@ class TestDeviceRate:
 
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e6)
+# Zero-gain tones and gains across 60 decades, log-uniform.
+extreme_gains = st.one_of(st.just(0.0), st.floats(-30.0, 30.0).map(lambda e: 10.0**e))
 
 
 class TestSicProperties:
@@ -90,6 +93,33 @@ class TestSicProperties:
         pm = PowerMatrix(watts=powers.reshape(n, 1))
         mismatch = sic_chain_mismatch(scenario, assignment, sub_map, pm)
         assert mismatch <= 1e-9
+
+    @given(
+        st.tuples(
+            st.integers(1, 4), st.integers(1, 6), st.integers(1, 6)
+        ).flatmap(
+            lambda shape: st.tuples(
+                arrays(np.float64, (shape[0], shape[2]), elements=extreme_gains),
+                arrays(np.float64, shape[0], elements=positive_floats),
+                st.just(shape[1]),
+                st.floats(1e-20, 1e-5),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stacked_terms_match_per_share_calls(self, draw):
+        # The equal-split MCKP table stacks every owned-tone count k into one
+        # (members, k, S) call; each slice must equal the (members, S) call.
+        gains, budgets, num_k, noise = draw
+        shares = np.arange(1, num_k + 1)[:, None]
+        stacked = sic_log_terms(gains[:, None, :] * (budgets[:, None, None] / shares), noise)
+        for k in range(num_k):
+            received = gains * (budgets[:, None] / (k + 1))
+            terms = sic_log_terms(received, noise)
+            assert np.array_equal(stacked[:, k, :], terms)
+            assert np.all(np.isfinite(terms)) and np.all(terms >= 0.0)
+            direct = np.log1p(received.sum(axis=0) / noise)
+            assert np.all(np.abs(terms.sum(axis=0) - direct) <= 1e-12 * direct)
 
     def test_highest_rank_power_monotonicity(self):
         scenario, assignment, sub_map, powers = two_device_cluster()
