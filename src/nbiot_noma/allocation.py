@@ -73,13 +73,8 @@ def allocate(
     thresholds = scenario.rate_thresholds
     log2 = math.log(2.0)
 
-    # (cluster, rank) slots padded with zero gain and budget, which add
-    # nothing to any rate or interference sum.  Padding slots point at a
-    # sentinel device past the last one that always counts as satisfied.
-    depth = max(len(m) for m in clusters)
-    slot_dev = np.full((num_c, depth), scenario.num_devices)
-    for c, members in enumerate(clusters):
-        slot_dev[c, : len(members)] = members
+    # Padding slots point at the sentinel device, which always counts as satisfied.
+    slot_dev = assignment.slot_table(scenario.num_devices)
     gains_ext = np.vstack([scenario.gain_matrix, np.zeros(num_s)])
     tone_gains = np.ascontiguousarray(gains_ext.T[:, slot_dev])  # (S, C, K)
     slot_budgets = np.append(budgets, 0.0)[slot_dev]
@@ -90,7 +85,7 @@ def allocate(
     split = slot_budgets.copy()
     # grown[c, k]: member k's sum of ln(1 + SINR) over cluster c's owned
     # tones, at that split.
-    grown = np.zeros((num_c, depth))
+    grown = np.zeros(slot_dev.shape)
     cluster_sum = np.zeros(num_c)  # current sum rate of each cluster, bps
     rates = np.zeros(scenario.num_devices)
     total = 0.0

@@ -81,7 +81,7 @@ def ofdma_allocate(scenario: Scenario) -> tuple[np.ndarray, PowerMatrix, RateRep
         # Only the receiving device's split changes; the others keep their rates.
         h = scenario.gain_matrix[dev, tones]
         p = scenario.power_budgets[dev] / len(tones)
-        # The K = 1 SIC case, inline: sic_member_rates gives the same bits at 2-3x the cost.
+        # The K = 1 SIC case, inline: one device needs no interference sums.
         rates[dev] = bw * float(np.log1p(h * p / noise).sum()) / _LOG2
 
     powers = equal_split_powers(scenario, [[dev] for dev in range(n)], tones_of)

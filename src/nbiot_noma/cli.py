@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +62,7 @@ def _build_parser():
 
     run_p = sub.add_parser("run", help="Monte Carlo trials at the configured size")
     _add_common(run_p)
+    run_p.set_defaults(var="total_devices", values=None)
 
     sweep_p = sub.add_parser("sweep", help="Monte Carlo trials across a swept variable")
     _add_common(sweep_p)
@@ -83,8 +85,15 @@ def _build_parser():
     return parser
 
 
-def _experiment_spec(args, sweep_variable, sweep_values):
+def _cmd_sweep(args) -> int:
+    """``sweep``, and ``run`` as a one-point sweep at the configured device count."""
     config = read_config_file(args.config)
+    if args.values is None:
+        values = [config.num_devices]
+    else:
+        values = _csv_floats(args.values)
+        if args.var in ("total_devices", "k_max"):
+            values = [int(v) for v in values]
     if args.seed is not None:
         config = replace(config, rng_seed=args.seed)
     if args.ratio is not None:
@@ -94,30 +103,14 @@ def _experiment_spec(args, sweep_variable, sweep_values):
     else:
         ratio = float("inf")
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         base_config=config,
-        sweep_variable=sweep_variable,
-        sweep_values=tuple(sweep_values),
+        sweep_variable=args.var,
+        sweep_values=tuple(values),
         trials=args.trials,
         schemes=schemes,
         mmtc_to_urllc_ratio=ratio,
     )
-
-
-def _cmd_run(args) -> int:
-    config = read_config_file(args.config)
-    spec = _experiment_spec(args, "total_devices", [config.num_devices])
-    results = run_experiment(spec, workers=args.workers)
-    emit_csv(results, args.out)
-    _print_summary(results)
-    return EXIT_OK
-
-
-def _cmd_sweep(args) -> int:
-    values = _csv_floats(args.values)
-    if args.var in ("total_devices", "k_max"):
-        values = [int(v) for v in values]
-    spec = _experiment_spec(args, args.var, values)
     results = run_experiment(spec, workers=args.workers)
     emit_csv(results, args.out)
     _print_summary(results)
@@ -181,9 +174,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
+        if args.command in ("run", "sweep"):
             return _cmd_sweep(args)
         if args.command == "validate":
             return _cmd_validate(args)
@@ -197,6 +188,9 @@ def main(argv=None) -> int:
         return EXIT_OK
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except Exception:
+        traceback.print_exc()
         return EXIT_RUNTIME
     return EXIT_USAGE
 

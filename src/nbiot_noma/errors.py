@@ -1,19 +1,23 @@
 """Exception types shared across the package."""
 
 
-class ConfigError(ValueError):
+class DomainError(Exception):
+    """An input the model cannot serve, not a bug: the harness's error rows."""
+
+
+class ConfigError(DomainError, ValueError):
     """A configuration value violates an invariant (message names the first one)."""
 
 
-class CapacityExceededError(ValueError):
+class CapacityExceededError(DomainError, ValueError):
     """Devices do not fit into the available (cluster, rank) slots."""
 
 
-class SingletonClusterError(ValueError):
+class SingletonClusterError(DomainError, ValueError):
     """A cluster would end up with exactly one member and no legal repair exists."""
 
 
-class InvalidAssignmentError(ValueError):
+class InvalidAssignmentError(DomainError, ValueError):
     """A cluster assignment failed structural validation."""
 
     def __init__(self, violations):
@@ -24,27 +28,27 @@ class InvalidAssignmentError(ValueError):
         )
 
 
-class NonFiniteRateError(ValueError):
+class NonFiniteRateError(DomainError, ValueError):
     """A candidate rate came out NaN or infinite, so no argmax is meaningful."""
 
 
-class UnassignedDeviceError(LookupError):
+class UnassignedDeviceError(DomainError, LookupError):
     """The device is not placed in any cluster."""
 
 
-class DegenerateRatesError(ValueError):
+class DegenerateRatesError(DomainError, ValueError):
     """All rates are zero; the fairness index is undefined."""
 
 
-class NonmonotoneTailError(ValueError):
+class NonmonotoneTailError(DomainError, ValueError):
     """A tail-power vector is not nonincreasing, so no power vector maps to it."""
 
 
-class InfeasibleClusterError(ValueError):
+class InfeasibleClusterError(DomainError, ValueError):
     """No power allocation can meet the cluster's rate thresholds within budget."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(DomainError, RuntimeError):
     """The solver missed its tolerances within the iteration cap.
 
     Carries the best iterate found so callers can still inspect it.
@@ -56,9 +60,9 @@ class ConvergenceError(RuntimeError):
         self.best_objective = best_objective
 
 
-class InstanceTooLargeError(ValueError):
+class InstanceTooLargeError(DomainError, ValueError):
     """The instance exceeds the documented bounds of an exhaustive search."""
 
 
-class GridResolutionError(RuntimeError):
+class GridResolutionError(DomainError, RuntimeError):
     """The search grid contains no feasible point; refine the step size."""

@@ -20,6 +20,7 @@ import numpy as np
 from .allocation import allocate
 from .baselines import fast_ofdm_allocate, ofdma_allocate
 from .clustering import build_clusters
+from .errors import DomainError
 from .rate_model import sic_chain_mismatch, validate
 from .scenario import Scenario, ScenarioConfig, generate_scenario
 
@@ -136,7 +137,7 @@ def evaluate_scheme(scheme: str, scenario: Scenario, check: bool = False):
                     + "; ".join(str(v) for v in violations)
                 )
             mismatch = sic_chain_mismatch(scenario, assignment, sub_map, powers)
-            if mismatch > 1e-9:
+            if not mismatch <= 1e-9:  # NaN fails too
                 raise AssertionError(
                     f"SIC chain conservation off by {mismatch:.3e} relative"
                 )
@@ -154,7 +155,7 @@ def _run_trial(args) -> list[TrialResult]:
     out = []
     try:
         scenario = generate_scenario(trial_config(spec, sweep_value, seed))
-    except Exception as exc:  # config-level failure hits every scheme
+    except DomainError as exc:  # config-level failure hits every scheme
         return [
             TrialResult(seed, scheme, sweep_value, math.nan, math.nan, 0, 0.0,
                         error=f"{type(exc).__name__}: {exc}")
@@ -164,7 +165,7 @@ def _run_trial(args) -> list[TrialResult]:
         start = time.perf_counter()
         try:
             report = evaluate_scheme(scheme, scenario, check=check)
-        except Exception as exc:
+        except DomainError as exc:
             out.append(
                 TrialResult(seed, scheme, sweep_value, math.nan, math.nan, 0, 0.0,
                             error=f"{type(exc).__name__}: {exc}")
@@ -194,10 +195,11 @@ def run_experiment(
 ) -> list[TrialResult]:
     """All (sweep value, trial, scheme) results, canonically ordered.
 
-    Failed trials come back as results with NaN metrics and the error
-    string attached rather than being dropped.  ``measure_runtime=False``
-    zeroes the wall-clock field so two runs of the same spec produce
-    byte-identical CSV output.
+    Trials that raise a :class:`~nbiot_noma.errors.DomainError` come back
+    as results with NaN metrics and the error string attached rather than
+    being dropped; any other exception is a bug and propagates.
+    ``measure_runtime=False`` zeroes the wall-clock field so two runs of
+    the same spec produce byte-identical CSV output.
     """
     spec.validate()
     jobs = [

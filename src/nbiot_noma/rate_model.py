@@ -29,7 +29,6 @@ __all__ = [
     "PowerMatrix",
     "RateReport",
     "Violation",
-    "sic_member_rates",
     "sic_log_terms",
     "equal_split_powers",
     "rate_report",
@@ -60,6 +59,16 @@ class ClusterAssignment:
             for rank, dev in enumerate(members):
                 out[dev] = (c, rank)
         return out
+
+    def slot_table(self, num_devices: int) -> np.ndarray:
+        """(cluster, rank) -> device id.  Short clusters are padded with the
+        sentinel id ``num_devices``, which callers give zero gain and power,
+        so a padding slot adds nothing to any rate or interference sum."""
+        depth = max((len(m) for m in self.clusters), default=0)
+        table = np.full((self.num_clusters, depth), num_devices)
+        for c, members in enumerate(self.clusters):
+            table[c, : len(members)] = members
+        return table
 
 
 @dataclass
@@ -119,23 +128,6 @@ def sic_log_terms(received: np.ndarray, noise_watts: float) -> np.ndarray:
     return np.log1p(received / (noise_watts + interference_below(received)))
 
 
-def sic_member_rates(
-    gains: np.ndarray,
-    powers: np.ndarray,
-    noise_watts: float,
-    tone_bandwidth: float,
-) -> np.ndarray:
-    """Per-member rates for one cluster on its owned tones.
-
-    ``gains`` and ``powers`` have shape (members, tones) with rows in rank
-    order.  Returns bps per member.
-    """
-    if gains.size == 0:
-        return np.zeros(gains.shape[0])
-    terms = sic_log_terms(gains * powers, noise_watts)
-    return tone_bandwidth * terms.sum(axis=1) / math.log(2.0)
-
-
 def equal_split_powers(scenario: Scenario, groups, tone_sets) -> PowerMatrix:
     """Every member of a group spreads its budget evenly over the group's tones.
 
@@ -150,23 +142,17 @@ def equal_split_powers(scenario: Scenario, groups, tone_sets) -> PowerMatrix:
     return PowerMatrix(watts=watts)
 
 
-def _cluster_rates(
-    scenario: Scenario,
-    assignment: ClusterAssignment,
-    sub_map: SubcarrierMap,
-    powers: PowerMatrix,
-    cluster: int,
-) -> np.ndarray:
-    members = assignment.clusters[cluster]
-    tones = sub_map.owned_by(cluster)
-    if not members:
-        return np.zeros(0)
-    gains = scenario.gain_matrix[np.ix_(members, tones)]
-    p = powers.watts[np.ix_(members, tones)]
-    return sic_member_rates(
-        gains, p, scenario.config.noise_per_subcarrier,
-        scenario.config.subcarrier_bandwidth,
-    )
+def _sic_table(scenario, assignment, sub_map, powers):
+    """(owners (T,), received power (K, T), ln(1 + SINR) (K, T)) over the T
+    tones with a valid owner: a column holds its tone's owning cluster's
+    members in rank order, padded by :meth:`ClusterAssignment.slot_table`."""
+    owner = sub_map.owner
+    tones = np.flatnonzero((owner >= 0) & (owner < assignment.num_clusters))
+    owners = owner[tones]
+    rows = assignment.slot_table(scenario.num_devices)[owners].T
+    pad = np.zeros((1, scenario.config.num_subcarriers))
+    received = np.vstack([scenario.gain_matrix * powers.watts, pad])[rows, tones]
+    return owners, received, sic_log_terms(received, scenario.config.noise_per_subcarrier)
 
 
 def jain_fairness(rates) -> float:
@@ -212,10 +198,14 @@ def rate_report(
     for dev in range(scenario.num_devices):
         if dev not in slots:
             raise UnassignedDeviceError(f"device {dev} is in no cluster")
-    for c in range(assignment.num_clusters):
-        members = assignment.clusters[c]
+    owners, _, terms = _sic_table(scenario, assignment, sub_map, powers)
+    tone_bw = scenario.config.subcarrier_bandwidth
+    for c, members in enumerate(assignment.clusters):
         if members:
-            rates[members] = _cluster_rates(scenario, assignment, sub_map, powers, c)
+            # Summing a C-contiguous copy keeps numpy's pairwise order per
+            # member, so the rates match a per-cluster gather bit for bit.
+            block = np.ascontiguousarray(terms[: len(members), owners == c])
+            rates[members] = tone_bw * block.sum(axis=1) / math.log(2.0)
     return build_report(scenario, rates)
 
 
@@ -229,24 +219,14 @@ def sic_chain_mismatch(
 
     On any single tone the decode-and-subtract chain conserves capacity:
     the member rates sum to log2(1 + total received power / noise).
-    Returns the largest relative mismatch over all clusters and owned
-    tones (0.0 when nothing is allocated).
+    Returns the largest relative mismatch over all owned tones (0.0 when
+    nothing is allocated).
     """
-    noise = scenario.config.noise_per_subcarrier
-    worst = 0.0
-    for c, members in enumerate(assignment.clusters):
-        tones = sub_map.owned_by(c)
-        if not members or tones.size == 0:
-            continue
-        received = (
-            scenario.gain_matrix[np.ix_(members, tones)]
-            * powers.watts[np.ix_(members, tones)]
-        )
-        chain = sic_log_terms(received, noise).sum(axis=0)
-        direct = np.log1p(received.sum(axis=0) / noise)
-        mismatch = np.abs(chain - direct) / np.maximum(np.abs(direct), 1e-300)
-        worst = max(worst, float(mismatch.max()))
-    return worst
+    _, received, terms = _sic_table(scenario, assignment, sub_map, powers)
+    chain = terms.sum(axis=0)
+    direct = np.log1p(received.sum(axis=0) / scenario.config.noise_per_subcarrier)
+    mismatch = np.abs(chain - direct) / np.maximum(np.abs(direct), 1e-300)
+    return float(mismatch.max(initial=0.0))
 
 
 def structural_violations(
@@ -335,26 +315,23 @@ def validate(
         cid = "C15" if scenario.is_urllc[d] else "C14"
         out.append(Violation(cid, f"negative power p[{int(d)},{int(s)}]"))
 
-    owned = [sub_map.owned_by(c) for c in range(assignment.num_clusters)]
     slots = assignment.slots()
     for dev in range(scenario.num_devices):
         if dev not in slots:
             continue  # already a C8/C9 violation
         cluster, _ = slots[dev]
-        off = w[dev].copy()
-        off[owned[cluster]] = 0.0
-        if np.any(off > 0):
-            s = int(np.flatnonzero(off > 0)[0])
+        off = np.flatnonzero((w[dev] > 0) & (owner != cluster))
+        if off.size:
             out.append(
                 Violation(
                     "POWER_OWNERSHIP",
-                    f"device {dev} transmits on subcarrier {s} outside cluster {cluster}",
+                    f"device {dev} transmits on subcarrier {off[0]} outside cluster {cluster}",
                 )
             )
         row_sum = float(w[dev].sum())
         budget = scenario.power_budgets[dev]
         if scenario.is_urllc[dev]:
-            has_spectrum = owned[cluster].size > 0
+            has_spectrum = bool(np.any(owner == cluster))
             if has_spectrum and not math.isclose(
                 row_sum, budget, rel_tol=BUDGET_RTOL, abs_tol=0.0
             ):

@@ -141,18 +141,32 @@ class Device:
 
 @dataclass(eq=False)
 class Scenario:
-    """An immutable cell instance: treat all arrays as read-only."""
+    """An immutable cell instance: treat all arrays as read-only.  A bad
+    device raises :class:`ConfigError` naming it."""
 
     config: ScenarioConfig
     devices: tuple[Device, ...]
 
     def __post_init__(self):
+        shape = (self.config.num_subcarriers,)
+        for i, d in enumerate(self.devices):
+            if d.id != i or np.shape(d.gains) != shape:
+                raise ConfigError(f"device {i}: id {d.id} and gains of shape "
+                                  f"{np.shape(d.gains)}, expected id {i}, shape {shape}")
         self.gain_matrix = np.vstack([d.gains for d in self.devices])
         self.rate_thresholds = np.array([d.rate_threshold for d in self.devices])
         self.power_budgets = np.array([d.power_budget for d in self.devices])
         self.is_urllc = np.array(
             [d.kind is DeviceKind.URLLC for d in self.devices], dtype=bool
         )
+        g, b, t = self.gain_matrix, self.power_budgets, self.rate_thresholds
+        for what, ok in (
+            ("gains must be finite and >= 0", ((0 <= g) & (g < np.inf)).all(axis=1)),
+            ("power budget must be finite and > 0", (0 < b) & (b < np.inf)),
+            ("rate threshold must be finite and >= 0", (0 <= t) & (t < np.inf)),
+        ):
+            if not ok.all():
+                raise ConfigError(f"device {int(np.argmin(ok))}: {what}")
 
     @property
     def num_devices(self) -> int:
@@ -217,10 +231,12 @@ _DBM_ALIASES = {
 
 
 def _parse_value(key: str, raw: str):
+    if key in _DBM_ALIASES:
+        return dbm_to_watt(float(raw))
     if key in _RANGE_FIELDS:
         parts = [p for p in raw.replace(",", " ").split() if p]
         if len(parts) != 2:
-            raise ConfigError(f"{key} expects two numbers (min, max), got {raw!r}")
+            raise ValueError("expects two numbers (min, max)")
         return (float(parts[0]), float(parts[1]))
     if key in _INT_FIELDS:
         return int(raw)
@@ -245,12 +261,12 @@ def read_config_file(path) -> ScenarioConfig:
             if "=" not in text:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in text.split("=", 1))
-            if key in _DBM_ALIASES:
-                overrides[_DBM_ALIASES[key]] = dbm_to_watt(float(raw))
-            elif key in known:
-                overrides[key] = _parse_value(key, raw)
-            else:
+            if key not in known and key not in _DBM_ALIASES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                overrides[_DBM_ALIASES.get(key, key)] = _parse_value(key, raw)
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"{path}:{lineno}: {key} = {raw!r}: {exc}") from None
     config = replace(ScenarioConfig(), **overrides)
     config.validate()
     return config

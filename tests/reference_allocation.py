@@ -25,10 +25,11 @@ from nbiot_noma.rate_model import (
     RateReport,
     SubcarrierMap,
     build_report,
-    sic_member_rates,
     structural_violations,
 )
 from nbiot_noma.scenario import Scenario
+
+from reference_rate_model import sic_member_rates
 
 _LOG2 = math.log(2.0)
 

@@ -77,16 +77,16 @@ class TestAllocate:
         assert np.all(sub_map.owner == 0)  # spectrum exhausted, no error
         assert report.satisfied_count < 2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
     @pytest.mark.parametrize("thresholds", [None, [1e9] * 4])
-    @pytest.mark.parametrize(
-        "gain, budget", [(np.nan, 1.0), (1.0, np.inf)], ids=["nan_gain", "inf_budget"]
-    )
-    def test_non_finite_candidate_raises_named_error(self, thresholds, gain, budget):
-        # a NaN candidate must stop the loop with a named error instead of
-        # losing every comparison and crashing later
-        gains = [[gain, 1.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]]
+    def test_non_finite_candidate_raises_named_error(self, thresholds):
+        # a candidate that overflows to inf (1e300 gain x 1e10 W, both
+        # finite) must stop the loop with a named error instead of winning
+        # every comparison; NaN and inf inputs never get this far, because
+        # Scenario rejects them
+        gains = [[1e300, 1.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]]
         sc = make_scenario(
-            gains, "mmmm", thresholds=thresholds, budgets=[budget, 1.0, 1.0, 1.0],
+            gains, "mmmm", thresholds=thresholds, budgets=[1e10, 1.0, 1.0, 1.0],
             num_clusters=2,
         )
         assignment = ClusterAssignment(clusters=[[0, 1], [2, 3]])

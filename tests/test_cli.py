@@ -11,6 +11,7 @@ from nbiot_noma.cli import (
     EXIT_USAGE,
     main,
 )
+from nbiot_noma.scenario import read_config_file
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -133,6 +134,37 @@ def test_solve_power_infeasible(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["run", "--config"]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+def test_run_reads_config_once(tmp_path, config_file, monkeypatch):
+    from nbiot_noma import cli
+
+    paths = []
+
+    def counting_read(path):
+        paths.append(path)
+        return read_config_file(path)
+
+    monkeypatch.setattr(cli, "read_config_file", counting_read)
+    out = tmp_path / "results.csv"
+    code = main(["run", "--config", str(config_file), "--out", str(out), "--trials", "1"])
+    assert code == EXIT_OK
+    assert paths == [str(config_file)]
+
+
+def test_bug_exits_runtime_with_traceback(tmp_path, config_file, monkeypatch, capsys):
+    # an unexpected exception is a runtime failure (2), not Python's
+    # default exit status 1, which means a usage error here
+    def broken(*args, **kwargs):
+        raise TypeError("broken allocator")
+
+    monkeypatch.setattr("nbiot_noma.harness.allocate", broken)
+    out = tmp_path / "results.csv"
+    code = main(["run", "--config", str(config_file), "--out", str(out), "--trials", "1"])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "TypeError: broken allocator" in err
+    assert not out.exists()
 
 
 def test_missing_config_is_runtime_failure(tmp_path, capsys):

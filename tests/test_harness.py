@@ -93,6 +93,16 @@ class TestRunExperiment:
         assert math.isnan(noma.sum_rate_bps)
         assert ofdma.error is None
 
+    def test_bug_in_a_scheme_propagates(self, monkeypatch):
+        # only nbiot_noma.errors types become error rows; a bug must not
+        # turn into quiet NaN rows
+        def broken(*args, **kwargs):
+            raise TypeError("broken allocator")
+
+        monkeypatch.setattr("nbiot_noma.harness.allocate", broken)
+        with pytest.raises(TypeError, match="broken allocator"):
+            run_experiment(small_spec(trials=1))
+
     def test_invariant_checks_enabled(self):
         spec = small_spec(trials=2)
         results = run_experiment(spec, check_invariants=True)

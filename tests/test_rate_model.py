@@ -121,6 +121,14 @@ class TestSicProperties:
             direct = np.log1p(received.sum(axis=0) / noise)
             assert np.all(np.abs(terms.sum(axis=0) - direct) <= 1e-12 * direct)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in log1p")
+    def test_chain_check_keeps_nan(self):
+        # a negative power on an owned tone takes the SINR below -1; the
+        # mismatch must come out NaN, not be skipped as a small value
+        scenario, assignment, sub_map, powers = two_device_cluster()
+        powers.watts[0, 0] = -5.0
+        assert math.isnan(sic_chain_mismatch(scenario, assignment, sub_map, powers))
+
     def test_highest_rank_power_monotonicity(self):
         scenario, assignment, sub_map, powers = two_device_cluster()
         base_low, base_high = rate_report(scenario, assignment, sub_map, powers).rates

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from nbiot_noma.errors import ConfigError
 from nbiot_noma.scenario import (
+    Device,
+    DeviceKind,
+    Scenario,
     ScenarioConfig,
     channel_gain,
     dbm_to_watt,
@@ -89,6 +92,59 @@ class TestConfig:
         )
         with pytest.raises(ConfigError, match="max_rank"):
             cfg.validate()
+
+
+class TestHandBuiltScenario:
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("gain", math.nan, "gain"),
+            ("gain", math.inf, "gain"),
+            ("gain", -1.0, "gain"),
+            ("budget", math.inf, "budget"),
+            ("budget", math.nan, "budget"),
+            ("budget", 0.0, "budget"),
+            ("budget", -1.0, "budget"),
+            ("threshold", math.nan, "threshold"),
+            ("threshold", math.inf, "threshold"),
+            ("threshold", -1.0, "threshold"),
+        ],
+        ids=[
+            "nan_gain", "inf_gain", "negative_gain", "inf_budget", "nan_budget",
+            "zero_budget", "negative_budget", "nan_threshold", "inf_threshold",
+            "negative_threshold",
+        ],
+    )
+    def test_bad_device_value_rejected(self, scenario_factory, field, value, match):
+        # the bad value sits on device 2, so the message must name it
+        gains = np.ones((4, 2))
+        budgets, thresholds = [1.0] * 4, [0.0] * 4
+        if field == "gain":
+            gains[2, 1] = value
+        elif field == "budget":
+            budgets[2] = value
+        else:
+            thresholds[2] = value
+        with pytest.raises(ConfigError, match=f"device 2: .*{match}"):
+            scenario_factory(gains, "mmmm", budgets=budgets, thresholds=thresholds)
+
+    def test_wrong_gain_shape_rejected(self):
+        cfg = ScenarioConfig(num_urllc=0, num_mmtc=2, num_subcarriers=3, num_clusters=1)
+        devices = (
+            Device(0, DeviceKind.MMTC, np.ones(3), 0.0, 1.0),
+            Device(1, DeviceKind.MMTC, np.ones(2), 0.0, 1.0),
+        )
+        with pytest.raises(ConfigError, match=r"device 1: id 1 and gains of shape \(2,\)"):
+            Scenario(config=cfg, devices=devices)
+
+    def test_id_must_equal_index(self):
+        cfg = ScenarioConfig(num_urllc=0, num_mmtc=2, num_subcarriers=3, num_clusters=1)
+        devices = (
+            Device(0, DeviceKind.MMTC, np.ones(3), 0.0, 1.0),
+            Device(5, DeviceKind.MMTC, np.ones(3), 0.0, 1.0),
+        )
+        with pytest.raises(ConfigError, match="device 1: id 5 "):
+            Scenario(config=cfg, devices=devices)
 
 
 class TestGeneration:
@@ -195,6 +251,19 @@ class TestConfigFile:
         path = tmp_path / "cell.cfg"
         path.write_text("power_budget_mmtc_dbm = inf\n")
         with pytest.raises(ConfigError, match="power_budget_mmtc"):
+            read_config_file(path)
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [("num_clusters = 2.5", "num_clusters"), ("noise_psd_dbm = abc", "noise_psd_dbm"),
+         ("mmtc_rate_threshold_range = 1, x", "mmtc_rate_threshold_range"),
+         ("power_budget_mmtc_dbm = 1e5", "power_budget_mmtc_dbm")],
+        ids=["int_field", "dbm_field", "range_field", "dbm_overflow"],
+    )
+    def test_bad_number_names_file_line_and_key(self, tmp_path, line, key):
+        path = tmp_path / "cell.cfg"
+        path.write_text(f"num_urllc = 4\n{line}\n")
+        with pytest.raises(ConfigError, match=rf"cell\.cfg:2: {key} = "):
             read_config_file(path)
 
     def test_malformed_line_rejected(self, tmp_path):
