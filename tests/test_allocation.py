@@ -77,13 +77,29 @@ class TestAllocate:
         assert np.all(sub_map.owner == 0)  # spectrum exhausted, no error
         assert report.satisfied_count < 2
 
+    @pytest.mark.parametrize("thresholds", [None, [1e9] * 4])
+    @pytest.mark.parametrize(
+        "gain, budget", [(np.nan, 1.0), (1.0, np.inf)], ids=["nan_gain", "inf_budget"]
+    )
+    def test_non_finite_candidate_raises_named_error(self, thresholds, gain, budget):
+        # a NaN candidate must stop the loop with a named error instead of
+        # losing every comparison and crashing later.  Scenario rejects such
+        # a device, so the value is written into the built scenario's arrays
+        # to reach allocate's own guard.
+        gains = [[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]]
+        sc = make_scenario(gains, "mmmm", thresholds=thresholds, num_clusters=2)
+        sc.gain_matrix[0, 0] = gain
+        sc.power_budgets[0] = budget
+        assignment = ClusterAssignment(clusters=[[0, 1], [2, 3]])
+        with pytest.raises(NonFiniteRateError, match="subcarrier 0: cluster 0"):
+            allocate(sc, assignment)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
     @pytest.mark.parametrize("thresholds", [None, [1e9] * 4])
-    def test_non_finite_candidate_raises_named_error(self, thresholds):
+    def test_overflowing_candidate_raises_named_error(self, thresholds):
         # a candidate that overflows to inf (1e300 gain x 1e10 W, both
-        # finite) must stop the loop with a named error instead of winning
-        # every comparison; NaN and inf inputs never get this far, because
-        # Scenario rejects them
+        # finite, so Scenario accepts them) must stop the loop with a named
+        # error instead of winning every comparison
         gains = [[1e300, 1.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]]
         sc = make_scenario(
             gains, "mmmm", thresholds=thresholds, budgets=[1e10, 1.0, 1.0, 1.0],
