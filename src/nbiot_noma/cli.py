@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .baselines import grid_power_oracle
-from .errors import GridResolutionError, InfeasibleClusterError
+from .errors import DomainError, GridResolutionError, InfeasibleClusterError
 from .harness import SCHEMES, SWEEP_VARIABLES, ExperimentSpec, emit_csv, run_experiment, summarize
 from .power_opt import OrderedCluster, find_feasible_tail, maximize_rates
 from .scenario import read_config_file
@@ -88,29 +88,34 @@ def _build_parser():
 def _cmd_sweep(args) -> int:
     """``sweep``, and ``run`` as a one-point sweep at the configured device count."""
     config = read_config_file(args.config)
-    if args.values is None:
-        values = [config.num_devices]
-    else:
-        values = _csv_floats(args.values)
-        if args.var in ("total_devices", "k_max"):
-            values = [int(v) for v in values]
-    if args.seed is not None:
-        config = replace(config, rng_seed=args.seed)
-    if args.ratio is not None:
-        ratio = args.ratio
-    elif config.num_urllc > 0:
-        ratio = config.num_mmtc / config.num_urllc
-    else:
-        ratio = float("inf")
-    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    spec = ExperimentSpec(
-        base_config=config,
-        sweep_variable=args.var,
-        sweep_values=tuple(values),
-        trials=args.trials,
-        schemes=schemes,
-        mmtc_to_urllc_ratio=ratio,
-    )
+    # a bad argument value is a usage error, raised before any trial runs
+    try:
+        if args.values is None:
+            values = [config.num_devices]
+        else:
+            values = _csv_floats(args.values)
+            if args.var in ("total_devices", "k_max"):
+                values = [int(v) for v in values]
+        if args.seed is not None:
+            config = replace(config, rng_seed=args.seed)
+        if args.ratio is not None:
+            ratio = args.ratio
+        elif config.num_urllc > 0:
+            ratio = config.num_mmtc / config.num_urllc
+        else:
+            ratio = float("inf")
+        schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
+        spec = ExperimentSpec(
+            base_config=config,
+            sweep_variable=args.var,
+            sweep_values=tuple(values),
+            trials=args.trials,
+            schemes=schemes,
+            mmtc_to_urllc_ratio=ratio,
+        )
+        spec.validate()
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     results = run_experiment(spec, workers=args.workers)
     emit_csv(results, args.out)
     _print_summary(results)
@@ -143,12 +148,15 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve_power(args) -> int:
-    cluster = OrderedCluster(
-        normalized_gains=np.array(_csv_floats(args.lambdas)),
-        rate_thresholds=np.array(_csv_floats(args.thresholds)),
-        total_power=args.pmax,
-        bandwidth_hz=args.bandwidth,
-    )
+    try:
+        cluster = OrderedCluster(
+            normalized_gains=np.array(_csv_floats(args.lambdas)),
+            rate_thresholds=np.array(_csv_floats(args.thresholds)),
+            total_power=args.pmax,
+            bandwidth_hz=args.bandwidth,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     if find_feasible_tail(cluster) is None:
         print("infeasible: thresholds unreachable within the power budget")
         return EXIT_OK
@@ -186,7 +194,7 @@ def main(argv=None) -> int:
     except InfeasibleClusterError as exc:
         print(f"infeasible: {exc}")
         return EXIT_OK
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception:

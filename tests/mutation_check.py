@@ -1,7 +1,6 @@
 """Mutation check: every seeded fault must make a named test fail.
 
-    python3 tests/mutation_check.py            # every mutant
-    python3 tests/mutation_check.py NAME ...   # only the named mutants
+    python3 tests/mutation_check.py
 
 The script copies ``src/``, ``tests/``, ``configs/`` and ``pyproject.toml``
 into a temporary directory and runs the unmutated copy's tests first; they
@@ -96,12 +95,7 @@ def run_tests(workdir: Path, tests) -> int:
     return proc.returncode
 
 
-def main(argv: list[str]) -> int:
-    mutants = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}")
-        return 1
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutation-") as tmp:
         workdir = Path(tmp)
         for name in COPIED:
@@ -112,13 +106,13 @@ def main(argv: list[str]) -> int:
             else:
                 shutil.copy2(src, workdir / name)
 
-        all_tests = sorted({t for m in mutants for t in m.tests})
+        all_tests = sorted({t for m in MUTANTS for t in m.tests})
         if run_tests(workdir, all_tests) != 0:
             print("FAIL: the unmutated tests do not pass")
             return 1
 
         failed = False
-        for m in mutants:
+        for m in MUTANTS:
             path = workdir / m.path
             original = path.read_text(encoding="utf-8")
             if original.count(m.anchor) != 1:
@@ -141,4 +135,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -152,19 +152,44 @@ def test_run_reads_config_once(tmp_path, config_file, monkeypatch):
     assert paths == [str(config_file)]
 
 
-def test_bug_exits_runtime_with_traceback(tmp_path, config_file, monkeypatch, capsys):
+@pytest.mark.parametrize("error", [TypeError, ValueError, RuntimeError])
+def test_bug_exits_runtime_with_traceback(tmp_path, config_file, monkeypatch, capsys, error):
     # an unexpected exception is a runtime failure (2), not Python's
-    # default exit status 1, which means a usage error here
+    # default exit status 1, which means a usage error here; a plain
+    # ValueError or RuntimeError from inside a trial is a bug too
     def broken(*args, **kwargs):
-        raise TypeError("broken allocator")
+        raise error("broken allocator")
 
     monkeypatch.setattr("nbiot_noma.harness.allocate", broken)
     out = tmp_path / "results.csv"
     code = main(["run", "--config", str(config_file), "--out", str(out), "--trials", "1"])
     assert code == EXIT_RUNTIME
     err = capsys.readouterr().err
-    assert "Traceback" in err and "TypeError: broken allocator" in err
+    assert "Traceback" in err and f"{error.__name__}: broken allocator" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--var", "k_max", "--values", "2,abc"],
+        ["run", "--trials", "0"],
+        ["run", "--schemes", "noma,bogus"],
+    ],
+)
+def test_bad_argument_value_is_usage_error(tmp_path, config_file, capsys, argv):
+    out = tmp_path / "results.csv"
+    code = main([*argv, "--config", str(config_file), "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_solve_power_bad_gains_is_usage_error(capsys):
+    code = main(["solve-power", "--lambdas", "2,1", "--thresholds", "1,1", "--pmax", "3"])
+    assert code == EXIT_USAGE
+    assert "sorted ascending" in capsys.readouterr().err
 
 
 def test_missing_config_is_runtime_failure(tmp_path, capsys):
