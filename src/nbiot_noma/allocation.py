@@ -80,7 +80,7 @@ def allocate(
     slot_budgets = np.append(budgets, 0.0)[slot_dev]
     member_gains = [scenario.gain_matrix[members] for members in clusters]
 
-    owned: list[list[int]] = [[] for _ in range(num_c)]
+    owner = np.full(num_s, -1, dtype=int)
     # split[c, k]: member k's per-tone power if cluster c gains one more tone.
     split = slot_budgets.copy()
     # grown[c, k]: member k's sum of ln(1 + SINR) over cluster c's owned
@@ -109,8 +109,8 @@ def allocate(
         """Give tone s to cluster c and rebuild that cluster's cache."""
         nonlocal total
         members = clusters[c]
-        tones = owned[c]
-        tones.append(s)
+        owner[s] = c
+        tones = np.flatnonzero(owner == c)
         new_rates = new_rates[: len(members)]
         rates[members] = new_rates
         cluster_sum[c] = new_rates.sum()
@@ -135,9 +135,6 @@ def allocate(
     for s in range(next_s, num_s):
         commit(s, *choose(s, nonempty), phase=2)
 
-    owner = np.full(num_s, -1, dtype=int)
-    for c, tones in enumerate(owned):
-        owner[tones] = c
     sub_map = SubcarrierMap(owner=owner)
-    powers = equal_split_powers(scenario, clusters, owned)
+    powers = equal_split_powers(scenario, assignment.cluster_of(scenario.num_devices), owner)
     return sub_map, powers, rate_report(scenario, assignment, sub_map, powers)

@@ -84,7 +84,7 @@ def ofdma_allocate(scenario: Scenario) -> tuple[np.ndarray, PowerMatrix, RateRep
         # The K = 1 SIC case, inline: one device needs no interference sums.
         rates[dev] = bw * float(np.log1p(h * p / noise).sum()) / _LOG2
 
-    powers = equal_split_powers(scenario, [[dev] for dev in range(n)], tones_of)
+    powers = equal_split_powers(scenario, np.arange(n), owner)
     return owner, powers, build_report(scenario, rates)
 
 
@@ -244,8 +244,8 @@ def exhaustive_clustering(
     best = None
     for assignment in _valid_assignments(scenario, cfg.num_clusters, cfg.max_rank):
         sub_map = mckp_oracle(scenario, assignment)
-        tone_sets = [sub_map.owned_by(c) for c in range(assignment.num_clusters)]
-        powers = equal_split_powers(scenario, assignment.clusters, tone_sets)
+        cluster_of = assignment.cluster_of(scenario.num_devices)
+        powers = equal_split_powers(scenario, cluster_of, sub_map.owner)
         report = rate_report(scenario, assignment, sub_map, powers)
         if best is None or report.sum_rate > best[2].sum_rate:
             best = (assignment, sub_map, report)

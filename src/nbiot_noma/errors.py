@@ -36,6 +36,10 @@ class UnassignedDeviceError(DomainError, LookupError):
     """The device is not placed in any cluster."""
 
 
+class InvalidPowerError(DomainError, ValueError):
+    """A transmit power is negative or not finite (message names the first)."""
+
+
 class DegenerateRatesError(DomainError, ValueError):
     """All rates are zero; the fairness index is undefined."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRatesError, UnassignedDeviceError
+from .errors import DegenerateRatesError, InvalidPowerError, UnassignedDeviceError
 from .scenario import Scenario
 
 __all__ = [
@@ -52,13 +52,16 @@ class ClusterAssignment:
     def num_clusters(self) -> int:
         return len(self.clusters)
 
-    def slots(self) -> dict[int, tuple[int, int]]:
-        """device id -> (cluster index, 0-based rank)."""
-        out = {}
+    def cluster_of(self, num_devices: int) -> np.ndarray:
+        """device id -> the cluster listing it, else -1.  A device listed twice
+        maps to its last cluster and ids outside [0, num_devices) are skipped;
+        :func:`structural_violations` reports both."""
+        out = [-1] * num_devices
         for c, members in enumerate(self.clusters):
-            for rank, dev in enumerate(members):
-                out[dev] = (c, rank)
-        return out
+            for dev in members:
+                if 0 <= dev < num_devices:
+                    out[dev] = c
+        return np.array(out)
 
     def slot_table(self, num_devices: int) -> np.ndarray:
         """(cluster, rank) -> device id.  Short clusters are padded with the
@@ -76,9 +79,6 @@ class SubcarrierMap:
     """owner[s] is the owning cluster index, or -1 while unassigned."""
 
     owner: np.ndarray
-
-    def owned_by(self, cluster: int) -> np.ndarray:
-        return np.flatnonzero(self.owner == cluster)
 
 
 @dataclass
@@ -128,18 +128,16 @@ def sic_log_terms(received: np.ndarray, noise_watts: float) -> np.ndarray:
     return np.log1p(received / (noise_watts + interference_below(received)))
 
 
-def equal_split_powers(scenario: Scenario, groups, tone_sets) -> PowerMatrix:
-    """Every member of a group spreads its budget evenly over the group's tones.
+def equal_split_powers(scenario: Scenario, group_of, owner) -> PowerMatrix:
+    """Every device spreads its budget evenly over its group's tones.
 
-    p[d, s] = budget(d) / len(tones) on the group's tones, 0 elsewhere.  A
-    group with no tones keeps zero rows.
+    ``group_of[d]`` is device d's group and ``owner[s]`` the group that owns
+    tone s, -1 meaning none.  p[d, s] = budget(d) / (tones its group owns)
+    on those tones, 0 elsewhere; a group with no tones keeps zero rows.
     """
-    watts = np.zeros((scenario.num_devices, scenario.config.num_subcarriers))
-    for members, tones in zip(groups, tone_sets):
-        if len(tones):
-            for dev in members:
-                watts[dev, tones] = scenario.power_budgets[dev] / len(tones)
-    return PowerMatrix(watts=watts)
+    on = (owner >= 0) & (owner == group_of[:, None])
+    share = scenario.power_budgets / np.maximum(on.sum(axis=1), 1)
+    return PowerMatrix(watts=np.where(on, share[:, None], 0.0))
 
 
 def _sic_table(scenario, assignment, sub_map, powers):
@@ -192,12 +190,19 @@ def rate_report(
     sub_map: SubcarrierMap,
     powers: PowerMatrix,
 ) -> RateReport:
-    """Rates for every device plus sum rate, fairness and QoS satisfaction."""
+    """Rates for every device plus sum rate, fairness and QoS satisfaction.
+
+    The first device in no cluster raises ``UnassignedDeviceError``; the first
+    negative or non-finite power raises ``InvalidPowerError``."""
+    unplaced = np.flatnonzero(assignment.cluster_of(scenario.num_devices) < 0)
+    if unplaced.size:
+        raise UnassignedDeviceError(f"device {unplaced[0]} is in no cluster")
+    w = powers.watts
+    ok = (w >= 0) & (w < np.inf)
+    if not ok.all():
+        d, s = np.argwhere(~ok)[0]
+        raise InvalidPowerError(f"device {d} has power {float(w[d, s])!r} W on subcarrier {s}")
     rates = np.zeros(scenario.num_devices)
-    slots = assignment.slots()
-    for dev in range(scenario.num_devices):
-        if dev not in slots:
-            raise UnassignedDeviceError(f"device {dev} is in no cluster")
     owners, _, terms = _sic_table(scenario, assignment, sub_map, powers)
     tone_bw = scenario.config.subcarrier_bandwidth
     for c, members in enumerate(assignment.clusters):
@@ -315,38 +320,31 @@ def validate(
         cid = "C15" if scenario.is_urllc[d] else "C14"
         out.append(Violation(cid, f"negative power p[{int(d)},{int(s)}]"))
 
-    slots = assignment.slots()
-    for dev in range(scenario.num_devices):
-        if dev not in slots:
-            continue  # already a C8/C9 violation
-        cluster, _ = slots[dev]
-        off = np.flatnonzero((w[dev] > 0) & (owner != cluster))
-        if off.size:
-            out.append(
-                Violation(
-                    "POWER_OWNERSHIP",
-                    f"device {dev} transmits on subcarrier {off[0]} outside cluster {cluster}",
-                )
-            )
-        row_sum = float(w[dev].sum())
-        budget = scenario.power_budgets[dev]
-        if scenario.is_urllc[dev]:
-            has_spectrum = bool(np.any(owner == cluster))
-            if has_spectrum and not math.isclose(
-                row_sum, budget, rel_tol=BUDGET_RTOL, abs_tol=0.0
-            ):
-                out.append(
-                    Violation(
-                        "C4",
-                        f"URLLC {dev} spends {row_sum!r} W, budget {budget!r} W",
-                    )
-                )
-        else:
-            if row_sum > budget * (1 + BUDGET_RTOL):
-                out.append(
-                    Violation(
-                        "C2",
-                        f"mMTC {dev} spends {row_sum!r} W over budget {budget!r} W",
-                    )
-                )
+    cluster_of = assignment.cluster_of(scenario.num_devices)
+    foreign = owner != cluster_of[:, None]
+    off = (w > 0) & foreign
+    off_any = off.any(axis=1)
+    # Row sums of a C-contiguous array keep each row's pairwise order.
+    row_sums = np.ascontiguousarray(w).sum(axis=1)
+    budgets = scenario.power_budgets
+    diff = np.abs(row_sums - budgets)
+    # As math.isclose(row_sum, budget, rel_tol=BUDGET_RTOL): never for inf or NaN.
+    close = np.isfinite(row_sums) & (
+        (diff <= BUDGET_RTOL * budgets) | (diff <= BUDGET_RTOL * np.abs(row_sums))
+    )
+    c4 = scenario.is_urllc & ~foreign.all(axis=1) & ~close
+    c2 = ~scenario.is_urllc & (row_sums > budgets * (1 + BUDGET_RTOL))
+    # An unplaced device is already a C8/C9 violation.
+    for dev in np.flatnonzero((cluster_of >= 0) & (off_any | c4 | c2)):
+        row_sum, budget = float(row_sums[dev]), budgets[dev]
+        if off_any[dev]:
+            tone, cluster = off[dev].argmax(), cluster_of[dev]
+            msg = f"device {dev} transmits on subcarrier {tone} outside cluster {cluster}"
+            out.append(Violation("POWER_OWNERSHIP", msg))
+        if c4[dev]:
+            msg = f"URLLC {dev} spends {row_sum!r} W, budget {budget!r} W"
+            out.append(Violation("C4", msg))
+        if c2[dev]:
+            msg = f"mMTC {dev} spends {row_sum!r} W over budget {budget!r} W"
+            out.append(Violation("C2", msg))
     return out

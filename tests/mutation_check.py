@@ -81,6 +81,48 @@ MUTANTS = (
         "rates[dev] = bw * float(np.log1p(h * p / noise).sum()) / _LOG2 * (1 + 1e-15)",
         ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
     ),
+    Mutant(
+        "validate-c4-accepts-inf",
+        "src/nbiot_noma/rate_model.py",
+        "close = np.isfinite(row_sums) & (",
+        "close = (",
+        ("tests/test_rate_model_reference.py::test_edge_cases_match_reference",),
+    ),
+    Mutant(
+        "placement-first-wins",
+        "src/nbiot_noma/rate_model.py",
+        "out[dev] = c\n",
+        "out[dev] = c if out[dev] < 0 else out[dev]\n",
+        ("tests/test_rate_model_reference.py::test_edge_cases_match_reference",),
+    ),
+    Mutant(
+        "rate-report-accepts-negative-power",
+        "src/nbiot_noma/rate_model.py",
+        "(w >= 0) & (w < np.inf)",
+        "(w >= -np.inf) & (w < np.inf)",
+        ("tests/test_rate_model_reference.py::test_bench_cells_match_reference",),
+    ),
+    Mutant(
+        "satisfied-needs-strict-excess",
+        "src/nbiot_noma/rate_model.py",
+        "satisfied = rates >= scenario.rate_thresholds",
+        "satisfied = rates > scenario.rate_thresholds",
+        ("tests/test_rate_model.py::TestRateReport::test_two_device_thresholds",),
+    ),
+    Mutant(
+        "sum-rate-up-1pct",
+        "src/nbiot_noma/rate_model.py",
+        "sum_rate=math.fsum(rates),",
+        "sum_rate=math.fsum(rates) * 1.01,",
+        ("tests/test_rate_model.py::TestRateReport::test_two_device_thresholds",),
+    ),
+    Mutant(
+        "second-derivative-sign-flip",
+        "src/nbiot_noma/power_opt.py",
+        "return num / den",
+        "return -num / den",
+        ("tests/test_power_opt.py::TestConcavity::test_spot_value",),
+    ),
 )
 
 

@@ -37,11 +37,12 @@ from nbiot_noma.rate_model import (
     PowerMatrix,
     RateReport,
     SubcarrierMap,
-    equal_split_powers,
     rate_report,
     sic_log_terms,
 )
 from nbiot_noma.scenario import Scenario
+
+from reference_rate_model import reference_equal_split_powers
 
 _LOG2 = math.log(2.0)
 
@@ -150,8 +151,8 @@ def reference_exhaustive_clustering(
     best = None
     for assignment in _valid_assignments(scenario, cfg.num_clusters, cfg.max_rank):
         sub_map = reference_mckp_oracle(scenario, assignment)
-        tone_sets = [sub_map.owned_by(c) for c in range(assignment.num_clusters)]
-        powers = equal_split_powers(scenario, assignment.clusters, tone_sets)
+        tone_sets = [np.flatnonzero(sub_map.owner == c) for c in range(assignment.num_clusters)]
+        powers = reference_equal_split_powers(scenario, assignment.clusters, tone_sets)
         report = rate_report(scenario, assignment, sub_map, powers)
         if best is None or report.sum_rate > best[2].sum_rate:
             best = (assignment, sub_map, report)

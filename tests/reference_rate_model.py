@@ -2,12 +2,15 @@
 
 These are ``sic_member_rates``, ``_cluster_rates``, ``rate_report``,
 ``sic_chain_mismatch`` and ``validate`` as they stood before the rate
-model read every SIC term from one padded (rank, tone) table.  Each
-cluster gathers its own (members, owned tones) block with ``np.ix_``, and
-``validate`` builds each cluster's owned tones with ``owned_by``.  They
-are kept verbatim so that the table version in ``nbiot_noma.rate_model``
-can be checked against them for identical rates, reports and violation
-lists.
+model read every SIC term from one padded (rank, tone) table, and
+``equal_split_powers`` as it stood before it took a device-to-group
+array.  Each cluster gathers its own (members, owned tones) block with
+``np.ix_``, ``validate`` checks one device at a time, and the equal split
+loops over groups and members.  ``_slots`` and ``_owned_by`` are the
+former ``ClusterAssignment.slots`` and ``SubcarrierMap.owned_by``.  They
+are kept verbatim so that the array versions in ``nbiot_noma.rate_model``
+can be checked against them for identical powers, rates, reports and
+violation lists.
 """
 
 from __future__ import annotations
@@ -29,6 +32,33 @@ from nbiot_noma.rate_model import (
     structural_violations,
 )
 from nbiot_noma.scenario import Scenario
+
+
+def _slots(assignment: ClusterAssignment) -> dict[int, tuple[int, int]]:
+    """device id -> (cluster index, 0-based rank)."""
+    out = {}
+    for c, members in enumerate(assignment.clusters):
+        for rank, dev in enumerate(members):
+            out[dev] = (c, rank)
+    return out
+
+
+def _owned_by(sub_map: SubcarrierMap, cluster: int) -> np.ndarray:
+    return np.flatnonzero(sub_map.owner == cluster)
+
+
+def reference_equal_split_powers(scenario: Scenario, groups, tone_sets) -> PowerMatrix:
+    """Every member of a group spreads its budget evenly over the group's tones.
+
+    p[d, s] = budget(d) / len(tones) on the group's tones, 0 elsewhere.  A
+    group with no tones keeps zero rows.
+    """
+    watts = np.zeros((scenario.num_devices, scenario.config.num_subcarriers))
+    for members, tones in zip(groups, tone_sets):
+        if len(tones):
+            for dev in members:
+                watts[dev, tones] = scenario.power_budgets[dev] / len(tones)
+    return PowerMatrix(watts=watts)
 
 
 def sic_member_rates(
@@ -56,7 +86,7 @@ def _cluster_rates(
     cluster: int,
 ) -> np.ndarray:
     members = assignment.clusters[cluster]
-    tones = sub_map.owned_by(cluster)
+    tones = _owned_by(sub_map, cluster)
     if not members:
         return np.zeros(0)
     gains = scenario.gain_matrix[np.ix_(members, tones)]
@@ -75,7 +105,7 @@ def reference_rate_report(
 ) -> RateReport:
     """Rates for every device plus sum rate, fairness and QoS satisfaction."""
     rates = np.zeros(scenario.num_devices)
-    slots = assignment.slots()
+    slots = _slots(assignment)
     for dev in range(scenario.num_devices):
         if dev not in slots:
             raise UnassignedDeviceError(f"device {dev} is in no cluster")
@@ -102,7 +132,7 @@ def reference_sic_chain_mismatch(
     noise = scenario.config.noise_per_subcarrier
     worst = 0.0
     for c, members in enumerate(assignment.clusters):
-        tones = sub_map.owned_by(c)
+        tones = _owned_by(sub_map, c)
         if not members or tones.size == 0:
             continue
         received = (
@@ -155,8 +185,8 @@ def reference_validate(
         cid = "C15" if scenario.is_urllc[d] else "C14"
         out.append(Violation(cid, f"negative power p[{int(d)},{int(s)}]"))
 
-    owned = [sub_map.owned_by(c) for c in range(assignment.num_clusters)]
-    slots = assignment.slots()
+    owned = [_owned_by(sub_map, c) for c in range(assignment.num_clusters)]
+    slots = _slots(assignment)
     for dev in range(scenario.num_devices):
         if dev not in slots:
             continue  # already a C8/C9 violation

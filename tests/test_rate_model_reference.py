@@ -1,12 +1,17 @@
 """The one-table SIC rate path against its per-cluster reference, bit for bit.
 
 ``reference_rate_model.py`` keeps ``rate_report``, ``sic_chain_mismatch``
-and ``validate`` as they stood when each cluster gathered its own block.
-Rates, every report field and the violation lists, order included, must
-be equal exactly, on the benchmark cells and on hand-built extremes, with
-and without injected constraint violations.  The chain mismatch is a
-rounding diagnostic: the per-cluster gather summed members in another
-order, so it may move by a few ulps but both values must stay tiny.
+and ``validate`` as they stood when each cluster gathered its own block
+and ``validate`` checked one device at a time, and ``equal_split_powers``
+as it stood when it looped over groups.  Rates, every report field, the
+violation lists, order included, and the equal-split powers must be equal
+exactly, on the benchmark cells and on hand-built extremes, with and
+without injected constraint violations.  A negative or non-finite power
+is the one place the two differ on purpose: ``rate_report`` raises
+``InvalidPowerError`` where the reference raised a bare ``ValueError`` or
+returned NaN rates.  The chain mismatch is a rounding diagnostic: the
+per-cluster gather summed members in another order, so it may move by a
+few ulps but both values must stay tiny.
 """
 
 import math
@@ -17,11 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbiot_noma.allocation import allocate
+from nbiot_noma.baselines import half_tone_scenario, ofdma_allocate
 from nbiot_noma.clustering import build_clusters
+from nbiot_noma.errors import InvalidPowerError
 from nbiot_noma.rate_model import (
     ClusterAssignment,
     PowerMatrix,
     SubcarrierMap,
+    equal_split_powers,
     rate_report,
     sic_chain_mismatch,
     validate,
@@ -29,6 +37,7 @@ from nbiot_noma.rate_model import (
 
 from conftest import make_scenario
 from reference_rate_model import (
+    reference_equal_split_powers,
     reference_rate_report,
     reference_sic_chain_mismatch,
     reference_validate,
@@ -42,37 +51,34 @@ def same(a: float, b: float) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
-def report_or_error(report_fn, *args):
-    """The report, or the ValueError's text when a negative power gave a
-    negative rate that the fairness index rejects."""
-    try:
-        return report_fn(*args)
-    except ValueError as exc:
-        return str(exc)
+def assert_same_validate(scenario, assignment, sub_map, powers):
+    assert validate(assignment, sub_map, powers, scenario) == reference_validate(
+        assignment, sub_map, powers, scenario
+    )
 
 
 def assert_same_rates(scenario, assignment, sub_map, powers):
     args = (scenario, assignment, sub_map, powers)
-    new = report_or_error(rate_report, *args)
-    ref = report_or_error(reference_rate_report, *args)
-    if isinstance(ref, str):
-        assert new == ref
-    else:
-        # A negative power can give a NaN rate; it must be NaN in both.
-        assert np.array_equal(new.rates, ref.rates, equal_nan=True)
-        assert same(new.sum_rate, ref.sum_rate)
-        assert same(new.fairness, ref.fairness)
-        assert np.array_equal(new.satisfied, ref.satisfied)
-        assert new.satisfied_count == ref.satisfied_count
-    assert validate(assignment, sub_map, powers, scenario) == reference_validate(
-        assignment, sub_map, powers, scenario
-    )
-    if np.any(powers.watts < 0):
-        # A negative power can make a tone's chain NaN.  The reference's
-        # Python max() skipped NaN clusters; the table propagates them.
+    assert_same_validate(*args)
+    w = powers.watts
+    bad = np.argwhere(~((w >= 0) & (w < np.inf)))
+    if bad.size:
+        # The reference raised a bare ValueError from the fairness index or
+        # returned NaN rates; rate_report names the first bad power instead.
+        d, s = bad[0]
+        with pytest.raises(InvalidPowerError) as err:
+            rate_report(*args)
+        assert str(err.value) == f"device {d} has power {float(w[d, s])!r} W on subcarrier {s}"
         return
-    chain = sic_chain_mismatch(scenario, assignment, sub_map, powers)
-    ref_chain = reference_sic_chain_mismatch(scenario, assignment, sub_map, powers)
+    new = rate_report(*args)
+    ref = reference_rate_report(*args)
+    assert np.array_equal(new.rates, ref.rates)
+    assert new.sum_rate == ref.sum_rate
+    assert same(new.fairness, ref.fairness)
+    assert np.array_equal(new.satisfied, ref.satisfied)
+    assert new.satisfied_count == ref.satisfied_count
+    chain = sic_chain_mismatch(*args)
+    ref_chain = reference_sic_chain_mismatch(*args)
     assert abs(chain - ref_chain) <= 1e-15
     assert chain <= 1e-9 and ref_chain <= 1e-9
 
@@ -94,7 +100,28 @@ def injected(scenario, assignment, sub_map, powers, rng):
     yield SubcarrierMap(owner=owner), powers
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in log1p")
+def edge_cases(scenario, assignment, sub_map, powers):
+    """(check, assignment, map, powers): a device listed in two clusters, ids
+    -1 and n inside a cluster, a URLLC row holding inf, and an mMTC row and a
+    URLLC row holding NaN.  The out-of-range ids have no rates to compare."""
+    clusters, w = assignment.clusters, powers.watts
+    first = int(sub_map.owner[0])
+    dev = clusters[first][0]
+    twice = [*clusters]
+    twice[first - 1] = clusters[first - 1] + [dev]
+    yield assert_same_rates, ClusterAssignment(clusters=twice), sub_map, powers
+    odd_ids = [*clusters]
+    odd_ids[first] = clusters[first] + [-1, scenario.num_devices]
+    yield assert_same_validate, ClusterAssignment(clusters=odd_ids), sub_map, powers
+    urllc = next(d for d in scenario.urllc_ids() if w[d].any())
+    mmtc = next(d for d in scenario.mmtc_ids() if w[d].any())
+    for value, devs in ((math.inf, [urllc]), (math.nan, [mmtc, urllc])):
+        watts = w.copy()
+        for d in devs:
+            watts[d, np.flatnonzero(w[d])[0]] = value
+        yield assert_same_rates, assignment, sub_map, PowerMatrix(watts=watts)
+
+
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_bench_cells_match_reference(cell):
     rng = np.random.default_rng(0)
@@ -105,6 +132,42 @@ def test_bench_cells_match_reference(cell):
         assert_same_rates(sc, assignment, sub_map, powers)
         for bad_map, bad_powers in injected(sc, assignment, sub_map, powers, rng):
             assert_same_rates(sc, assignment, bad_map, bad_powers)
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_edge_cases_match_reference(cell):
+    for seed in range(SEEDS_PER_CELL):
+        sc = cell_scenario(cell, seed)
+        assignment = build_clusters(sc)
+        sub_map, powers, _ = allocate(sc, assignment)
+        for check, *args in edge_cases(sc, assignment, sub_map, powers):
+            check(sc, *args)
+
+
+def owned_tones(owner, groups):
+    return [np.flatnonzero(owner == g) for g in range(groups)]
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_equal_split_matches_reference(cell):
+    """NOMA clusters, OFDMA singletons and OFDMA on the half-tone cell."""
+    for seed in range(SEEDS_PER_CELL):
+        sc = cell_scenario(cell, seed)
+        assignment = build_clusters(sc)
+        sub_map, _, _ = allocate(sc, assignment)
+        new = equal_split_powers(sc, assignment.cluster_of(sc.num_devices), sub_map.owner)
+        ref = reference_equal_split_powers(
+            sc, assignment.clusters, owned_tones(sub_map.owner, assignment.num_clusters)
+        )
+        assert np.array_equal(new.watts, ref.watts)
+        for cell_sc in (sc, half_tone_scenario(sc)):
+            n = cell_sc.num_devices
+            owner = ofdma_allocate(cell_sc)[0]
+            new = equal_split_powers(cell_sc, np.arange(n), owner)
+            ref = reference_equal_split_powers(
+                cell_sc, [[d] for d in range(n)], owned_tones(owner, n)
+            )
+            assert np.array_equal(new.watts, ref.watts)
 
 
 # Zero-gain tones and gains across 60 decades, log-uniform.
