@@ -113,20 +113,6 @@ def fast_ofdm_allocate(scenario: Scenario) -> tuple[np.ndarray, PowerMatrix, Rat
     return ofdma_allocate(half_tone_scenario(scenario))
 
 
-def _tone_values_fixed(scenario, assignment, powers) -> np.ndarray:
-    """value[s, c]: cluster-c sum rate on tone s with the given fixed powers."""
-    cfg = scenario.config
-    num_s, num_c = cfg.num_subcarriers, assignment.num_clusters
-    values = np.zeros((num_s, num_c))
-    for c, members in enumerate(assignment.clusters):
-        if not members:
-            continue
-        received = scenario.gain_matrix[members] * powers.watts[members]  # (m, S)
-        terms = sic_log_terms(received, cfg.noise_per_subcarrier)
-        values[:, c] = cfg.subcarrier_bandwidth * terms.sum(axis=0) / _LOG2
-    return values
-
-
 def _tone_values_equal_split(scenario, assignment) -> np.ndarray:
     """value[s, c, k]: cluster-c sum rate on tone s when it owns k+1 tones.
 
@@ -148,18 +134,15 @@ def _tone_values_equal_split(scenario, assignment) -> np.ndarray:
 
 
 def mckp_oracle(
-    scenario: Scenario,
-    assignment: ClusterAssignment,
-    powers: PowerMatrix | None = None,
-) -> SubcarrierMap:
+    scenario: Scenario, assignment: ClusterAssignment
+) -> tuple[SubcarrierMap, PowerMatrix, RateReport]:
     """Best subcarrier-to-cluster map by full enumeration of all C^S maps.
 
-    With ``powers`` given, every candidate map is scored with those fixed
-    transmit powers.  With ``powers=None`` each candidate is scored under
-    the same equal-split rule the greedy allocator uses (budget divided by
-    the cluster's owned-tone count), which is the evaluation the
-    exhaustive clustering oracle needs to dominate the heuristic.  Ties go
-    to the lexicographically smallest map.
+    The exact counterpart of :func:`nbiot_noma.allocation.allocate`: the
+    same arguments and the same (map, powers, report) triple.  Every
+    candidate map is scored under the greedy's equal-split rule (budget
+    divided by the cluster's owned-tone count).  Ties go to the
+    lexicographically smallest map.
     """
     cfg = scenario.config
     num_s, num_c = cfg.num_subcarriers, assignment.num_clusters
@@ -168,10 +151,7 @@ def mckp_oracle(
             f"S={num_s}, C={num_c} exceeds the exhaustive bounds "
             f"({MCKP_MAX_SUBCARRIERS}, {MCKP_MAX_CLUSTERS})"
         )
-    if powers is not None:
-        per_tone = _tone_values_fixed(scenario, assignment, powers)  # (S, C)
-    else:
-        per_tone = _tone_values_equal_split(scenario, assignment)  # (S, C, S)
+    per_tone = _tone_values_equal_split(scenario, assignment)  # (S, C, S)
 
     total = num_c**num_s
     chunk = 1 << 16
@@ -180,19 +160,20 @@ def mckp_oracle(
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         digits = (idx[:, None] // weights[None, :]) % num_c  # lexicographic maps
-        if powers is not None:
-            obj = per_tone[np.arange(num_s)[None, :], digits].sum(axis=1)
-        else:
-            counts = (digits[:, :, None] == np.arange(num_c)).sum(axis=1)  # (maps, C)
-            owned = np.take_along_axis(counts, digits, axis=1)
-            # (S, maps), C-ordered: the axis-0 sum adds tones in order, as a
-            # running total would; a last-axis sum is pairwise and can flip a near-tie.
-            obj = per_tone[np.arange(num_s)[:, None], digits.T, owned.T - 1].sum(axis=0)
+        counts = (digits[:, :, None] == np.arange(num_c)).sum(axis=1)  # (maps, C)
+        owned = np.take_along_axis(counts, digits, axis=1)
+        # (S, maps), C-ordered: the axis-0 sum adds tones in order, as a
+        # running total would; a last-axis sum is pairwise and can flip a near-tie.
+        obj = per_tone[np.arange(num_s)[:, None], digits.T, owned.T - 1].sum(axis=0)
         k = int(np.argmax(obj))  # first maximum keeps the lexicographic winner
         if obj[k] > best_obj:
             best_obj = float(obj[k])
             best_map = digits[k].copy()
-    return SubcarrierMap(owner=best_map.astype(int))
+    sub_map = SubcarrierMap(owner=best_map.astype(int))
+    powers = equal_split_powers(
+        scenario, assignment.cluster_of(scenario.num_devices), sub_map.owner
+    )
+    return sub_map, powers, rate_report(scenario, assignment, sub_map, powers)
 
 
 def _rank_orderings(urllc_members, mmtc_members):
@@ -243,10 +224,7 @@ def exhaustive_clustering(
         )
     best = None
     for assignment in _valid_assignments(scenario, cfg.num_clusters, cfg.max_rank):
-        sub_map = mckp_oracle(scenario, assignment)
-        cluster_of = assignment.cluster_of(scenario.num_devices)
-        powers = equal_split_powers(scenario, cluster_of, sub_map.owner)
-        report = rate_report(scenario, assignment, sub_map, powers)
+        sub_map, _, report = mckp_oracle(scenario, assignment)
         if best is None or report.sum_rate > best[2].sum_rate:
             best = (assignment, sub_map, report)
     if best is None:

@@ -20,7 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRatesError, InvalidPowerError, UnassignedDeviceError
+from .errors import (
+    DegenerateRatesError,
+    InvalidAssignmentError,
+    InvalidPowerError,
+    UnassignedDeviceError,
+)
 from .scenario import Scenario
 
 __all__ = [
@@ -192,9 +197,14 @@ def rate_report(
 ) -> RateReport:
     """Rates for every device plus sum rate, fairness and QoS satisfaction.
 
-    The first device in no cluster raises ``UnassignedDeviceError``; the first
-    negative or non-finite power raises ``InvalidPowerError``."""
-    unplaced = np.flatnonzero(assignment.cluster_of(scenario.num_devices) < 0)
+    The first cluster member outside [0, n) raises ``InvalidAssignmentError``,
+    the first device in no cluster ``UnassignedDeviceError`` and the first
+    negative or non-finite power ``InvalidPowerError``."""
+    n = scenario.num_devices
+    unknown = next((d for m in assignment.clusters for d in m if not 0 <= d < n), None)
+    if unknown is not None:
+        raise InvalidAssignmentError([Violation("C8/C9", f"unknown device id {unknown}")])
+    unplaced = np.flatnonzero(assignment.cluster_of(n) < 0)
     if unplaced.size:
         raise UnassignedDeviceError(f"device {unplaced[0]} is in no cluster")
     w = powers.watts
@@ -202,7 +212,7 @@ def rate_report(
     if not ok.all():
         d, s = np.argwhere(~ok)[0]
         raise InvalidPowerError(f"device {d} has power {float(w[d, s])!r} W on subcarrier {s}")
-    rates = np.zeros(scenario.num_devices)
+    rates = np.zeros(n)
     owners, _, terms = _sic_table(scenario, assignment, sub_map, powers)
     tone_bw = scenario.config.subcarrier_bandwidth
     for c, members in enumerate(assignment.clusters):
@@ -336,7 +346,7 @@ def validate(
     c2 = ~scenario.is_urllc & (row_sums > budgets * (1 + BUDGET_RTOL))
     # An unplaced device is already a C8/C9 violation.
     for dev in np.flatnonzero((cluster_of >= 0) & (off_any | c4 | c2)):
-        row_sum, budget = float(row_sums[dev]), budgets[dev]
+        row_sum, budget = float(row_sums[dev]), float(budgets[dev])
         if off_any[dev]:
             tone, cluster = off[dev].argmax(), cluster_of[dev]
             msg = f"device {dev} transmits on subcarrier {tone} outside cluster {cluster}"

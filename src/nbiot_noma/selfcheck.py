@@ -26,7 +26,7 @@ from .power_opt import (
     probe_concavity,
     tail_powers,
 )
-from .rate_model import rate_report, validate
+from .rate_model import validate
 from .scenario import ScenarioConfig, generate_scenario
 
 __all__ = ["CheckResult", "run_self_checks", "tiny_config", "random_feasible_cluster"]
@@ -138,34 +138,17 @@ def _check_solver_vs_grid(rng, trials=10) -> CheckResult:
     )
 
 
-def _check_oracle_dominance(base, rng, trials=15) -> CheckResult:
+def _check_dominance(name, oracle, base, rng, trials) -> CheckResult:
+    """``oracle(scenario, assignment)``'s sum rate never falls below the greedy's."""
     failures = 0
     for _ in range(trials):
-        cfg = tiny_config(base, rng)
-        scenario = generate_scenario(cfg)
+        scenario = generate_scenario(tiny_config(base, rng))
         assignment = build_clusters(scenario)
-        _, powers, report = allocate(scenario, assignment)
-        oracle_map = mckp_oracle(scenario, assignment, powers)
-        oracle_rate = rate_report(scenario, assignment, oracle_map, powers).sum_rate
-        if oracle_rate < report.sum_rate * (1 - 1e-9):
+        _, _, report = allocate(scenario, assignment)
+        _, _, best = oracle(scenario, assignment)
+        if best.sum_rate < report.sum_rate * (1 - 1e-9):
             failures += 1
-    return CheckResult(
-        "mckp-dominance", failures == 0, f"{trials} instances, {failures} failures"
-    )
-
-
-def _check_exhaustive_dominance(base, rng, trials=8) -> CheckResult:
-    failures = 0
-    for _ in range(trials):
-        cfg = tiny_config(base, rng)
-        scenario = generate_scenario(cfg)
-        _, _, heuristic_report = allocate(scenario, build_clusters(scenario))
-        _, _, best_report = exhaustive_clustering(scenario)
-        if best_report.sum_rate < heuristic_report.sum_rate * (1 - 1e-9):
-            failures += 1
-    return CheckResult(
-        "exhaustive-dominance", failures == 0, f"{trials} instances, {failures} failures"
-    )
+    return CheckResult(name, failures == 0, f"{trials} instances, {failures} failures")
 
 
 def _check_pipeline_constraints(base, rng, trials=3) -> CheckResult:
@@ -196,7 +179,9 @@ def run_self_checks(base: ScenarioConfig | None = None, seed: int = 0) -> list[C
         _check_transform_identity(rng),
         _check_concavity(rng),
         _check_solver_vs_grid(rng),
-        _check_oracle_dominance(base, rng),
-        _check_exhaustive_dominance(base, rng),
+        _check_dominance("mckp-dominance", mckp_oracle, base, rng, 15),
+        _check_dominance(
+            "exhaustive-dominance", lambda sc, _: exhaustive_clustering(sc), base, rng, 8
+        ),
         _check_pipeline_constraints(base, rng),
     ]

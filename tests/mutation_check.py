@@ -123,6 +123,50 @@ MUTANTS = (
         "return -num / den",
         ("tests/test_power_opt.py::TestConcavity::test_spot_value",),
     ),
+    Mutant(
+        "greedy-spends-double-budget",
+        "src/nbiot_noma/allocation.py",
+        "    return sub_map, powers, rate_report(scenario, assignment, sub_map, powers)",
+        "    powers.watts *= 2\n"
+        "    return sub_map, powers, rate_report(scenario, assignment, sub_map, powers)",
+        ("tests/test_baselines.py::TestMckpOracle::test_dominates_greedy",),
+    ),
+    Mutant(
+        "greedy-drops-final-rate-pass",
+        "src/nbiot_noma/allocation.py",
+        "    return sub_map, powers, rate_report(scenario, assignment, sub_map, powers)",
+        "    from .rate_model import build_report\n"
+        "    return sub_map, powers, build_report(scenario, rates)",
+        ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
+    ),
+    Mutant(
+        "split-by-count-plus-2",
+        "src/nbiot_noma/allocation.py",
+        "split[c] = slot_budgets[c] / (len(tones) + 1)",
+        "split[c] = slot_budgets[c] / (len(tones) + 2)",
+        ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
+    ),
+    Mutant(
+        "rate-report-accepts-unknown-ids",
+        "src/nbiot_noma/rate_model.py",
+        "if not 0 <= d < n), None)",
+        "if False), None)",
+        ("tests/test_rate_model_reference.py::test_edge_cases_match_reference",),
+    ),
+    Mutant(
+        "ofdma-power-up-1e-9",
+        "src/nbiot_noma/baselines.py",
+        "p = scenario.power_budgets[dev] / len(tones)",
+        "p = scenario.power_budgets[dev] / len(tones) * (1 + 1e-9)",
+        ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
+    ),
+    Mutant(
+        "stale-all-entry",
+        "src/nbiot_noma/baselines.py",
+        '    "grid_power_oracle",\n]',
+        '    "grid_power_oracle",\n    "mckp_oracle_fixed_powers",\n]',
+        ("tests/test_package_surface.py::test_all_names_resolve",),
+    ),
 )
 
 

@@ -4,7 +4,8 @@ These are the oracles as they stood before the pruned rewrite:
 ``reference_grid_power_oracle`` evaluates every constraint and every log
 term on the full two-dimensional mesh, and ``reference_mckp_oracle``
 scores each equal-split map one tone at a time, with one
-``sic_log_terms`` call per owned-tone count.  They are kept verbatim so
+``sic_log_terms`` call per owned-tone count.  They are kept verbatim,
+less the fixed-power scoring mode that ``mckp_oracle`` no longer has, so
 that the versions in ``nbiot_noma.baselines`` can be checked against
 them for identical maps, tail vectors, objectives and errors.
 """
@@ -34,7 +35,6 @@ from nbiot_noma.power_opt import (
 )
 from nbiot_noma.rate_model import (
     ClusterAssignment,
-    PowerMatrix,
     RateReport,
     SubcarrierMap,
     rate_report,
@@ -45,20 +45,6 @@ from nbiot_noma.scenario import Scenario
 from reference_rate_model import reference_equal_split_powers
 
 _LOG2 = math.log(2.0)
-
-
-def _tone_values_fixed(scenario, assignment, powers) -> np.ndarray:
-    """value[s, c]: cluster-c sum rate on tone s with the given fixed powers."""
-    cfg = scenario.config
-    num_s, num_c = cfg.num_subcarriers, assignment.num_clusters
-    values = np.zeros((num_s, num_c))
-    for c, members in enumerate(assignment.clusters):
-        if not members:
-            continue
-        received = scenario.gain_matrix[members] * powers.watts[members]  # (m, S)
-        terms = sic_log_terms(received, cfg.noise_per_subcarrier)
-        values[:, c] = cfg.subcarrier_bandwidth * terms.sum(axis=0) / _LOG2
-    return values
 
 
 def _tone_values_equal_split(scenario, assignment) -> np.ndarray:
@@ -81,19 +67,12 @@ def _tone_values_equal_split(scenario, assignment) -> np.ndarray:
     return values
 
 
-def reference_mckp_oracle(
-    scenario: Scenario,
-    assignment: ClusterAssignment,
-    powers: PowerMatrix | None = None,
-) -> SubcarrierMap:
+def reference_mckp_oracle(scenario: Scenario, assignment: ClusterAssignment) -> SubcarrierMap:
     """Best subcarrier-to-cluster map by full enumeration of all C^S maps.
 
-    With ``powers`` given, every candidate map is scored with those fixed
-    transmit powers.  With ``powers=None`` each candidate is scored under
-    the same equal-split rule the greedy allocator uses (budget divided by
-    the cluster's owned-tone count), which is the evaluation the
-    exhaustive clustering oracle needs to dominate the heuristic.  Ties go
-    to the lexicographically smallest map.
+    Each candidate is scored under the same equal-split rule the greedy
+    allocator uses (budget divided by the cluster's owned-tone count).
+    Ties go to the lexicographically smallest map.
     """
     cfg = scenario.config
     num_s, num_c = cfg.num_subcarriers, assignment.num_clusters
@@ -102,10 +81,7 @@ def reference_mckp_oracle(
             f"S={num_s}, C={num_c} exceeds the exhaustive bounds "
             f"({MCKP_MAX_SUBCARRIERS}, {MCKP_MAX_CLUSTERS})"
         )
-    if powers is not None:
-        per_tone = _tone_values_fixed(scenario, assignment, powers)  # (S, C)
-    else:
-        per_tone = _tone_values_equal_split(scenario, assignment)  # (S, C, S)
+    per_tone = _tone_values_equal_split(scenario, assignment)  # (S, C, S)
 
     total = num_c**num_s
     chunk = 1 << 16
@@ -114,17 +90,14 @@ def reference_mckp_oracle(
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         digits = (idx[:, None] // weights[None, :]) % num_c  # lexicographic maps
-        if powers is not None:
-            obj = per_tone[np.arange(num_s)[None, :], digits].sum(axis=1)
-        else:
-            counts = np.zeros((idx.size, num_c), dtype=np.int64)
-            for c in range(num_c):
-                counts[:, c] = (digits == c).sum(axis=1)
-            rows = np.arange(idx.size)
-            obj = np.zeros(idx.size)
-            for s in range(num_s):
-                owner_col = digits[:, s]
-                obj += per_tone[s, owner_col, counts[rows, owner_col] - 1]
+        counts = np.zeros((idx.size, num_c), dtype=np.int64)
+        for c in range(num_c):
+            counts[:, c] = (digits == c).sum(axis=1)
+        rows = np.arange(idx.size)
+        obj = np.zeros(idx.size)
+        for s in range(num_s):
+            owner_col = digits[:, s]
+            obj += per_tone[s, owner_col, counts[rows, owner_col] - 1]
         k = int(np.argmax(obj))  # first maximum keeps the lexicographic winner
         if obj[k] > best_obj:
             best_obj = float(obj[k])

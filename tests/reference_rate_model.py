@@ -202,7 +202,7 @@ def reference_validate(
                 )
             )
         row_sum = float(w[dev].sum())
-        budget = scenario.power_budgets[dev]
+        budget = float(scenario.power_budgets[dev])
         if scenario.is_urllc[dev]:
             has_spectrum = owned[cluster].size > 0
             if has_spectrum and not math.isclose(

@@ -3,7 +3,8 @@
 ``reference_oracles.py`` keeps the grid power oracle and the MCKP oracle
 as they stood before the rewrite.  Both versions must return the same
 tail powers and objective (or raise on the same instances), and the same
-subcarrier map, with exact equality.
+subcarrier map, with exact equality.  The MCKP oracle's powers and report
+must equal the reference equal-split powers and their rate report.
 """
 
 from dataclasses import replace
@@ -21,7 +22,7 @@ from nbiot_noma.baselines import (
 )
 from nbiot_noma.errors import GridResolutionError
 from nbiot_noma.power_opt import threshold_coefficients
-from nbiot_noma.rate_model import ClusterAssignment, PowerMatrix
+from nbiot_noma.rate_model import ClusterAssignment, rate_report
 from nbiot_noma.scenario import ScenarioConfig, generate_scenario
 from nbiot_noma.selfcheck import random_feasible_cluster, tiny_config
 
@@ -33,6 +34,7 @@ from reference_oracles import (
     reference_mckp_oracle,
     reference_mesh_feasible,
 )
+from reference_rate_model import reference_equal_split_powers
 
 CLUSTERS_PER_SIZE = 300
 GRID_DIVISIONS = (1000, 50, 7)  # step = total power / division
@@ -98,7 +100,6 @@ def tiny_scenarios(count, seed):
 
 
 def test_mckp_matches_reference_on_every_tiny_assignment():
-    rng = np.random.default_rng(7)
     assignments = 0
     for sc in tiny_scenarios(TINY_INSTANCES, seed=5):
         cfg = sc.config
@@ -108,18 +109,16 @@ def test_mckp_matches_reference_on_every_tiny_assignment():
                 _tone_values_equal_split(sc, assignment),
                 reference_tone_values_equal_split(sc, assignment),
             )
-            assert np.array_equal(
-                mckp_oracle(sc, assignment).owner,
-                reference_mckp_oracle(sc, assignment).owner,
-            )
-            watts = sc.power_budgets[:, None] * rng.uniform(
-                0.0, 1.0, size=(sc.num_devices, cfg.num_subcarriers)
-            )
-            powers = PowerMatrix(watts=watts)
-            assert np.array_equal(
-                mckp_oracle(sc, assignment, powers).owner,
-                reference_mckp_oracle(sc, assignment, powers).owner,
-            )
+            sub_map, powers, report = mckp_oracle(sc, assignment)
+            ref_map = reference_mckp_oracle(sc, assignment)
+            assert np.array_equal(sub_map.owner, ref_map.owner)
+            tone_sets = [np.flatnonzero(ref_map.owner == c) for c in range(cfg.num_clusters)]
+            ref_powers = reference_equal_split_powers(sc, assignment.clusters, tone_sets)
+            ref_report = rate_report(sc, assignment, ref_map, ref_powers)
+            assert np.array_equal(powers.watts, ref_powers.watts)
+            assert np.array_equal(report.rates, ref_report.rates)
+            assert report.sum_rate == ref_report.sum_rate
+            assert np.array_equal(report.satisfied, ref_report.satisfied)
     assert assignments > 1000
 
 
@@ -147,12 +146,9 @@ def test_multi_chunk_instances_match_reference(num_c, num_s):
     assert num_c**num_s > 1 << 16
     rng = np.random.default_rng(num_c * 100 + num_s)
     sc, assignment = paired_clusters(rng.exponential(1.0, size=(2 * num_c, num_s)))
-    powers = PowerMatrix(watts=rng.uniform(0.0, 1.0, size=(2 * num_c, num_s)))
-    for p in (None, powers):
-        assert np.array_equal(
-            mckp_oracle(sc, assignment, p).owner,
-            reference_mckp_oracle(sc, assignment, p).owner,
-        )
+    assert np.array_equal(
+        mckp_oracle(sc, assignment)[0].owner, reference_mckp_oracle(sc, assignment).owner
+    )
 
 
 @pytest.mark.parametrize("num_c, num_s", [(2, 4), (4, 9)])
@@ -162,7 +158,7 @@ def test_exact_ties_go_to_the_smallest_map(num_c, num_s):
     # chunk, so the tied relabellings sit in different chunks.
     pair = np.random.default_rng(num_s).exponential(1.0, size=(2, num_s))
     sc, assignment = paired_clusters(np.tile(pair, (num_c, 1)))
-    owner = mckp_oracle(sc, assignment).owner
+    owner = mckp_oracle(sc, assignment)[0].owner
     assert np.array_equal(owner, reference_mckp_oracle(sc, assignment).owner)
     labels = np.unique(owner)
     first_use = [int(np.flatnonzero(owner == c)[0]) for c in labels]

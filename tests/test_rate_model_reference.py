@@ -15,6 +15,7 @@ few ulps but both values must stay tiny.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from nbiot_noma.allocation import allocate
 from nbiot_noma.baselines import half_tone_scenario, ofdma_allocate
 from nbiot_noma.clustering import build_clusters
-from nbiot_noma.errors import InvalidPowerError
+from nbiot_noma.errors import InvalidAssignmentError, InvalidPowerError
 from nbiot_noma.rate_model import (
     ClusterAssignment,
     PowerMatrix,
@@ -52,9 +53,18 @@ def same(a: float, b: float) -> bool:
 
 
 def assert_same_validate(scenario, assignment, sub_map, powers):
-    assert validate(assignment, sub_map, powers, scenario) == reference_validate(
-        assignment, sub_map, powers, scenario
-    )
+    violations = validate(assignment, sub_map, powers, scenario)
+    assert violations == reference_validate(assignment, sub_map, powers, scenario)
+    assert not any("np.float64(" in v.message for v in violations)
+
+
+def assert_unknown_id_rejected(scenario, assignment, sub_map, powers, unknown):
+    """Violation lists still match; ``rate_report`` names the first unknown id."""
+    assert_same_validate(scenario, assignment, sub_map, powers)
+    with pytest.raises(InvalidAssignmentError) as err:
+        rate_report(scenario, assignment, sub_map, powers)
+    message = f"assignment fails structural checks: C8/C9: unknown device id {unknown}"
+    assert str(err.value) == message
 
 
 def assert_same_rates(scenario, assignment, sub_map, powers):
@@ -102,17 +112,20 @@ def injected(scenario, assignment, sub_map, powers, rng):
 
 def edge_cases(scenario, assignment, sub_map, powers):
     """(check, assignment, map, powers): a device listed in two clusters, ids
-    -1 and n inside a cluster, a URLLC row holding inf, and an mMTC row and a
-    URLLC row holding NaN.  The out-of-range ids have no rates to compare."""
+    -1, n and both inside a cluster, a URLLC row holding inf, and an mMTC row
+    and a URLLC row holding NaN.  ``rate_report`` rejects the out-of-range
+    ids by name, so they have no rates to compare."""
     clusters, w = assignment.clusters, powers.watts
     first = int(sub_map.owner[0])
     dev = clusters[first][0]
     twice = [*clusters]
     twice[first - 1] = clusters[first - 1] + [dev]
     yield assert_same_rates, ClusterAssignment(clusters=twice), sub_map, powers
-    odd_ids = [*clusters]
-    odd_ids[first] = clusters[first] + [-1, scenario.num_devices]
-    yield assert_same_validate, ClusterAssignment(clusters=odd_ids), sub_map, powers
+    for ids in ([-1], [scenario.num_devices], [-1, scenario.num_devices]):
+        odd_ids = [*clusters]
+        odd_ids[first] = clusters[first] + ids
+        check = partial(assert_unknown_id_rejected, unknown=ids[0])
+        yield check, ClusterAssignment(clusters=odd_ids), sub_map, powers
     urllc = next(d for d in scenario.urllc_ids() if w[d].any())
     mmtc = next(d for d in scenario.mmtc_ids() if w[d].any())
     for value, devs in ((math.inf, [urllc]), (math.nan, [mmtc, urllc])):
