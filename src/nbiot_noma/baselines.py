@@ -113,24 +113,54 @@ def fast_ofdm_allocate(scenario: Scenario) -> tuple[np.ndarray, PowerMatrix, Rat
     return ofdma_allocate(half_tone_scenario(scenario))
 
 
-def _tone_values_equal_split(scenario, assignment) -> np.ndarray:
-    """value[s, c, k]: cluster-c sum rate on tone s when it owns k+1 tones.
+def _cluster_tone_values(scenario, members) -> np.ndarray:
+    """value[s, k]: the cluster's sum rate on tone s when it owns k+1 tones.
 
     Under equal split every member transmits budget/(k+1) per owned tone,
     so the value of a tone depends only on how many tones the cluster owns.
+    An empty cluster is worth zero everywhere.
     """
     cfg = scenario.config
-    num_s, num_c = cfg.num_subcarriers, assignment.num_clusters
-    values = np.zeros((num_s, num_c, num_s))
-    shares = np.arange(1, num_s + 1)[:, None]  # (k, 1): owned-tone counts
-    for c, members in enumerate(assignment.clusters):
-        if not members:
-            continue
-        gains = scenario.gain_matrix[members][:, None, :]  # (m, 1, S)
-        budgets = scenario.power_budgets[members][:, None, None]  # (m, 1, 1)
-        terms = sic_log_terms(gains * (budgets / shares), cfg.noise_per_subcarrier)
-        values[:, c, :] = (cfg.subcarrier_bandwidth * terms.sum(axis=0) / _LOG2).T
-    return values
+    shares = np.arange(1, cfg.num_subcarriers + 1)[:, None]  # (k, 1): owned-tone counts
+    gains = scenario.gain_matrix[members][:, None, :]  # (m, 1, S)
+    budgets = scenario.power_budgets[members][:, None, None]  # (m, 1, 1)
+    terms = sic_log_terms(gains * (budgets / shares), cfg.noise_per_subcarrier)
+    return (cfg.subcarrier_bandwidth * terms.sum(axis=0) / _LOG2).T
+
+
+def _tone_values_equal_split(scenario, assignment) -> np.ndarray:
+    """value[s, c, k]: cluster-c sum rate on tone s when it owns k+1 tones."""
+    return np.stack(
+        [_cluster_tone_values(scenario, members) for members in assignment.clusters], axis=1
+    )
+
+
+def _lex_maps(num_s: int, num_c: int):
+    """All C^S subcarrier maps in lexicographic order, in chunks of
+    (digits (maps, S), owned-tone count of each tone's owner (maps, S))."""
+    total = num_c**num_s
+    chunk = 1 << 16
+    weights = num_c ** np.arange(num_s - 1, -1, -1, dtype=np.int64)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = (idx[:, None] // weights[None, :]) % num_c
+        counts = (digits[:, :, None] == np.arange(num_c)).sum(axis=1)  # (maps, C)
+        yield digits, np.take_along_axis(counts, digits, axis=1)
+
+
+def _best_map(per_tone: np.ndarray, maps) -> np.ndarray:
+    """The first map of ``maps`` with the largest equal-split value."""
+    tones = np.arange(per_tone.shape[0])[:, None]
+    best_obj, best_map = -math.inf, None
+    for digits, owned in maps:
+        # (S, maps), C-ordered: the axis-0 sum adds tones in order, as a
+        # running total would; a last-axis sum is pairwise and can flip a near-tie.
+        obj = per_tone[tones, digits.T, owned.T - 1].sum(axis=0)
+        k = int(np.argmax(obj))  # first maximum keeps the lexicographic winner
+        if obj[k] > best_obj:
+            best_obj = float(obj[k])
+            best_map = digits[k].copy()
+    return best_map.astype(int)
 
 
 def mckp_oracle(
@@ -152,28 +182,25 @@ def mckp_oracle(
             f"({MCKP_MAX_SUBCARRIERS}, {MCKP_MAX_CLUSTERS})"
         )
     per_tone = _tone_values_equal_split(scenario, assignment)  # (S, C, S)
-
-    total = num_c**num_s
-    chunk = 1 << 16
-    weights = num_c ** np.arange(num_s - 1, -1, -1, dtype=np.int64)
-    best_obj, best_map = -math.inf, None
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (idx[:, None] // weights[None, :]) % num_c  # lexicographic maps
-        counts = (digits[:, :, None] == np.arange(num_c)).sum(axis=1)  # (maps, C)
-        owned = np.take_along_axis(counts, digits, axis=1)
-        # (S, maps), C-ordered: the axis-0 sum adds tones in order, as a
-        # running total would; a last-axis sum is pairwise and can flip a near-tie.
-        obj = per_tone[np.arange(num_s)[:, None], digits.T, owned.T - 1].sum(axis=0)
-        k = int(np.argmax(obj))  # first maximum keeps the lexicographic winner
-        if obj[k] > best_obj:
-            best_obj = float(obj[k])
-            best_map = digits[k].copy()
-    sub_map = SubcarrierMap(owner=best_map.astype(int))
+    sub_map = SubcarrierMap(owner=_best_map(per_tone, _lex_maps(num_s, num_c)))
     powers = equal_split_powers(
         scenario, assignment.cluster_of(scenario.num_devices), sub_map.owner
     )
     return sub_map, powers, rate_report(scenario, assignment, sub_map, powers)
+
+
+def _equal_split_rates(scenario, members, tones) -> np.ndarray:
+    """The members' rates on their owned ``tones`` under equal split.
+
+    The arithmetic of :func:`rate_report` on one cluster: the padding rows
+    of its SIC table add exact zeros, so the rates match it bit for bit.
+    """
+    cfg = scenario.config
+    share = scenario.power_budgets[members] / tones.size
+    received = scenario.gain_matrix[np.ix_(members, tones)] * share[:, None]
+    terms = sic_log_terms(received, cfg.noise_per_subcarrier)
+    # terms is C-contiguous, so each member's sum has rate_report's pairwise order.
+    return cfg.subcarrier_bandwidth * terms.sum(axis=1) / _LOG2
 
 
 def _rank_orderings(urllc_members, mmtc_members):
@@ -206,9 +233,10 @@ def exhaustive_clustering(
 ) -> tuple[ClusterAssignment, SubcarrierMap, RateReport]:
     """Global optimum over all valid clusterings and subcarrier maps.
 
-    Every structurally valid assignment is paired with its best map from
-    :func:`mckp_oracle` under equal-split powers; the overall best sum
-    rate wins.  Only tractable for a handful of devices and tones.
+    Every structurally valid assignment is paired with its best map under
+    equal-split powers, as :func:`mckp_oracle` would choose it; the overall
+    best sum rate wins, the first on a tie.  Only tractable for a handful
+    of devices and tones.
     """
     cfg = scenario.config
     if (
@@ -222,14 +250,36 @@ def exhaustive_clustering(
             f"(devices<={EXHAUSTIVE_MAX_DEVICES}, clusters<={EXHAUSTIVE_MAX_CLUSTERS}, "
             f"rank<={EXHAUSTIVE_MAX_RANK}, subcarriers<={EXHAUSTIVE_MAX_SUBCARRIERS})"
         )
+    # Per-call caches: the maps, each ordered cluster's tone values and each
+    # (ordered cluster, owned tones) pair's member rates recur across assignments.
+    maps = list(_lex_maps(cfg.num_subcarriers, cfg.num_clusters))
+    slices: dict = {}
+    member_rates: dict = {}
     best = None
     for assignment in _valid_assignments(scenario, cfg.num_clusters, cfg.max_rank):
-        sub_map, _, report = mckp_oracle(scenario, assignment)
-        if best is None or report.sum_rate > best[2].sum_rate:
-            best = (assignment, sub_map, report)
+        keys = [tuple(members) for members in assignment.clusters]
+        for key in keys:
+            if key not in slices:
+                slices[key] = _cluster_tone_values(scenario, list(key))
+        owner = _best_map(np.stack([slices[key] for key in keys], axis=1), maps)
+        rates = np.zeros(scenario.num_devices)
+        for c, key in enumerate(keys):
+            tones = np.flatnonzero(owner == c)
+            if key and tones.size:
+                rate_key = (key, tones.tobytes())
+                if rate_key not in member_rates:
+                    member_rates[rate_key] = _equal_split_rates(scenario, list(key), tones)
+                rates[list(key)] = member_rates[rate_key]
+        # fsum is correctly rounded, so this is the winner's report.sum_rate exactly.
+        score = math.fsum(rates)
+        if best is None or score > best[0]:
+            best = (score, assignment, owner)
     if best is None:
         raise InstanceTooLargeError("no structurally valid clustering exists")
-    return best
+    _, assignment, owner = best
+    sub_map = SubcarrierMap(owner=owner)
+    powers = equal_split_powers(scenario, assignment.cluster_of(scenario.num_devices), owner)
+    return assignment, sub_map, rate_report(scenario, assignment, sub_map, powers)
 
 
 def _grid_box(axis, p_max, delta, rho, theta) -> tuple[int, int, int]:
@@ -260,8 +310,8 @@ def grid_power_oracle(
     n = cluster.size
     if n > GRID_MAX_USERS:
         raise InstanceTooLargeError(f"grid oracle supports up to {GRID_MAX_USERS} users")
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
     p_max = cluster.total_power
     delta, rho, theta = threshold_coefficients(cluster)
     g = cluster.normalized_gains

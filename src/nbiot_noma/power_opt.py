@@ -68,6 +68,14 @@ class OrderedCluster:
         self.rate_thresholds = np.asarray(self.rate_thresholds, dtype=float)
         if self.normalized_gains.ndim != 1 or self.normalized_gains.size == 0:
             raise ValueError("normalized_gains must be a nonempty vector")
+        for name, finite in (
+            ("normalized_gains", np.isfinite(self.normalized_gains).all()),
+            ("rate_thresholds", np.isfinite(self.rate_thresholds).all()),
+            ("total_power", math.isfinite(self.total_power)),
+            ("bandwidth_hz", math.isfinite(self.bandwidth_hz)),
+        ):
+            if not finite:
+                raise ValueError(f"{name} must be finite")
         if np.any(self.normalized_gains <= 0):
             raise ValueError("normalized gains must be strictly positive")
         if np.any(np.diff(self.normalized_gains) < 0):
@@ -213,6 +221,50 @@ def _constraint_system(cluster: OrderedCluster):
     return np.vstack(rows), np.array(rhs)
 
 
+# Constraint slack allowed to a vertex of a small LP, in units of the
+# budget: far above the rounding of a 2x2 solve, and below HiGHS's 1e-7
+# primal tolerance, so the two disagree on feasibility only for thresholds
+# within well under 1e-6 relative of the boundary.
+_VERTEX_RTOL = 1e-9
+
+
+def _lp_argmin(c, a_ub, b_ub, p_max) -> np.ndarray | None:
+    """argmin of ``c @ x`` over ``A x <= b, 0 <= x <= p_max``, None if empty.
+
+    With at most two variables the optimum sits on a vertex, so every
+    vertex is enumerated: the bound ratios of one variable, or the
+    intersection of every nonparallel pair of constraints, the box rows
+    included.  Vertices within ``_VERTEX_RTOL * p_max`` of every
+    constraint count as feasible and the first minimizer wins.  Larger
+    programs go to HiGHS.
+    """
+    m = c.size
+    if m > 2:
+        res = optimize.linprog(
+            c=c, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, p_max)] * m, method="highs"
+        )
+        return res.x if res.success else None
+    eye = np.eye(m)
+    a = np.vstack([a_ub, -eye, eye])
+    b = np.concatenate([b_ub, np.zeros(m), np.full(m, p_max)])
+    if m == 1:
+        col = a[:, 0]
+        nonzero = col != 0
+        vertices = (b[nonzero] / col[nonzero])[:, None]
+    else:
+        i, j = np.triu_indices(b.size, k=1)
+        pairs = np.stack([a[i], a[j]], axis=1)  # (pairs, 2, 2)
+        det = pairs[:, 0, 0] * pairs[:, 1, 1] - pairs[:, 0, 1] * pairs[:, 1, 0]
+        keep = det != 0
+        rhs = np.stack([b[i], b[j]], axis=1)[keep, :, None]
+        vertices = np.linalg.solve(pairs[keep], rhs)[:, :, 0]
+    feasible = np.all(vertices @ a.T <= b + _VERTEX_RTOL * p_max, axis=1)
+    if not feasible.any():
+        return None
+    vertices = vertices[feasible]
+    return vertices[int(np.argmin(vertices @ c))]
+
+
 def find_feasible_tail(cluster: OrderedCluster) -> np.ndarray | None:
     """A feasible tail-power vector, or None when the thresholds are unmeetable.
 
@@ -225,30 +277,16 @@ def find_feasible_tail(cluster: OrderedCluster) -> np.ndarray | None:
         _, _, theta = threshold_coefficients(cluster)
         return np.array([p_max]) if p_max >= theta[0] else None
     a_ub, b_ub = _constraint_system(cluster)
-    res = optimize.linprog(
-        c=np.ones(n - 1),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(0.0, p_max)] * (n - 1),
-        method="highs",
-    )
-    if not res.success:
-        return None
-    return np.concatenate([[p_max], res.x])
+    x = _lp_argmin(np.ones(n - 1), a_ub, b_ub, p_max)
+    return None if x is None else np.concatenate([[p_max], x])
 
 
 def _certified_gap(x, grad, a_ub, b_ub, p_max):
     """LP bound on how much any feasible point can improve on x."""
-    res = optimize.linprog(
-        c=-grad,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(0.0, p_max)] * x.size,
-        method="highs",
-    )
-    if not res.success:
+    vertex = _lp_argmin(-grad, a_ub, b_ub, p_max)
+    if vertex is None:
         raise ConvergenceError("optimality-gap LP failed on a feasible instance")
-    return float(grad @ (res.x - x)), res.x
+    return float(grad @ (vertex - x)), vertex
 
 
 def maximize_rates(

@@ -161,6 +161,27 @@ MUTANTS = (
         ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
     ),
     Mutant(
+        "exhaustive-cache-key-unordered",
+        "src/nbiot_noma/baselines.py",
+        "keys = [tuple(members) for members in assignment.clusters]",
+        "keys = [tuple(sorted(members)) for members in assignment.clusters]",
+        ("tests/test_oracle_reference.py::test_exhaustive_clustering_matches_reference",),
+    ),
+    Mutant(
+        "small-lp-takes-argmax",
+        "src/nbiot_noma/power_opt.py",
+        "return vertices[int(np.argmin(vertices @ c))]",
+        "return vertices[int(np.argmax(vertices @ c))]",
+        ("tests/test_oracle_reference.py::test_solver_matches_highs_reference",),
+    ),
+    Mutant(
+        "ordered-cluster-accepts-nan",
+        "src/nbiot_noma/power_opt.py",
+        '("normalized_gains", np.isfinite(self.normalized_gains).all()),',
+        '("normalized_gains", not np.isinf(self.normalized_gains).any()),',
+        ("tests/test_cli.py::test_solve_power_nonfinite_input_is_usage_error",),
+    ),
+    Mutant(
         "stale-all-entry",
         "src/nbiot_noma/baselines.py",
         '    "grid_power_oracle",\n]',

@@ -8,6 +8,10 @@ scores each equal-split map one tone at a time, with one
 less the fixed-power scoring mode that ``mckp_oracle`` no longer has, so
 that the versions in ``nbiot_noma.baselines`` can be checked against
 them for identical maps, tail vectors, objectives and errors.
+
+``reference_find_feasible_tail``, ``reference_certified_gap`` and
+``reference_maximize_rates`` are the power solver as it stood when every
+linear program went to SciPy's HiGHS, kept verbatim.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import optimize
 
 from nbiot_noma.baselines import (
     EXHAUSTIVE_MAX_CLUSTERS,
@@ -26,9 +31,18 @@ from nbiot_noma.baselines import (
     MCKP_MAX_SUBCARRIERS,
     _valid_assignments,
 )
-from nbiot_noma.errors import GridResolutionError, InstanceTooLargeError
+from nbiot_noma.errors import (
+    ConvergenceError,
+    GridResolutionError,
+    InfeasibleClusterError,
+    InstanceTooLargeError,
+)
 from nbiot_noma.power_opt import (
+    MAX_ITERATIONS,
     OrderedCluster,
+    PowerSolution,
+    _constraint_system,
+    _objective_gradient,
     cluster_objective,
     powers_from_tail,
     threshold_coefficients,
@@ -222,4 +236,142 @@ def reference_mesh_feasible(cluster: OrderedCluster, step: float) -> np.ndarray:
         & (t3 >= theta[2])
         & (p_max - t2 >= t2 - t3)
         & (t2 - t3 >= t3)
+    )
+
+
+def reference_find_feasible_tail(cluster: OrderedCluster) -> np.ndarray | None:
+    """A feasible tail-power vector, or None when the thresholds are unmeetable.
+
+    Solved as a linear program; the witness minimizes the sum of tail
+    powers, which lands on the low-power corner of the feasible set.
+    """
+    n = cluster.size
+    p_max = cluster.total_power
+    if n == 1:
+        _, _, theta = threshold_coefficients(cluster)
+        return np.array([p_max]) if p_max >= theta[0] else None
+    a_ub, b_ub = _constraint_system(cluster)
+    res = optimize.linprog(
+        c=np.ones(n - 1),
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=[(0.0, p_max)] * (n - 1),
+        method="highs",
+    )
+    if not res.success:
+        return None
+    return np.concatenate([[p_max], res.x])
+
+
+def reference_certified_gap(x, grad, a_ub, b_ub, p_max):
+    """LP bound on how much any feasible point can improve on x."""
+    res = optimize.linprog(
+        c=-grad,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=[(0.0, p_max)] * x.size,
+        method="highs",
+    )
+    if not res.success:
+        raise ConvergenceError("optimality-gap LP failed on a feasible instance")
+    return float(grad @ (res.x - x)), res.x
+
+
+def reference_maximize_rates(
+    cluster: OrderedCluster,
+    *,
+    gap_rtol: float = 1e-6,
+    feasibility_atol: float = 1e-9,
+    max_iterations: int = MAX_ITERATIONS,
+) -> PowerSolution:
+    """Maximize the cluster sum rate over the linear feasible set.
+
+    A smooth constrained step (SLSQP) does the bulk of the work; the
+    result is then certified by the LP optimality gap and, if the
+    certificate is not yet met, refined with conditional-gradient steps
+    that stay inside the polytope.  Raises :class:`InfeasibleClusterError`
+    when no tail vector meets the thresholds and
+    :class:`ConvergenceError` (carrying the best iterate) if tolerances
+    are unmet after ``max_iterations``.
+    """
+    start = reference_find_feasible_tail(cluster)
+    if start is None:
+        raise InfeasibleClusterError(
+            "rate thresholds are unreachable within the power budget"
+        )
+    n = cluster.size
+    p_max = cluster.total_power
+    if n == 1:
+        tail = np.array([p_max])
+        return PowerSolution(
+            powers=np.array([p_max]),
+            objective=cluster_objective(tail, cluster),
+            tail=tail,
+            optimality_gap=0.0,
+            iterations=0,
+        )
+
+    a_ub, b_ub = _constraint_system(cluster)
+
+    def full(x):
+        return np.concatenate([[p_max], x])
+
+    def neg_obj(x):
+        return -cluster_objective(full(x), cluster)
+
+    def neg_grad(x):
+        return -_objective_gradient(full(x), cluster)[1:]
+
+    x = start[1:].copy()
+    iterations = 0
+    res = optimize.minimize(
+        neg_obj,
+        x,
+        jac=neg_grad,
+        method="SLSQP",
+        bounds=[(0.0, p_max)] * (n - 1),
+        constraints=[
+            {"type": "ineq", "fun": lambda v: b_ub - a_ub @ v, "jac": lambda v: -a_ub}
+        ],
+        options={"maxiter": 500, "ftol": 1e-14},
+    )
+    iterations += int(res.nit)
+    candidate = res.x
+    violation = max(
+        float(np.max(a_ub @ candidate - b_ub, initial=0.0)),
+        float(np.max(-candidate, initial=0.0)),
+        float(np.max(candidate - p_max, initial=0.0)),
+    )
+    if violation <= feasibility_atol:
+        x = candidate
+
+    best_x, best_obj = x, -neg_obj(x)
+    while iterations < max_iterations:
+        grad = -neg_grad(x)
+        obj = -neg_obj(x)
+        if obj > best_obj:
+            best_x, best_obj = x, obj
+        gap, vertex = reference_certified_gap(x, grad, a_ub, b_ub, p_max)
+        if gap <= gap_rtol * max(abs(obj), 1e-300):
+            tail = full(x)
+            return PowerSolution(
+                powers=powers_from_tail(tail, tol=feasibility_atol),
+                objective=obj,
+                tail=tail,
+                optimality_gap=gap,
+                iterations=iterations,
+            )
+        direction = vertex - x
+        line = optimize.minimize_scalar(
+            lambda t: neg_obj(x + t * direction),
+            bounds=(0.0, 1.0),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        x = x + float(line.x) * direction
+        iterations += 1
+    raise ConvergenceError(
+        f"optimality gap above tolerance after {max_iterations} iterations",
+        best_powers=powers_from_tail(full(best_x), tol=feasibility_atol),
+        best_objective=best_obj,
     )

@@ -196,3 +196,9 @@ class TestGridOracle:
         cluster = OrderedCluster([1.0, 2.0, 3.0, 4.0], [0.0] * 4, 1.0, 1.0)
         with pytest.raises(InstanceTooLargeError):
             grid_power_oracle(cluster, 0.01)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1e-3])
+    def test_step_must_be_positive_and_finite(self, step):
+        cluster = OrderedCluster([1.0, 2.0], [0.0, 0.0], 1.0, 1.0)
+        with pytest.raises(ValueError, match="step"):
+            grid_power_oracle(cluster, step)

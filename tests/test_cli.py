@@ -192,6 +192,32 @@ def test_solve_power_bad_gains_is_usage_error(capsys):
     assert "sorted ascending" in capsys.readouterr().err
 
 
+SOLVE_POWER_ARGS = {
+    "--lambdas": "1,2",
+    "--thresholds": "0.1,0.1",
+    "--pmax": "3",
+    "--bandwidth": "1",
+}
+FIELD_OF_OPTION = {
+    "--lambdas": "normalized_gains",
+    "--thresholds": "rate_thresholds",
+    "--pmax": "total_power",
+    "--bandwidth": "bandwidth_hz",
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("option", sorted(SOLVE_POWER_ARGS))
+def test_solve_power_nonfinite_input_is_usage_error(capsys, option, bad):
+    args = dict(SOLVE_POWER_ARGS)
+    args[option] = f"1,{bad}" if "," in args[option] else bad
+    code = main(["solve-power", *(part for item in args.items() for part in item)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert FIELD_OF_OPTION[option] in err
+
+
 def test_missing_config_is_runtime_failure(tmp_path, capsys):
     code = main(
         ["run", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "o.csv")]

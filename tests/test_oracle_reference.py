@@ -5,6 +5,11 @@ as they stood before the rewrite.  Both versions must return the same
 tail powers and objective (or raise on the same instances), and the same
 subcarrier map, with exact equality.  The MCKP oracle's powers and report
 must equal the reference equal-split powers and their rate report.
+
+The power solver solves its linear programs of at most two variables by
+vertex enumeration; the HiGHS version it replaced is kept there too.
+Both must give the same start tail, powers, tail, objective and
+iteration count, and optimality gaps equal up to rounding.
 """
 
 from dataclasses import replace
@@ -12,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nbiot_noma import power_opt
 from nbiot_noma.baselines import (
     _grid_box,
     _tone_values_equal_split,
@@ -21,7 +27,7 @@ from nbiot_noma.baselines import (
     mckp_oracle,
 )
 from nbiot_noma.errors import GridResolutionError
-from nbiot_noma.power_opt import threshold_coefficients
+from nbiot_noma.power_opt import find_feasible_tail, maximize_rates, threshold_coefficients
 from nbiot_noma.rate_model import ClusterAssignment, rate_report
 from nbiot_noma.scenario import ScenarioConfig, generate_scenario
 from nbiot_noma.selfcheck import random_feasible_cluster, tiny_config
@@ -30,7 +36,9 @@ from conftest import make_scenario
 from reference_oracles import (
     _tone_values_equal_split as reference_tone_values_equal_split,
     reference_exhaustive_clustering,
+    reference_find_feasible_tail,
     reference_grid_power_oracle,
+    reference_maximize_rates,
     reference_mckp_oracle,
     reference_mesh_feasible,
 )
@@ -39,6 +47,8 @@ from reference_rate_model import reference_equal_split_powers
 CLUSTERS_PER_SIZE = 300
 GRID_DIVISIONS = (1000, 50, 7)  # step = total power / division
 TINY_INSTANCES = 100
+SOLVER_INSTANCES = 3000
+BOUNDARY_INSTANCES = 40
 
 
 def clusters_of_size(n, count, seed):
@@ -164,3 +174,94 @@ def test_exact_ties_go_to_the_smallest_map(num_c, num_s):
     first_use = [int(np.flatnonzero(owner == c)[0]) for c in labels]
     assert np.array_equal(labels, np.arange(labels.size))
     assert first_use == sorted(first_use)
+
+
+def assert_same_solution(new, ref, gap_rtol):
+    assert np.array_equal(new.powers, ref.powers)
+    assert np.array_equal(new.tail, ref.tail)
+    assert new.objective == ref.objective
+    assert new.iterations == ref.iterations
+    assert abs(new.optimality_gap - ref.optimality_gap) <= gap_rtol * abs(ref.objective)
+
+
+@pytest.fixture
+def highs_calls(monkeypatch):
+    """Counts the LPs the package hands to SciPy's HiGHS."""
+    calls = []
+    linprog = power_opt.optimize.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["c"].size)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(power_opt.optimize, "linprog", counting)
+    return calls
+
+
+def test_solver_matches_highs_reference():
+    # Vertices come from a different solve than HiGHS's, so the gap may
+    # differ in its last bits; everything the gap certifies must not.
+    rng = np.random.default_rng(2024)
+    sizes = set()
+    for _ in range(SOLVER_INSTANCES):
+        cluster = random_feasible_cluster(rng)
+        sizes.add(cluster.size)
+        start = find_feasible_tail(cluster)
+        assert np.array_equal(start, reference_find_feasible_tail(cluster)), cluster
+        new, ref = maximize_rates(cluster), reference_maximize_rates(cluster)
+        assert_same_solution(new, ref, gap_rtol=1e-12)
+    assert sizes == {1, 2, 3}
+
+
+def test_small_lps_skip_highs(highs_calls):
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        maximize_rates(random_feasible_cluster(rng))
+    assert highs_calls == []
+
+
+def highs_boundary(cluster):
+    """Threshold scales (feasible, infeasible) bracketing HiGHS's boundary."""
+    lo, hi = 1.0, 2.0
+    while reference_find_feasible_tail(infeasible(cluster, hi)) is not None:
+        lo, hi = hi, 2.0 * hi
+    while hi / lo - 1.0 > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if reference_find_feasible_tail(infeasible(cluster, mid)) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def test_feasibility_agrees_with_highs_off_the_boundary():
+    # HiGHS's primal feasibility tolerance (1e-7) decides inside a band of
+    # well under 1e-6 relative around the boundary; outside it the two agree.
+    rng = np.random.default_rng(31)
+    checked = 0
+    while checked < BOUNDARY_INSTANCES:
+        cluster = random_feasible_cluster(rng)
+        if cluster.size == 1:
+            continue
+        checked += 1
+        lo, hi = highs_boundary(cluster)
+        for rel in (1e-6, 1e-3):
+            for scale, feasible in ((lo * (1 - rel), True), (hi * (1 + rel), False)):
+                scaled = infeasible(cluster, scale)
+                assert (reference_find_feasible_tail(scaled) is not None) == feasible
+                assert (find_feasible_tail(scaled) is not None) == feasible, (cluster, scale)
+
+
+def test_four_users_stay_on_highs(highs_calls):
+    rng = np.random.default_rng(4)
+    checked = 0
+    while checked < 20:
+        cluster = random_feasible_cluster(rng, max_users=4)
+        if cluster.size < 4:
+            continue
+        checked += 1
+        before = len(highs_calls)
+        new = maximize_rates(cluster)
+        assert len(highs_calls) > before
+        assert_same_solution(new, reference_maximize_rates(cluster), gap_rtol=0.0)
+    assert set(highs_calls) == {3}

@@ -84,6 +84,23 @@ class TestObjectiveTerms:
         assert via_tail == pytest.approx(direct, rel=1e-9)
 
 
+class TestOrderedCluster:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["normalized_gains", "rate_thresholds", "total_power", "bandwidth_hz"]
+    )
+    def test_nonfinite_field_is_named(self, field, bad):
+        fields = dict(
+            normalized_gains=np.array([1.0, 2.0]),
+            rate_thresholds=np.array([0.1, 0.1]),
+            total_power=3.0,
+            bandwidth_hz=1.0,
+        )
+        fields[field] = np.array([1.0, bad]) if field.endswith("s") else bad
+        with pytest.raises(ValueError, match=field):
+            OrderedCluster(**fields)
+
+
 class TestFeasibility:
     def test_zero_thresholds_equal_power_witness(self):
         cluster = simple_cluster([1.0, 2.0, 3.0], p_max=0.9)
