@@ -12,15 +12,16 @@ every assignment, never extrapolated.
 
 Under equal split a tone's rates in a cluster depend only on the cluster,
 the tone and how many tones the cluster owns.  So each cluster keeps a
-cached per-member rate sum over the tones it owns, evaluated at the split
-that one more tone would bring.  A step scores every candidate cluster at
-once: it computes the new tone's SIC rates on zero-padded
-(cluster, rank) arrays and adds them to the caches.  After the commit
-only the receiving cluster's cache is rebuilt, over its owned tones at
-the next split.  With C clusters of at most K members, and k tones owned
-by the receiving cluster, a step costs O(C*K + K*k) instead of
-re-evaluating every candidate over all of its tones.  Final rates come
-from :func:`~nbiot_noma.rate_model.rate_report` on the final map.
+candidate row: every member's rate if the cluster took each remaining
+tone next, at the split that one more tone would bring.  A step is one
+masked argmax over the clusters' row sums at the current tone, with no
+SIC evaluation.  A commit changes only the receiving cluster's split, so
+one SIC call on that cluster's (rank, tone) slab rebuilds its row.  With
+C clusters of at most K members and S tones, a step costs O(C) and a
+commit O(K*S).  A commit that leaves its cluster with no unsatisfied
+member defers the rebuild to the start of phase 2, since until then that
+cluster cannot be picked.  Final rates come from
+:func:`~nbiot_noma.rate_model.rate_report` on the final map.
 """
 
 from __future__ import annotations
@@ -68,72 +69,84 @@ def allocate(
     noise = cfg.noise_per_subcarrier
     tone_bw = cfg.subcarrier_bandwidth
     clusters = assignment.clusters
-    num_c = len(clusters)
-    budgets = scenario.power_budgets
     thresholds = scenario.rate_thresholds
     log2 = math.log(2.0)
 
-    # Padding slots point at the sentinel device, which always counts as satisfied.
+    # Padding slots point at the sentinel device, which has zero gain, budget
+    # and threshold, so it adds nothing and always counts as satisfied.
     slot_dev = assignment.slot_table(scenario.num_devices)
     gains_ext = np.vstack([scenario.gain_matrix, np.zeros(num_s)])
-    tone_gains = np.ascontiguousarray(gains_ext.T[:, slot_dev])  # (S, C, K)
-    slot_budgets = np.append(budgets, 0.0)[slot_dev]
-    member_gains = [scenario.gain_matrix[members] for members in clusters]
+    slabs = gains_ext[slot_dev]  # (C, K, S): each cluster's gains in rank order
+    slot_budgets = np.append(scenario.power_budgets, 0.0)[slot_dev][:, :, None]
+    slot_thresholds = np.append(thresholds, 0.0)[slot_dev]
 
     owner = np.full(num_s, -1, dtype=int)
-    # split[c, k]: member k's per-tone power if cluster c gains one more tone.
-    split = slot_budgets.copy()
-    # grown[c, k]: member k's sum of ln(1 + SINR) over cluster c's owned
-    # tones, at that split.
-    grown = np.zeros(slot_dev.shape)
-    cluster_sum = np.zeros(num_c)  # current sum rate of each cluster, bps
+    # cand[c, s, k]: member k's rate, bps, if cluster c takes tone s next and
+    # every member spreads its budget over one tone more than c owns;
+    # cand_sum[s, c] is its sum over k.  cand is C-contiguous so that each
+    # such sum adds one contiguous block of K slots, padding included; a
+    # strided or unpadded sum can round differently.  Before the first
+    # commit one SIC call gives every cluster's rows.
+    received = (slabs * slot_budgets).transpose(1, 0, 2)  # (K, C, S)
+    terms = sic_log_terms(received, noise)
+    cand = np.ascontiguousarray((tone_bw * terms / log2).transpose(1, 2, 0))
+    cand_sum = np.ascontiguousarray(cand.sum(axis=2).T)
+    cluster_sum = np.zeros(len(clusters))  # current sum rate of each cluster, bps
     rates = np.zeros(scenario.num_devices)
     total = 0.0
 
-    def choose(s: int, candidates: np.ndarray) -> tuple[int, float, np.ndarray]:
-        """Best candidate for tone s: (cluster, total sum rate, member rates)."""
-        received = tone_gains[s] * split
-        cand = tone_bw * (grown + sic_log_terms(received.T, noise).T) / log2
-        cand_total = total - cluster_sum + cand.sum(axis=1)
-        cand_total = np.where(candidates, cand_total, -math.inf)
+    def rebuild(c: int, start: int) -> None:
+        """Cluster c's candidate rows for tones ``start`` on, after a commit."""
+        tones = np.flatnonzero(owner == c)
+        terms = sic_log_terms(slabs[c] * (slot_budgets[c] / (len(tones) + 1)), noise)
+        # grown[k]: member k's sum of ln(1 + SINR) over c's owned tones.
+        grown = terms.take(tones, axis=1).sum(axis=1)
+        cand[c, start:] = tone_bw * (grown + terms[:, start:].T) / log2
+        cand_sum[start:, c] = cand[c, start:].sum(axis=1)
+
+    def commit(s: int, candidates: np.ndarray, phase: int) -> int:
+        """Give tone s to the candidate cluster that maximizes the total sum rate."""
+        nonlocal total
+        cand_total = np.where(candidates, total - cluster_sum + cand_sum[s], -math.inf)
         # argmax keeps the first maximum, and returns the first NaN if any.
-        c = int(np.argmax(cand_total))
+        c = int(cand_total.argmax())
         if not math.isfinite(cand_total[c]):
             raise NonFiniteRateError(
                 f"subcarrier {s}: cluster {c} would reach a sum rate of "
                 f"{cand_total[c]} bps"
             )
-        return c, float(cand_total[c]), cand[c]
-
-    def commit(s: int, c: int, new_total: float, new_rates: np.ndarray, phase: int) -> None:
-        """Give tone s to cluster c and rebuild that cluster's cache."""
-        nonlocal total
         members = clusters[c]
+        new_rates = cand[c, s, : len(members)]
         owner[s] = c
-        tones = np.flatnonzero(owner == c)
-        new_rates = new_rates[: len(members)]
         rates[members] = new_rates
         cluster_sum[c] = new_rates.sum()
-        total = new_total
-        split[c] = slot_budgets[c] / (len(tones) + 1)
-        received = member_gains[c].take(tones, axis=1) * split[c, : len(members), None]
-        grown[c, : len(members)] = sic_log_terms(received, noise).sum(axis=1)
+        total = float(cand_total[c])
         if on_step is not None:
             on_step(s, c, rates >= thresholds, phase)
+        return c
 
-    satisfied = np.append(rates >= thresholds, True)
+    # open_[c]: cluster c holds an unsatisfied device.  Only a cluster's own
+    # tones move its rates, so a commit changes only its own flag.
+    open_ = (slot_thresholds > 0.0).any(axis=1)
     next_s = 0
 
-    # Phase 1: serve clusters that still contain an unsatisfied device.
-    while next_s < num_s and not satisfied.all():
-        commit(next_s, *choose(next_s, ~satisfied[slot_dev].all(axis=1)), phase=1)
-        satisfied[:-1] = rates >= thresholds
+    # Phase 1: serve clusters that still contain an unsatisfied device.  A
+    # cluster that its commit closes cannot be picked again in this phase,
+    # so its rows wait for phase 2.
+    while next_s < num_s and open_.any():
+        c = commit(next_s, open_, phase=1)
+        open_[c] = (cand[c, next_s] < slot_thresholds[c]).any()
         next_s += 1
+        if open_[c]:
+            rebuild(c, next_s)
 
     # Phase 2: spend leftover spectrum on whichever cluster gains the most.
+    if next_s < num_s:
+        for c in np.unique(owner[:next_s]):
+            rebuild(c, next_s)
     nonempty = slot_dev[:, 0] < scenario.num_devices
     for s in range(next_s, num_s):
-        commit(s, *choose(s, nonempty), phase=2)
+        rebuild(commit(s, nonempty, phase=2), s + 1)
 
     sub_map = SubcarrierMap(owner=owner)
     powers = equal_split_powers(scenario, assignment.cluster_of(scenario.num_devices), owner)

@@ -70,19 +70,28 @@ def ofdma_allocate(scenario: Scenario) -> tuple[np.ndarray, PowerMatrix, RateRep
     tones_of: list[list[int]] = [[] for _ in range(n)]
     rates = np.zeros(n)
     thresholds = scenario.rate_thresholds
+    gains_t = np.ascontiguousarray(scenario.gain_matrix.T)  # (S, n)
+    # pool_gains[s, d]: d's gain on s while d is unsatisfied, else -inf, so
+    # its argmax is the lowest-id unsatisfied device with the highest gain.
+    unsatisfied = rates < thresholds
+    pool_gains = np.where(unsatisfied, gains_t, -math.inf)
+    num_unsatisfied = int(unsatisfied.sum())
 
     for s in range(num_s):
-        unsat = np.flatnonzero(rates < thresholds)
-        pool = unsat if unsat.size else np.arange(n)
-        dev = int(pool[np.argmax(scenario.gain_matrix[pool, s])])
+        dev = int((pool_gains[s] if num_unsatisfied else gains_t[s]).argmax())
         owner[s] = dev
         tones = tones_of[dev]
         tones.append(s)
         # Only the receiving device's split changes; the others keep their rates.
-        h = scenario.gain_matrix[dev, tones]
+        h = scenario.gain_matrix[dev].take(tones)
         p = scenario.power_budgets[dev] / len(tones)
         # The K = 1 SIC case, inline: one device needs no interference sums.
         rates[dev] = bw * float(np.log1p(h * p / noise).sum()) / _LOG2
+        short = bool(rates[dev] < thresholds[dev])
+        if short != unsatisfied[dev]:  # more tones can also lower a rate
+            unsatisfied[dev] = short
+            num_unsatisfied += 1 if short else -1
+            pool_gains[:, dev] = gains_t[:, dev] if short else -math.inf
 
     powers = equal_split_powers(scenario, np.arange(n), owner)
     return owner, powers, build_report(scenario, rates)

@@ -269,12 +269,18 @@ def find_feasible_tail(cluster: OrderedCluster) -> np.ndarray | None:
     """A feasible tail-power vector, or None when the thresholds are unmeetable.
 
     Solved as a linear program; the witness minimizes the sum of tail
-    powers, which lands on the low-power corner of the feasible set.
+    powers, which lands on the low-power corner of the feasible set.  A
+    user whose minimum power ``theta`` overflows, as when ``2**(r/B)``
+    does, needs more than any finite budget: that is infeasible before
+    any LP is built.
     """
     n = cluster.size
     p_max = cluster.total_power
-    if n == 1:
+    with np.errstate(over="ignore"):
         _, _, theta = threshold_coefficients(cluster)
+    if not np.isfinite(theta).all():
+        return None
+    if n == 1:
         return np.array([p_max]) if p_max >= theta[0] else None
     a_ub, b_ub = _constraint_system(cluster)
     x = _lp_argmin(np.ones(n - 1), a_ub, b_ub, p_max)

@@ -117,9 +117,9 @@ def interference_below(received: np.ndarray) -> np.ndarray:
     Summed bottom-up rather than as total-minus-own, which would cancel
     catastrophically when a weak interferer sits under a strong signal.
     """
-    below = np.zeros_like(received)
+    below = np.zeros(received.shape)
     if received.shape[0] > 1:
-        below[:-1] = np.cumsum(received[:0:-1], axis=0)[::-1]
+        below[:-1] = received[:0:-1].cumsum(axis=0)[::-1]
     return below
 
 
@@ -249,6 +249,8 @@ def structural_violations(
 ) -> list[Violation]:
     """Clustering constraints C5-C11 plus the rank capacity bound."""
     out = []
+    n = scenario.num_devices
+    is_urllc = scenario.is_urllc.tolist()
     k_max = scenario.config.max_rank
     seen: dict[int, int] = {}
     for c, members in enumerate(assignment.clusters):
@@ -261,7 +263,7 @@ def structural_violations(
                     )
                 )
             seen[dev] = c
-            if dev < 0 or dev >= scenario.num_devices:
+            if dev < 0 or dev >= n:
                 out.append(Violation("C8/C9", f"unknown device id {dev}"))
         if len(members) == 1:
             out.append(Violation("C11", f"cluster {c} has a single member"))
@@ -273,9 +275,9 @@ def structural_violations(
                 )
             )
         seen_mmtc = False
-        for rank, dev in enumerate(members):
-            if 0 <= dev < scenario.num_devices:
-                if scenario.is_urllc[dev]:
+        for dev in members:
+            if 0 <= dev < n:
+                if is_urllc[dev]:
                     if seen_mmtc:
                         out.append(
                             Violation(
@@ -285,9 +287,8 @@ def structural_violations(
                         )
                 else:
                     seen_mmtc = True
-    for dev in range(scenario.num_devices):
-        if dev not in seen:
-            out.append(Violation("C8/C9", f"device {dev} is in no cluster"))
+    for dev in sorted(set(range(n)).difference(seen)):
+        out.append(Violation("C8/C9", f"device {dev} is in no cluster"))
     return out
 
 

@@ -70,8 +70,8 @@ MUTANTS = (
     Mutant(
         "ties-go-to-last-cluster",
         "src/nbiot_noma/allocation.py",
-        "c = int(np.argmax(cand_total))",
-        "c = len(cand_total) - 1 - int(np.argmax(cand_total[::-1]))",
+        "c = int(cand_total.argmax())",
+        "c = len(cand_total) - 1 - int(cand_total[::-1].argmax())",
         ("tests/test_allocation_reference.py::test_exact_ties_go_to_the_first_cluster",),
     ),
     Mutant(
@@ -142,8 +142,22 @@ MUTANTS = (
     Mutant(
         "split-by-count-plus-2",
         "src/nbiot_noma/allocation.py",
-        "split[c] = slot_budgets[c] / (len(tones) + 1)",
-        "split[c] = slot_budgets[c] / (len(tones) + 2)",
+        "(slot_budgets[c] / (len(tones) + 1))",
+        "(slot_budgets[c] / (len(tones) + 2))",
+        ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
+    ),
+    Mutant(
+        "greedy-stale-candidate-row",
+        "src/nbiot_noma/allocation.py",
+        "        if open_[c]:\n            rebuild(c, next_s)\n",
+        "        if open_[c]:\n            pass\n",
+        ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
+    ),
+    Mutant(
+        "greedy-skips-deferred-rebuild",
+        "src/nbiot_noma/allocation.py",
+        "        for c in np.unique(owner[:next_s]):\n            rebuild(c, next_s)\n",
+        "        pass\n",
         ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
     ),
     Mutant(
@@ -159,6 +173,17 @@ MUTANTS = (
         "p = scenario.power_budgets[dev] / len(tones)",
         "p = scenario.power_budgets[dev] / len(tones) * (1 + 1e-9)",
         ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
+    ),
+    Mutant(
+        "ofdma-stale-unsatisfied-mask",
+        "src/nbiot_noma/baselines.py",
+        "pool_gains[:, dev] = gains_t[:, dev] if short else -math.inf",
+        "pass",
+        (
+            "tests/test_allocation_reference.py::test_bench_cells_match_reference",
+            "tests/test_allocation_reference.py::"
+            "test_ofdma_device_that_falls_short_rejoins_the_pool",
+        ),
     ),
     Mutant(
         "exhaustive-cache-key-unordered",

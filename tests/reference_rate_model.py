@@ -2,9 +2,10 @@
 
 These are ``sic_member_rates``, ``_cluster_rates``, ``rate_report``,
 ``sic_chain_mismatch`` and ``validate`` as they stood before the rate
-model read every SIC term from one padded (rank, tone) table, and
-``equal_split_powers`` as it stood before it took a device-to-group
-array.  Each cluster gathers its own (members, owned tones) block with
+model read every SIC term from one padded (rank, tone) table,
+``structural_violations`` as it stood before it hoisted its per-device
+lookups, and ``equal_split_powers`` as it stood before it took a
+device-to-group array.  Each cluster gathers its own (members, owned tones) block with
 ``np.ix_``, ``validate`` checks one device at a time, and the equal split
 loops over groups and members.  ``_slots`` and ``_owned_by`` are the
 former ``ClusterAssignment.slots`` and ``SubcarrierMap.owned_by``.  They
@@ -29,7 +30,6 @@ from nbiot_noma.rate_model import (
     Violation,
     build_report,
     sic_log_terms,
-    structural_violations,
 )
 from nbiot_noma.scenario import Scenario
 
@@ -146,6 +146,53 @@ def reference_sic_chain_mismatch(
     return worst
 
 
+def reference_structural_violations(
+    assignment: ClusterAssignment, scenario: Scenario
+) -> list[Violation]:
+    """Clustering constraints C5-C11 plus the rank capacity bound."""
+    out = []
+    k_max = scenario.config.max_rank
+    seen: dict[int, int] = {}
+    for c, members in enumerate(assignment.clusters):
+        for dev in members:
+            if dev in seen:
+                out.append(
+                    Violation(
+                        "C8/C9",
+                        f"device {dev} appears in clusters {seen[dev]} and {c}",
+                    )
+                )
+            seen[dev] = c
+            if dev < 0 or dev >= scenario.num_devices:
+                out.append(Violation("C8/C9", f"unknown device id {dev}"))
+        if len(members) == 1:
+            out.append(Violation("C11", f"cluster {c} has a single member"))
+        if len(members) > k_max:
+            out.append(
+                Violation(
+                    "C8/C9",
+                    f"cluster {c} has {len(members)} members but max_rank is {k_max}",
+                )
+            )
+        seen_mmtc = False
+        for rank, dev in enumerate(members):
+            if 0 <= dev < scenario.num_devices:
+                if scenario.is_urllc[dev]:
+                    if seen_mmtc:
+                        out.append(
+                            Violation(
+                                "C5",
+                                f"URLLC device {dev} ranks below an mMTC in cluster {c}",
+                            )
+                        )
+                else:
+                    seen_mmtc = True
+    for dev in range(scenario.num_devices):
+        if dev not in seen:
+            out.append(Violation("C8/C9", f"device {dev} is in no cluster"))
+    return out
+
+
 def reference_validate(
     assignment: ClusterAssignment,
     sub_map: SubcarrierMap,
@@ -162,7 +209,7 @@ def reference_validate(
     spectrum; a cluster that received no subcarriers has nowhere to spend
     its budget.
     """
-    out = list(structural_violations(assignment, scenario))
+    out = list(reference_structural_violations(assignment, scenario))
     cfg = scenario.config
 
     owner = sub_map.owner

@@ -141,3 +141,73 @@ def test_exact_ties_go_to_the_first_cluster(thresholds):
     assignment = ClusterAssignment(clusters=[[0, 1], [2, 3]])
     assert_same_allocation(sc, assignment)
     assert list(allocate(sc, assignment)[0].owner) == [0, 1, 0, 1]
+
+
+@st.composite
+def wide_instances(draw):
+    """Like ``small_instances`` but wider: up to 24 tones and 8 clusters of
+    0, 2, 3 or 4 members, with gains that often tie exactly."""
+    sizes = draw(st.lists(st.sampled_from([0, 2, 3, 4]), min_size=1, max_size=8))
+    if not any(sizes):
+        sizes[0] = 2
+    n = sum(sizes)
+    num_s = draw(st.integers(1, 24))
+    num_urllc = draw(st.integers(0, n))
+    kinds = "u" * num_urllc + "m" * (n - num_urllc)
+    order = draw(st.permutations(range(n)))
+    clusters, start = [], 0
+    for size in sizes:
+        clusters.append(sorted(order[start : start + size], key=lambda d: kinds[d] != "u"))
+        start += size
+    gain = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-3, 1e3))
+    gains = draw(st.lists(st.lists(gain, min_size=num_s, max_size=num_s),
+                          min_size=n, max_size=n))
+    budgets = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    threshold = st.one_of(st.just(0.0), st.floats(0.0, 20.0), st.just(1e12))
+    thresholds = draw(st.one_of(
+        st.just([0.0] * n),
+        st.just([1e12] * n),
+        st.lists(threshold, min_size=n, max_size=n),
+    ))
+    sc = make_scenario(
+        gains, kinds, thresholds=thresholds, budgets=budgets,
+        num_clusters=len(sizes), max_rank=max(max(sizes), 2),
+    )
+    return sc, ClusterAssignment(clusters=clusters)
+
+
+@given(wide_instances())
+@settings(max_examples=200, deadline=None)
+def test_wide_instances_match_reference(instance):
+    sc, assignment = instance
+    assert_same_allocation(sc, assignment)
+    assert_same_oma(ofdma_allocate(sc), reference_ofdma_allocate(sc))
+    assert_same_oma(fast_ofdm_allocate(sc), reference_fast_ofdm_allocate(sc))
+
+
+@pytest.mark.parametrize(
+    "gains, thresholds, owners",
+    [
+        # device 1 starts satisfied, so the tie among 1, 2, 3 on tones 1-3
+        # goes to 2, the lowest unsatisfied id
+        (np.ones((4, 4)), [1e-3, 0.0, 1e9, 1e9], [0, 2, 2, 2]),
+        # once everyone is satisfied, the tie among 1, 2, 3 goes to 1
+        ([[1, .5, .5, .5], [1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]],
+         [1e-3, 0.0, 0.0, 0.0], [0, 1, 1, 1]),
+    ],
+)
+def test_ofdma_exact_ties_go_to_the_lowest_device(gains, thresholds, owners):
+    sc = make_scenario(gains, "mmmm", thresholds=thresholds, num_clusters=2)
+    assert_same_oma(ofdma_allocate(sc), reference_ofdma_allocate(sc))
+    assert_same_oma(fast_ofdm_allocate(sc), reference_fast_ofdm_allocate(sc))
+    assert list(ofdma_allocate(sc)[0]) == owners
+
+
+def test_ofdma_device_that_falls_short_rejoins_the_pool():
+    # Device 1 meets its threshold on tone 0 (log2(1001) bps), takes the weak
+    # tone 1 as the overall best gain, drops to about 8.98 bps, and so must
+    # take tone 2 as the only unsatisfied device despite device 0's gain.
+    sc = make_scenario([[1.0, 0.005, 5.0], [1000.0, 0.01, 0.01]], "mm",
+                       thresholds=[0.0, 9.5])
+    assert_same_oma(ofdma_allocate(sc), reference_ofdma_allocate(sc))
+    assert list(ofdma_allocate(sc)[0]) == [1, 1, 1]

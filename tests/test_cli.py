@@ -131,6 +131,26 @@ def test_solve_power_infeasible(capsys):
     assert "infeasible" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "lambdas, thresholds", [("1,2,3", "0,0,1e6"), ("1,2,3,4", "0,0,0,1e6")]
+)
+def test_solve_power_overflowing_threshold_is_infeasible(lambdas, thresholds):
+    # 2**(r/B) overflows: infeasible before any LP, with no RuntimeWarning,
+    # on the vertex-enumeration path (three users) and on HiGHS (four).
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [
+            sys.executable, "-W", "error::RuntimeWarning", "-m", "nbiot_noma",
+            "solve-power", "--lambdas", lambdas, "--thresholds", thresholds,
+            "--pmax", "1",
+        ],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("infeasible:")
+    assert proc.stderr == ""
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["run", "--config"]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE

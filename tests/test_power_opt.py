@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,19 @@ class TestFeasibility:
         assert find_feasible_tail(simple_cluster([2.0], p_max=0.5)) is not None
         tight = simple_cluster([2.0], thresholds=[10.0], p_max=0.5)
         assert find_feasible_tail(tight) is None
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("overflowing", ["first", "last"])
+    def test_overflowing_threshold_is_infeasible_without_warnings(self, n, overflowing):
+        # 2**(1e6 / 1) overflows; no LP may see the infinite bound it makes
+        thresholds = np.zeros(n)
+        thresholds[0 if overflowing == "first" else -1] = 1e6
+        cluster = simple_cluster(np.arange(1.0, n + 1), thresholds=thresholds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_feasible_tail(cluster) is None
+            with pytest.raises(InfeasibleClusterError):
+                maximize_rates(cluster)
 
 
 class TestSolve:

@@ -33,6 +33,7 @@ from nbiot_noma.rate_model import (
     equal_split_powers,
     rate_report,
     sic_chain_mismatch,
+    structural_violations,
     validate,
 )
 
@@ -41,6 +42,7 @@ from reference_rate_model import (
     reference_equal_split_powers,
     reference_rate_report,
     reference_sic_chain_mismatch,
+    reference_structural_violations,
     reference_validate,
 )
 from test_allocation_reference import CELLS, cell_scenario
@@ -155,6 +157,42 @@ def test_edge_cases_match_reference(cell):
         sub_map, powers, _ = allocate(sc, assignment)
         for check, *args in edge_cases(sc, assignment, sub_map, powers):
             check(sc, *args)
+
+
+def broken_clusterings(scenario, clusters):
+    """Copies of ``clusters`` that break each structural rule: a device
+    listed twice, ids -1 and n, a singleton, a cluster over max_rank, a
+    URLLC ranked below an mMTC, and a device left out."""
+    n, k_max = scenario.num_devices, scenario.config.max_rank
+    yield [*clusters[:-1], clusters[-1] + [clusters[0][0]]]
+    for ids in ([-1], [n], [-1, n]):
+        yield [clusters[0] + ids, *clusters[1:]]
+    yield [clusters[0][:1], clusters[0][1:], *clusters[1:]]
+    merged, rest = list(clusters[0]), list(clusters[1:])
+    while len(merged) <= k_max:
+        merged += rest.pop(0)
+    yield [merged, *rest]
+    mixed = next(c for c, m in enumerate(clusters)
+                 if len({bool(scenario.is_urllc[d]) for d in m}) == 2)
+    yield [*clusters[:mixed], clusters[mixed][::-1], *clusters[mixed + 1 :]]
+    yield [clusters[0][1:], *clusters[1:]]
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_structural_violations_match_reference(cell):
+    for seed in range(SEEDS_PER_CELL):
+        sc = cell_scenario(cell, seed)
+        clusters = build_clusters(sc).clusters
+        assert structural_violations(ClusterAssignment(clusters), sc) == []
+        messages = []
+        for broken in broken_clusterings(sc, clusters):
+            assignment = ClusterAssignment(clusters=broken)
+            violations = structural_violations(assignment, sc)
+            assert violations == reference_structural_violations(assignment, sc)
+            messages += [v.message for v in violations]
+        for phrase in ("appears in clusters", "unknown device id", "single member",
+                       "max_rank is", "ranks below an mMTC", "is in no cluster"):
+            assert any(phrase in m for m in messages), phrase
 
 
 def owned_tones(owner, groups):
