@@ -7,8 +7,6 @@ the heuristics on tiny instances.
 """
 
 from .scenario import (
-    Device,
-    DeviceKind,
     Scenario,
     ScenarioConfig,
     dbm_to_watt,

@@ -30,7 +30,7 @@ from .rate_model import (
     rate_report,
     sic_log_terms,
 )
-from .scenario import Device, Scenario
+from .scenario import Scenario
 
 __all__ = [
     "ofdma_allocate",
@@ -104,12 +104,8 @@ def half_tone_scenario(scenario: Scenario) -> Scenario:
         num_subcarriers=2 * scenario.config.num_subcarriers,
         subcarrier_bandwidth=scenario.config.subcarrier_bandwidth / 2.0,
     )
-    devices = tuple(
-        Device(d.id, d.kind, np.repeat(d.gains, 2), d.rate_threshold,
-               d.power_budget, d.distance)
-        for d in scenario.devices
-    )
-    return Scenario(config=cfg, devices=devices)
+    return replace(scenario, config=cfg,
+                   gain_matrix=np.repeat(scenario.gain_matrix, 2, axis=1))
 
 
 def fast_ofdm_allocate(scenario: Scenario) -> tuple[np.ndarray, PowerMatrix, RateReport]:

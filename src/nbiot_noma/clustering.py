@@ -39,14 +39,15 @@ def _sorted_by_gain(scenario: Scenario, ids) -> list[int]:
 def cluster_urllc(scenario: Scenario, num_clusters: int) -> ClusterAssignment:
     """Place URLLC devices at the lowest ranks, strongest gain first.
 
-    Device i of the sorted order goes to cluster i mod C; successive passes
-    fill rank 1 of every cluster, then rank 2, and so on.
+    The i-th device of the sorted order goes to cluster i mod C; successive
+    passes fill rank 1 of every cluster, then rank 2, and so on.
     """
     if num_clusters < 1:
         raise CapacityExceededError("need at least one cluster")
     k_max = scenario.config.max_rank
     clusters: list[list[int]] = [[] for _ in range(num_clusters)]
-    for i, dev in enumerate(_sorted_by_gain(scenario, scenario.urllc_ids())):
+    urllc = np.flatnonzero(scenario.is_urllc).tolist()
+    for i, dev in enumerate(_sorted_by_gain(scenario, urllc)):
         if i // num_clusters >= k_max:
             raise CapacityExceededError(
                 f"{i + 1} URLLC devices exceed {num_clusters} clusters "
@@ -66,7 +67,7 @@ def cluster_mmtc(scenario: Scenario, partial: ClusterAssignment) -> ClusterAssig
     """
     k_max = scenario.config.max_rank
     clusters = [list(members) for members in partial.clusters]
-    queue = _sorted_by_gain(scenario, scenario.mmtc_ids())
+    queue = _sorted_by_gain(scenario, np.flatnonzero(~scenario.is_urllc).tolist())
 
     for members in clusters:
         if not queue:

@@ -214,12 +214,17 @@ def rate_report(
         raise InvalidPowerError(f"device {d} has power {float(w[d, s])!r} W on subcarrier {s}")
     rates = np.zeros(n)
     owners, _, terms = _sic_table(scenario, assignment, sub_map, powers)
+    # A stable sort makes each cluster's tones one column range, in tone order.
+    order = np.argsort(owners, kind="stable")
+    terms = terms[:, order]
+    bounds = np.searchsorted(owners[order], np.arange(assignment.num_clusters + 1))
     tone_bw = scenario.config.subcarrier_bandwidth
     for c, members in enumerate(assignment.clusters):
         if members:
             # Summing a C-contiguous copy keeps numpy's pairwise order per
             # member, so the rates match a per-cluster gather bit for bit.
-            block = np.ascontiguousarray(terms[: len(members), owners == c])
+            lo, hi = bounds[c], bounds[c + 1]
+            block = np.ascontiguousarray(terms[: len(members), lo:hi])
             rates[members] = tone_bw * block.sum(axis=1) / math.log(2.0)
     return build_report(scenario, rates)
 

@@ -16,7 +16,6 @@ then mMTC thresholds.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -25,9 +24,7 @@ import numpy as np
 from .errors import ConfigError
 
 __all__ = [
-    "DeviceKind",
     "ScenarioConfig",
-    "Device",
     "Scenario",
     "dbm_to_watt",
     "watt_to_dbm",
@@ -45,11 +42,6 @@ def dbm_to_watt(dbm: float) -> float:
 def watt_to_dbm(watt: float) -> float:
     """Inverse of :func:`dbm_to_watt`; round-trips to 1e-12 relative."""
     return 10.0 * math.log10(watt) + 30.0
-
-
-class DeviceKind(enum.Enum):
-    URLLC = "urllc"
-    MMTC = "mmtc"
 
 
 @dataclass(frozen=True)
@@ -127,38 +119,43 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must satisfy 0 <= min <= max < inf")
 
 
-@dataclass(eq=False)
-class Device:
-    """One MTC device: per-subcarrier linear power gains plus QoS data."""
-
-    id: int
-    kind: DeviceKind
-    gains: np.ndarray  # shape (S,), linear power gain per subcarrier
-    rate_threshold: float  # bps
-    power_budget: float  # W
-    distance: float = math.nan  # m from the base station, when generated
+def _as_array(name: str, value, dtype) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric input
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 @dataclass(eq=False)
 class Scenario:
-    """An immutable cell instance: treat all arrays as read-only.  A bad
-    device raises :class:`ConfigError` naming it."""
+    """An immutable cell instance: row d of every array is device d.  Treat
+    the arrays as read-only.  A wrongly shaped array raises
+    :class:`ConfigError` naming it, a bad device value one naming the
+    device."""
 
     config: ScenarioConfig
-    devices: tuple[Device, ...]
+    gain_matrix: np.ndarray  # (n, S) linear power gain per subcarrier
+    rate_thresholds: np.ndarray  # (n,) bps
+    power_budgets: np.ndarray  # (n,) W
+    is_urllc: np.ndarray  # (n,) bool
+    distances: np.ndarray | None = None  # (n,) m from the base station; NaN if unknown
 
     def __post_init__(self):
-        shape = (self.config.num_subcarriers,)
-        for i, d in enumerate(self.devices):
-            if d.id != i or np.shape(d.gains) != shape:
-                raise ConfigError(f"device {i}: id {d.id} and gains of shape "
-                                  f"{np.shape(d.gains)}, expected id {i}, shape {shape}")
-        self.gain_matrix = np.vstack([d.gains for d in self.devices])
-        self.rate_thresholds = np.array([d.rate_threshold for d in self.devices])
-        self.power_budgets = np.array([d.power_budget for d in self.devices])
-        self.is_urllc = np.array(
-            [d.kind is DeviceKind.URLLC for d in self.devices], dtype=bool
-        )
+        self.gain_matrix = _as_array("gain_matrix", self.gain_matrix, float)
+        n = len(self.gain_matrix) if self.gain_matrix.ndim else 0
+        if self.distances is None:
+            self.distances = np.full(n, math.nan)
+        for name, dtype, shape in (
+            ("gain_matrix", float, (n, self.config.num_subcarriers)),
+            ("rate_thresholds", float, (n,)),
+            ("power_budgets", float, (n,)),
+            ("is_urllc", bool, (n,)),
+            ("distances", float, (n,)),
+        ):
+            value = _as_array(name, getattr(self, name), dtype)
+            if value.shape != shape:
+                raise ConfigError(f"{name} has shape {value.shape}, expected {shape}")
+            setattr(self, name, value)
         g, b, t = self.gain_matrix, self.power_budgets, self.rate_thresholds
         for what, ok in (
             ("gains must be finite and >= 0", ((0 <= g) & (g < np.inf)).all(axis=1)),
@@ -170,13 +167,7 @@ class Scenario:
 
     @property
     def num_devices(self) -> int:
-        return len(self.devices)
-
-    def urllc_ids(self) -> list[int]:
-        return [d.id for d in self.devices if d.kind is DeviceKind.URLLC]
-
-    def mmtc_ids(self) -> list[int]:
-        return [d.id for d in self.devices if d.kind is DeviceKind.MMTC]
+        return len(self.gain_matrix)
 
 
 def channel_gain(fading: float, distance: float, exponent: float):
@@ -203,19 +194,17 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     lo, hi = config.mmtc_rate_threshold_range
     mmtc_thr = rng.uniform(lo, hi, size=config.num_mmtc)
 
-    devices = []
-    for i in range(config.num_urllc):
-        devices.append(
-            Device(i, DeviceKind.URLLC, gains[i], float(urllc_thr[i]),
-                   config.power_budget_urllc, float(distances[i]))
-        )
-    for j in range(config.num_mmtc):
-        i = config.num_urllc + j
-        devices.append(
-            Device(i, DeviceKind.MMTC, gains[i], float(mmtc_thr[j]),
-                   config.power_budget_mmtc, float(distances[i]))
-        )
-    return Scenario(config=config, devices=tuple(devices))
+    return Scenario(
+        config=config,
+        gain_matrix=gains,
+        rate_thresholds=np.concatenate([urllc_thr, mmtc_thr]),
+        power_budgets=np.repeat(
+            [config.power_budget_urllc, config.power_budget_mmtc],
+            [config.num_urllc, config.num_mmtc],
+        ),
+        is_urllc=np.arange(n) < config.num_urllc,
+        distances=distances,
+    )
 
 
 _INT_FIELDS = {

@@ -46,7 +46,7 @@ class CheckResult:
 def tiny_config(base: ScenarioConfig, rng: np.random.Generator) -> ScenarioConfig:
     """A random instance inside the exhaustive-search bounds.
 
-    Device and cluster counts are drawn so that a structurally valid
+    The device and cluster counts are drawn so that a structurally valid
     clustering exists and the round-robin fill cannot strand a singleton
     (total devices at least twice the cluster count).
     """

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nbiot_noma.scenario import Device, DeviceKind, Scenario, ScenarioConfig
+from nbiot_noma.scenario import Scenario, ScenarioConfig
 
 
 def make_scenario(
@@ -38,17 +38,13 @@ def make_scenario(
         noise_psd=noise_psd,
         rng_seed=rng_seed,
     )
-    devices = tuple(
-        Device(
-            id=i,
-            kind=DeviceKind.URLLC if kinds[i] == "u" else DeviceKind.MMTC,
-            gains=gains[i],
-            rate_threshold=thresholds[i],
-            power_budget=budgets[i],
-        )
-        for i in range(n)
+    return Scenario(
+        config=config,
+        gain_matrix=gains,
+        rate_thresholds=thresholds,
+        power_budgets=budgets,
+        is_urllc=[k == "u" for k in kinds],
     )
-    return Scenario(config=config, devices=devices)
 
 
 @pytest.fixture

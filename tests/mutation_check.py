@@ -42,8 +42,8 @@ MUTANTS = (
     Mutant(
         "strided-member-sum",
         "src/nbiot_noma/rate_model.py",
-        "np.ascontiguousarray(terms[: len(members), owners == c])",
-        "terms[: len(members), owners == c]",
+        "np.ascontiguousarray(terms[: len(members), lo:hi])",
+        "terms[: len(members), lo:hi]",
         ("tests/test_rate_model_reference.py::test_bench_cells_match_reference",),
     ),
     Mutant(
@@ -205,6 +205,13 @@ MUTANTS = (
         '("normalized_gains", np.isfinite(self.normalized_gains).all()),',
         '("normalized_gains", not np.isinf(self.normalized_gains).any()),',
         ("tests/test_cli.py::test_solve_power_nonfinite_input_is_usage_error",),
+    ),
+    Mutant(
+        "half-tone-tiles-gains",
+        "src/nbiot_noma/baselines.py",
+        "np.repeat(scenario.gain_matrix, 2, axis=1)",
+        "np.tile(scenario.gain_matrix, 2)",
+        ("tests/test_baselines.py::TestFastOfdm::test_tone_doubling",),
     ),
     Mutant(
         "stale-all-entry",

@@ -204,7 +204,7 @@ def test_ofdma_exact_ties_go_to_the_lowest_device(gains, thresholds, owners):
 
 
 def test_ofdma_device_that_falls_short_rejoins_the_pool():
-    # Device 1 meets its threshold on tone 0 (log2(1001) bps), takes the weak
+    # Here device 1 meets its threshold on tone 0 (log2(1001) bps), takes the weak
     # tone 1 as the overall best gain, drops to about 8.98 bps, and so must
     # take tone 2 as the only unsatisfied device despite device 0's gain.
     sc = make_scenario([[1.0, 0.005, 5.0], [1000.0, 0.01, 0.01]], "mm",

@@ -74,6 +74,12 @@ class TestFastOfdm:
             derived.config.num_subcarriers * derived.config.subcarrier_bandwidth
             == sc.config.num_subcarriers * sc.config.subcarrier_bandwidth
         )
+        # half-tones 2s and 2s+1 both carry tone s's gain
+        for s in range(sc.config.num_subcarriers):
+            assert np.array_equal(derived.gain_matrix[:, 2 * s], sc.gain_matrix[:, s])
+            assert np.array_equal(derived.gain_matrix[:, 2 * s + 1], sc.gain_matrix[:, s])
+        for name in ("rate_thresholds", "power_budgets", "is_urllc", "distances"):
+            assert np.array_equal(getattr(derived, name), getattr(sc, name)), name
 
     def test_single_device_rate_matches_ofdma(self):
         sc = make_scenario([[2.0, 3.0, 4.0, 1.0]], "m", budgets=[0.6], max_rank=2)

@@ -33,13 +33,13 @@ class TestAverageGain:
 
     def test_matches_independent_mean(self):
         sc = generate_scenario(ScenarioConfig(rng_seed=11))
-        dev = sc.devices[5]
-        expected = sum(float(g) for g in dev.gains) / len(dev.gains)
+        row = sc.gain_matrix[5]
+        expected = sum(float(g) for g in row) / len(row)
         assert average_gains(sc)[5] == pytest.approx(expected, rel=1e-12)
 
 
 def descending_scenario(kinds, s=2):
-    """Device i has constant gain len-i, so sorted order equals id order."""
+    """Row i has constant gain len-i, so sorted order equals id order."""
     n = len(kinds)
     return make_scenario([gains_row(float(n - i), s) for i in range(n)], kinds,
                          num_clusters=4)

@@ -128,8 +128,8 @@ def edge_cases(scenario, assignment, sub_map, powers):
         odd_ids[first] = clusters[first] + ids
         check = partial(assert_unknown_id_rejected, unknown=ids[0])
         yield check, ClusterAssignment(clusters=odd_ids), sub_map, powers
-    urllc = next(d for d in scenario.urllc_ids() if w[d].any())
-    mmtc = next(d for d in scenario.mmtc_ids() if w[d].any())
+    urllc = next(d for d in np.flatnonzero(scenario.is_urllc).tolist() if w[d].any())
+    mmtc = next(d for d in np.flatnonzero(~scenario.is_urllc).tolist() if w[d].any())
     for value, devs in ((math.inf, [urllc]), (math.nan, [mmtc, urllc])):
         watts = w.copy()
         for d in devs:

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from nbiot_noma.errors import ConfigError
 from nbiot_noma.scenario import (
-    Device,
-    DeviceKind,
     Scenario,
     ScenarioConfig,
     channel_gain,
@@ -128,23 +126,53 @@ class TestHandBuiltScenario:
         with pytest.raises(ConfigError, match=f"device 2: .*{match}"):
             scenario_factory(gains, "mmmm", budgets=budgets, thresholds=thresholds)
 
-    def test_wrong_gain_shape_rejected(self):
-        cfg = ScenarioConfig(num_urllc=0, num_mmtc=2, num_subcarriers=3, num_clusters=1)
-        devices = (
-            Device(0, DeviceKind.MMTC, np.ones(3), 0.0, 1.0),
-            Device(1, DeviceKind.MMTC, np.ones(2), 0.0, 1.0),
+    @staticmethod
+    def arrays():
+        """A valid two-device, three-tone cell as Scenario keyword arguments."""
+        return dict(
+            config=ScenarioConfig(num_urllc=0, num_mmtc=2, num_subcarriers=3, num_clusters=1),
+            gain_matrix=np.ones((2, 3)),
+            rate_thresholds=np.zeros(2),
+            power_budgets=np.ones(2),
+            is_urllc=np.zeros(2, dtype=bool),
+            distances=np.ones(2),
         )
-        with pytest.raises(ConfigError, match=r"device 1: id 1 and gains of shape \(2,\)"):
-            Scenario(config=cfg, devices=devices)
 
-    def test_id_must_equal_index(self):
-        cfg = ScenarioConfig(num_urllc=0, num_mmtc=2, num_subcarriers=3, num_clusters=1)
-        devices = (
-            Device(0, DeviceKind.MMTC, np.ones(3), 0.0, 1.0),
-            Device(5, DeviceKind.MMTC, np.ones(3), 0.0, 1.0),
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("gain_matrix", 1.0),
+            ("gain_matrix", np.ones(2)),
+            ("gain_matrix", np.ones((2, 2))),
+            ("rate_thresholds", np.zeros(1)),
+            ("power_budgets", np.ones(1)),
+            ("is_urllc", np.zeros(1, dtype=bool)),
+            ("distances", np.ones(1)),
+            ("gain_matrix", [[1.0, 2.0, 3.0], [1.0]]),
+            ("rate_thresholds", ["a", "b"]),
+        ],
+        ids=["gains_scalar", "gains_1d", "gains_wrong_width", "short_thresholds",
+             "short_budgets", "short_is_urllc", "short_distances", "ragged_gains",
+             "text_thresholds"],
+    )
+    def test_malformed_array_names_the_array(self, name, value):
+        kwargs = {**self.arrays(), name: value}
+        with pytest.raises(ConfigError, match=rf"^{name}\b"):
+            Scenario(**kwargs)
+
+    def test_lists_accepted(self):
+        sc = Scenario(
+            config=self.arrays()["config"],
+            gain_matrix=[[1, 2, 3], [4, 5, 6]],
+            rate_thresholds=[0, 10],
+            power_budgets=[1, 2],
+            is_urllc=[1, 0],
         )
-        with pytest.raises(ConfigError, match="device 1: id 5 "):
-            Scenario(config=cfg, devices=devices)
+        assert sc.num_devices == 2
+        assert sc.gain_matrix.dtype == float and sc.gain_matrix.shape == (2, 3)
+        assert sc.rate_thresholds.dtype == float and sc.power_budgets.dtype == float
+        assert sc.is_urllc.tolist() == [True, False]
+        assert np.isnan(sc.distances).all() and sc.distances.shape == (2,)
 
 
 class TestGeneration:
@@ -161,8 +189,7 @@ class TestGeneration:
             cell_radius=1.0,
         )
         sc = generate_scenario(cfg)
-        for dev in sc.devices:
-            assert dev.distance == 1.0
+        assert np.all(sc.distances == 1.0)
         # h = Y * 1**-beta = Y, so gains are the raw exponential draws
         assert np.all(sc.gain_matrix > 0)
 
@@ -172,7 +199,7 @@ class TestGeneration:
         b = generate_scenario(cfg)
         assert np.array_equal(a.gain_matrix, b.gain_matrix)
         assert np.array_equal(a.rate_thresholds, b.rate_thresholds)
-        assert [d.distance for d in a.devices] == [d.distance for d in b.devices]
+        assert np.array_equal(a.distances, b.distances)
 
     def test_different_seeds_differ(self):
         a = generate_scenario(dataclasses.replace(ScenarioConfig(), rng_seed=1))
@@ -186,8 +213,8 @@ class TestGeneration:
             ScenarioConfig(), num_urllc=3, num_mmtc=9, num_clusters=3, rng_seed=seed
         )
         sc = generate_scenario(cfg)
-        for dev in sc.devices:
-            assert cfg.min_distance <= dev.distance <= cfg.cell_radius
+        assert np.all(cfg.min_distance <= sc.distances)
+        assert np.all(sc.distances <= cfg.cell_radius)
         assert np.all(sc.gain_matrix > 0)
 
     def test_fading_mean_near_one(self):
@@ -210,16 +237,20 @@ class TestGeneration:
         cfg = ScenarioConfig(rng_seed=5)
         sc = generate_scenario(cfg)
         lo, hi = cfg.urllc_rate_threshold_range
-        for dev in sc.devices[: cfg.num_urllc]:
-            assert lo <= dev.rate_threshold <= hi
+        urllc = sc.rate_thresholds[: cfg.num_urllc]
+        assert np.all((lo <= urllc) & (urllc <= hi))
         lo, hi = cfg.mmtc_rate_threshold_range
-        for dev in sc.devices[cfg.num_urllc :]:
-            assert lo <= dev.rate_threshold <= hi
+        mmtc = sc.rate_thresholds[cfg.num_urllc :]
+        assert np.all((lo <= mmtc) & (mmtc <= hi))
 
     def test_device_ordering(self):
         sc = generate_scenario(ScenarioConfig())
-        kinds = [d.kind.value for d in sc.devices]
-        assert kinds == ["urllc"] * 24 + ["mmtc"] * 72
+        assert sc.is_urllc.tolist() == [True] * 24 + [False] * 72
+
+    def test_power_budgets_per_class(self):
+        cfg = ScenarioConfig(power_budget_urllc=0.2, power_budget_mmtc=0.1)
+        sc = generate_scenario(cfg)
+        assert sc.power_budgets.tolist() == [0.2] * 24 + [0.1] * 72
 
 
 class TestConfigFile:
