@@ -153,8 +153,8 @@ def _lex_maps(num_s: int, num_c: int):
         yield digits, np.take_along_axis(counts, digits, axis=1)
 
 
-def _best_map(per_tone: np.ndarray, maps) -> np.ndarray:
-    """The first map of ``maps`` with the largest equal-split value."""
+def _best_map(per_tone: np.ndarray, maps) -> tuple[float, np.ndarray]:
+    """The largest equal-split value and the first map of ``maps`` with it."""
     tones = np.arange(per_tone.shape[0])[:, None]
     best_obj, best_map = -math.inf, None
     for digits, owned in maps:
@@ -165,7 +165,7 @@ def _best_map(per_tone: np.ndarray, maps) -> np.ndarray:
         if obj[k] > best_obj:
             best_obj = float(obj[k])
             best_map = digits[k].copy()
-    return best_map.astype(int)
+    return best_obj, best_map.astype(int)
 
 
 def mckp_oracle(
@@ -187,7 +187,7 @@ def mckp_oracle(
             f"({MCKP_MAX_SUBCARRIERS}, {MCKP_MAX_CLUSTERS})"
         )
     per_tone = _tone_values_equal_split(scenario, assignment)  # (S, C, S)
-    sub_map = SubcarrierMap(owner=_best_map(per_tone, _lex_maps(num_s, num_c)))
+    sub_map = SubcarrierMap(owner=_best_map(per_tone, _lex_maps(num_s, num_c))[1])
     powers = equal_split_powers(
         scenario, assignment.cluster_of(scenario.num_devices), sub_map.owner
     )
@@ -214,23 +214,95 @@ def _rank_orderings(urllc_members, mmtc_members):
             yield list(u_perm) + list(m_perm)
 
 
-def _valid_assignments(scenario: Scenario, num_clusters: int, k_max: int):
-    """Every rank-ordered clustering satisfying the structural constraints."""
-    n = scenario.num_devices
+def _labellings(n: int, num_clusters: int, k_max: int):
+    """Every cluster-label tuple whose clusters hold 0 or 2..k_max devices,
+    in lexicographic order."""
     for labels in itertools.product(range(num_clusters), repeat=n):
-        sizes = [0] * num_clusters
-        for c in labels:
-            sizes[c] += 1
-        if any(size == 1 or size > k_max for size in sizes):
-            continue
-        per_cluster = []
-        for c in range(num_clusters):
-            members = [d for d in range(n) if labels[d] == c]
-            urllc = [d for d in members if scenario.is_urllc[d]]
-            mmtc = [d for d in members if not scenario.is_urllc[d]]
-            per_cluster.append(list(_rank_orderings(urllc, mmtc)))
-        for combo in itertools.product(*per_cluster):
-            yield ClusterAssignment(clusters=[list(order) for order in combo])
+        if not any(labels.count(c) == 1 or labels.count(c) > k_max
+                   for c in range(num_clusters)):
+            yield labels
+
+
+def _first_use_labels(labels) -> tuple:
+    """``labels`` renumbered in order of first occurrence: one per partition."""
+    first: dict = {}
+    return tuple(first.setdefault(c, len(first)) for c in labels)
+
+
+def _orderings(scenario: Scenario, labels):
+    """Every rank ordering of the clusters ``labels`` defines, the canonical
+    one (URLLC before mMTC, each class by ascending id) first."""
+    per_cluster = []
+    for c in range(scenario.config.num_clusters):
+        members = [d for d, label in enumerate(labels) if label == c]
+        urllc = [d for d in members if scenario.is_urllc[d]]
+        mmtc = [d for d in members if not scenario.is_urllc[d]]
+        per_cluster.append(list(_rank_orderings(urllc, mmtc)))
+    return itertools.product(*per_cluster)
+
+
+class _ClusteringScorer:
+    """Equal-split scores of one scenario's ordered, labelled clusterings.
+
+    Its caches last as long as the scorer: the maps, each ordered
+    cluster's tone values, each clustering's best map and each (ordered
+    cluster, owned tones) pair's member rates.
+    """
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        cfg = scenario.config
+        self._maps = list(_lex_maps(cfg.num_subcarriers, cfg.num_clusters))
+        self._slices: dict = {}
+        self._best: dict = {}
+        self._rates: dict = {}
+
+    def best_map(self, clusters) -> tuple[float, np.ndarray]:
+        """The map :func:`mckp_oracle` would choose, and its value."""
+        keys = tuple(tuple(members) for members in clusters)
+        if keys not in self._best:
+            for key in keys:
+                if key not in self._slices:
+                    self._slices[key] = _cluster_tone_values(self.scenario, list(key))
+            per_tone = np.stack([self._slices[key] for key in keys], axis=1)
+            self._best[keys] = _best_map(per_tone, self._maps)
+        return self._best[keys]
+
+    def sum_rate(self, clusters) -> tuple[float, np.ndarray]:
+        """The best map's sum rate, equal to its ``rate_report``'s exactly
+        (``math.fsum`` is correctly rounded), and the map."""
+        owner = self.best_map(clusters)[1]
+        rates = np.zeros(self.scenario.num_devices)
+        for c, members in enumerate(clusters):
+            tones = np.flatnonzero(owner == c)
+            if members and tones.size:
+                rate_key = (tuple(members), tones.tobytes())
+                if rate_key not in self._rates:
+                    self._rates[rate_key] = _equal_split_rates(self.scenario, members, tones)
+                rates[members] = self._rates[rate_key]
+        return math.fsum(rates), owner
+
+
+def _partition_values(scorer: _ClusteringScorer, labellings) -> dict:
+    """Each partition's best-map value in canonical labels and rank order,
+    keyed by its labels."""
+    return {
+        labels: scorer.best_map(next(_orderings(scorer.scenario, labels)))[0]
+        for labels in labellings
+        if _first_use_labels(labels) == labels
+    }
+
+
+# Relative margin below the best partition value within which every
+# labelled, ordered assignment of a partition is scored.  Exactly,
+# neither rank order nor labels change the value of any map, so all of a
+# partition's assignments share one best value.  In floating point every
+# SIC log term is positive and within a few ulps of exact, and a map's
+# value or sum rate adds at most 3 members x 6 tones of them per cluster,
+# so each partition value and each score lies within about 1e-14 relative
+# of that exact best, whichever near-tied map wins: five orders of
+# magnitude inside this margin.
+_RESCORE_RTOL = 1e-9
 
 
 def exhaustive_clustering(
@@ -242,6 +314,13 @@ def exhaustive_clustering(
     equal-split powers, as :func:`mckp_oracle` would choose it; the overall
     best sum rate wins, the first on a tie.  Only tractable for a handful
     of devices and tones.
+
+    Rank orders and cluster labels change a score by rounding only, so
+    each unordered partition is valued once, by its best map in canonical
+    labels and rank order.  Only the partitions within ``_RESCORE_RTOL``
+    of the best value have every labelled, ordered assignment scored, in
+    the order of a search of all assignments and keeping the same first
+    winner: any assignment of another partition scores below the best.
     """
     cfg = scenario.config
     if (
@@ -255,33 +334,23 @@ def exhaustive_clustering(
             f"(devices<={EXHAUSTIVE_MAX_DEVICES}, clusters<={EXHAUSTIVE_MAX_CLUSTERS}, "
             f"rank<={EXHAUSTIVE_MAX_RANK}, subcarriers<={EXHAUSTIVE_MAX_SUBCARRIERS})"
         )
-    # Per-call caches: the maps, each ordered cluster's tone values and each
-    # (ordered cluster, owned tones) pair's member rates recur across assignments.
-    maps = list(_lex_maps(cfg.num_subcarriers, cfg.num_clusters))
-    slices: dict = {}
-    member_rates: dict = {}
-    best = None
-    for assignment in _valid_assignments(scenario, cfg.num_clusters, cfg.max_rank):
-        keys = [tuple(members) for members in assignment.clusters]
-        for key in keys:
-            if key not in slices:
-                slices[key] = _cluster_tone_values(scenario, list(key))
-        owner = _best_map(np.stack([slices[key] for key in keys], axis=1), maps)
-        rates = np.zeros(scenario.num_devices)
-        for c, key in enumerate(keys):
-            tones = np.flatnonzero(owner == c)
-            if key and tones.size:
-                rate_key = (key, tones.tobytes())
-                if rate_key not in member_rates:
-                    member_rates[rate_key] = _equal_split_rates(scenario, list(key), tones)
-                rates[list(key)] = member_rates[rate_key]
-        # fsum is correctly rounded, so this is the winner's report.sum_rate exactly.
-        score = math.fsum(rates)
-        if best is None or score > best[0]:
-            best = (score, assignment, owner)
-    if best is None:
+    scorer = _ClusteringScorer(scenario)
+    labellings = list(_labellings(scenario.num_devices, cfg.num_clusters, cfg.max_rank))
+    values = _partition_values(scorer, labellings)
+    if not values:
         raise InstanceTooLargeError("no structurally valid clustering exists")
-    _, assignment, owner = best
+    top = max(values.values())
+    floor = top - _RESCORE_RTOL * abs(top)
+    best = None
+    for labels in labellings:
+        if values[_first_use_labels(labels)] < floor:
+            continue
+        for clusters in _orderings(scenario, labels):
+            value, owner = scorer.sum_rate(clusters)
+            if best is None or value > best[0]:
+                best = (value, clusters, owner)
+    _, clusters, owner = best
+    assignment = ClusterAssignment(clusters=[list(order) for order in clusters])
     sub_map = SubcarrierMap(owner=owner)
     powers = equal_split_powers(scenario, assignment.cluster_of(scenario.num_devices), owner)
     return assignment, sub_map, rate_report(scenario, assignment, sub_map, powers)
@@ -300,6 +369,47 @@ def _grid_box(axis, p_max, delta, rho, theta) -> tuple[int, int, int]:
     first = int(np.searchsorted(axis, theta[2]))
     last = int(np.count_nonzero(axis[rows - 1] - axis >= axis)) if rows else 0
     return rows, first, last
+
+
+def _first_true(holds, num_rows: int, num_cols: int) -> np.ndarray:
+    """Per row, the first column where ``holds`` is true, ``num_cols`` if none.
+
+    ``holds(cols)`` evaluates row r at column ``cols[r]`` for every row at
+    once; it must be false then true along each row, and true at column
+    ``num_cols``.  Bisection, all rows in step: ``holds`` is true at every
+    ``hi`` and false left of every ``lo``, so a settled row stays put.
+    """
+    lo = np.zeros(num_rows, dtype=np.intp)
+    hi = np.full(num_rows, num_cols, dtype=np.intp)
+    for _ in range(num_cols.bit_length()):
+        mid = (lo + hi) >> 1
+        ok = holds(mid)
+        lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)
+    return lo
+
+
+def _grid_feasible(axis, p_max, delta, rho, theta) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of every feasible (T2, T3) = (axis[i], axis[j]) of the 3-user
+    mesh, in row-major order.
+
+    Inside :func:`_grid_box` each row's feasible columns are one interval.
+    As T3 grows along a row, T3 <= delta[1]*T2 - rho[1] and T2 - T3 >= T3
+    hold up to some column and p_max - T2 >= T2 - T3 from some column on,
+    because a rounded difference never grows as T3 does.  Bisection finds
+    both ends of every row, evaluating the mesh's own expressions, so the
+    points are exactly the mesh's.
+    """
+    rows, first, last = _grid_box(axis, p_max, delta, rho, theta)
+    t2, t3 = axis[:rows], axis[first:last]
+    cap, room = delta[1] * t2 - rho[1], p_max - t2
+    t3 = np.append(t3, math.inf)  # column num_cols: both searches hold there
+    lo = _first_true(lambda c: room >= t2 - t3[c], rows, t3.size - 1)
+    hi = _first_true(lambda c: ~((t3[c] <= cap) & (t2 - t3[c] >= t3[c])), rows, t3.size - 1)
+    counts = np.maximum(hi - lo, 0)
+    i = np.repeat(np.arange(rows), counts)
+    # Column of the k-th point: its row's first column plus its rank within the row.
+    j = np.arange(i.size) + (first + lo - (np.cumsum(counts) - counts))[i]
+    return i, j
 
 
 def grid_power_oracle(
@@ -352,26 +462,22 @@ def grid_power_oracle(
         tail = np.array([p_max, t2[k]])
         return powers_from_tail(tail), float(obj[k])
 
-    rows, first, last = _grid_box(axis, p_max, delta, rho, theta)
-    t2, t3 = axis[:rows, None], axis[first:last]
-    gap = t2 - t3
-    feasible = (t3 <= delta[1] * t2 - rho[1]) & (p_max - t2 >= gap) & (gap >= t3)
-    if not feasible.any():
+    i, j = _grid_feasible(axis, p_max, delta, rho, theta)
+    if not i.size:
         raise GridResolutionError("no feasible grid point; refine the step")
     # Each log term is a 1-D table on the axis, gathered in the full mesh's
     # row-major order and summed left to right as the mesh form would be.
     log_g1 = np.log1p(g[1] * axis)
-    i, j = np.nonzero(feasible)
     obj = (
         bw / _LOG2
         * (
             math.log1p(g[0] * p_max)
             + log_g1[i]
-            - np.log1p(g[0] * axis[:rows])[i]
-            + np.log1p(g[2] * t3)[j]
-            - log_g1[first + j]
+            - np.log1p(g[0] * axis)[i]
+            + np.log1p(g[2] * axis)[j]
+            - log_g1[j]
         )
     )
     k = int(np.argmax(obj))
-    tail = np.array([p_max, float(axis[i[k]]), float(t3[j[k]])])
+    tail = np.array([p_max, float(axis[i[k]]), float(axis[j[k]])])
     return powers_from_tail(tail), float(obj[k])

@@ -68,21 +68,25 @@ class OrderedCluster:
         self.rate_thresholds = np.asarray(self.rate_thresholds, dtype=float)
         if self.normalized_gains.ndim != 1 or self.normalized_gains.size == 0:
             raise ValueError("normalized_gains must be a nonempty vector")
+        # Python floats: a cluster has a handful of users, and numpy's
+        # per-call overhead would dwarf the comparisons themselves.
+        gains = self.normalized_gains.tolist()
+        thresholds = self.rate_thresholds.ravel().tolist()
         for name, finite in (
-            ("normalized_gains", np.isfinite(self.normalized_gains).all()),
-            ("rate_thresholds", np.isfinite(self.rate_thresholds).all()),
+            ("normalized_gains", all(map(math.isfinite, gains))),
+            ("rate_thresholds", all(map(math.isfinite, thresholds))),
             ("total_power", math.isfinite(self.total_power)),
             ("bandwidth_hz", math.isfinite(self.bandwidth_hz)),
         ):
             if not finite:
                 raise ValueError(f"{name} must be finite")
-        if np.any(self.normalized_gains <= 0):
+        if any(g <= 0 for g in gains):
             raise ValueError("normalized gains must be strictly positive")
-        if np.any(np.diff(self.normalized_gains) < 0):
+        if any(high < low for low, high in zip(gains, gains[1:])):
             raise ValueError("normalized gains must be sorted ascending")
         if self.rate_thresholds.shape != self.normalized_gains.shape:
             raise ValueError("one rate threshold per user is required")
-        if np.any(self.rate_thresholds < 0):
+        if any(r < 0 for r in thresholds):
             raise ValueError("rate thresholds must be nonnegative")
         if not self.total_power > 0:
             raise ValueError("total_power must be positive")
@@ -106,7 +110,7 @@ class PowerSolution:
 def tail_powers(powers) -> np.ndarray:
     """Suffix sums T[j] = P[j] + ... + P[n]; linear and invertible."""
     p = np.asarray(powers, dtype=float)
-    if np.any(p < 0):
+    if (p < 0).any():
         raise ValueError("powers must be nonnegative")
     return p[::-1].cumsum()[::-1]
 
@@ -135,7 +139,7 @@ def cluster_objective(tail, cluster: OrderedCluster) -> float:
     scale = cluster.bandwidth_hz / _LOG2
     total = math.log1p(g[0] * t[0])
     if t.size > 1:
-        total += float(np.sum(np.log1p(g[1:] * t[1:]) - np.log1p(g[:-1] * t[1:])))
+        total += float((np.log1p(g[1:] * t[1:]) - np.log1p(g[:-1] * t[1:])).sum())
     return scale * total
 
 
@@ -155,7 +159,8 @@ def ordered_user_rates(powers, cluster: OrderedCluster) -> np.ndarray:
     p = np.asarray(powers, dtype=float)
     g = cluster.normalized_gains
     # Not sic_log_terms: interference is g[j] * (sum of later powers), the subproblem's model.
-    later = np.concatenate([p[::-1].cumsum()[::-1][1:], [0.0]])
+    later = np.zeros(p.shape)
+    later[:-1] = p[:0:-1].cumsum()[::-1]
     sinr = g * p / (1.0 + g * later)
     return cluster.bandwidth_hz * np.log1p(sinr) / _LOG2
 

@@ -78,7 +78,7 @@ def random_feasible_cluster(
     n = int(rng.integers(1, max_users + 1))
     p_max = float(rng.uniform(0.5, 4.0))
     gains = np.sort(np.exp(rng.uniform(np.log(0.5), np.log(50.0), size=n))) / p_max
-    while n > 1 and np.any(np.diff(gains) / gains[:-1] < 0.05):
+    while n > 1 and ((gains[1:] - gains[:-1]) / gains[:-1] < 0.05).any():
         gains = np.sort(np.exp(rng.uniform(np.log(0.5), np.log(50.0), size=n))) / p_max
     bandwidth = float(rng.uniform(0.5, 2.0))
     cluster = OrderedCluster(

@@ -188,9 +188,12 @@ MUTANTS = (
     Mutant(
         "exhaustive-cache-key-unordered",
         "src/nbiot_noma/baselines.py",
-        "keys = [tuple(members) for members in assignment.clusters]",
-        "keys = [tuple(sorted(members)) for members in assignment.clusters]",
-        ("tests/test_oracle_reference.py::test_exhaustive_clustering_matches_reference",),
+        "keys = tuple(tuple(members) for members in clusters)",
+        "keys = tuple(tuple(sorted(members)) for members in clusters)",
+        (
+            "tests/test_oracle_reference.py::test_exhaustive_clustering_matches_reference",
+            "tests/test_oracle_reference.py::test_exhaustive_clustering_ties_match_reference",
+        ),
     ),
     Mutant(
         "small-lp-takes-argmax",
@@ -202,9 +205,30 @@ MUTANTS = (
     Mutant(
         "ordered-cluster-accepts-nan",
         "src/nbiot_noma/power_opt.py",
-        '("normalized_gains", np.isfinite(self.normalized_gains).all()),',
-        '("normalized_gains", not np.isinf(self.normalized_gains).any()),',
+        '("normalized_gains", all(map(math.isfinite, gains))),',
+        '("normalized_gains", not any(map(math.isinf, gains))),',
         ("tests/test_cli.py::test_solve_power_nonfinite_input_is_usage_error",),
+    ),
+    Mutant(
+        "ordered-cluster-skips-sorted-check",
+        "src/nbiot_noma/power_opt.py",
+        "if any(high < low for low, high in zip(gains, gains[1:])):",
+        "if False:",
+        ("tests/test_power_opt.py::TestOrderedCluster::test_rejections_match_reference",),
+    ),
+    Mutant(
+        "exhaustive-rescores-canonical-orderings-only",
+        "src/nbiot_noma/baselines.py",
+        "for clusters in _orderings(scenario, labels):",
+        "for clusters in itertools.islice(_orderings(scenario, labels), 1):",
+        ("tests/test_oracle_reference.py::test_exhaustive_clustering_ties_match_reference",),
+    ),
+    Mutant(
+        "grid-bisection-one-column-late",
+        "src/nbiot_noma/baselines.py",
+        "        lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)\n    return lo\n",
+        "        lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)\n    return lo + 1\n",
+        ("tests/test_oracle_reference.py::test_bisected_grid_matches_the_mesh",),
     ),
     Mutant(
         "half-tone-tiles-gains",

@@ -12,11 +12,19 @@ them for identical maps, tail vectors, objectives and errors.
 ``reference_find_feasible_tail``, ``reference_certified_gap`` and
 ``reference_maximize_rates`` are the power solver as it stood when every
 linear program went to SciPy's HiGHS, kept verbatim.
+
+``_valid_assignments`` is the clustering oracle's former search space,
+every labelled and rank-ordered assignment, which
+``reference_exhaustive_clustering`` scores one by one.
+``ReferenceOrderedCluster`` keeps ``OrderedCluster``'s validation as it
+stood with numpy reductions, to pin the order and text of its errors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -29,7 +37,7 @@ from nbiot_noma.baselines import (
     GRID_MAX_USERS,
     MCKP_MAX_CLUSTERS,
     MCKP_MAX_SUBCARRIERS,
-    _valid_assignments,
+    _rank_orderings,
 )
 from nbiot_noma.errors import (
     ConvergenceError,
@@ -81,6 +89,25 @@ def _tone_values_equal_split(scenario, assignment) -> np.ndarray:
     return values
 
 
+def _valid_assignments(scenario: Scenario, num_clusters: int, k_max: int):
+    """Every rank-ordered clustering satisfying the structural constraints."""
+    n = scenario.num_devices
+    for labels in itertools.product(range(num_clusters), repeat=n):
+        sizes = [0] * num_clusters
+        for c in labels:
+            sizes[c] += 1
+        if any(size == 1 or size > k_max for size in sizes):
+            continue
+        per_cluster = []
+        for c in range(num_clusters):
+            members = [d for d in range(n) if labels[d] == c]
+            urllc = [d for d in members if scenario.is_urllc[d]]
+            mmtc = [d for d in members if not scenario.is_urllc[d]]
+            per_cluster.append(list(_rank_orderings(urllc, mmtc)))
+        for combo in itertools.product(*per_cluster):
+            yield ClusterAssignment(clusters=[list(order) for order in combo])
+
+
 def reference_mckp_oracle(scenario: Scenario, assignment: ClusterAssignment) -> SubcarrierMap:
     """Best subcarrier-to-cluster map by full enumeration of all C^S maps.
 
@@ -122,7 +149,8 @@ def reference_mckp_oracle(scenario: Scenario, assignment: ClusterAssignment) -> 
 def reference_exhaustive_clustering(
     scenario: Scenario,
 ) -> tuple[ClusterAssignment, SubcarrierMap, RateReport]:
-    """``exhaustive_clustering`` as it stands, scoring with the reference MCKP."""
+    """``exhaustive_clustering`` before the partition pruning: every valid
+    assignment scored with the reference MCKP, the first best kept."""
     cfg = scenario.config
     if (
         scenario.num_devices > EXHAUSTIVE_MAX_DEVICES
@@ -375,3 +403,39 @@ def reference_maximize_rates(
         best_powers=powers_from_tail(full(best_x), tol=feasibility_atol),
         best_objective=best_obj,
     )
+
+
+@dataclass(eq=False)
+class ReferenceOrderedCluster:
+    """``OrderedCluster``'s fields and its former ``__post_init__``."""
+
+    normalized_gains: np.ndarray
+    rate_thresholds: np.ndarray
+    total_power: float
+    bandwidth_hz: float
+
+    def __post_init__(self):
+        self.normalized_gains = np.asarray(self.normalized_gains, dtype=float)
+        self.rate_thresholds = np.asarray(self.rate_thresholds, dtype=float)
+        if self.normalized_gains.ndim != 1 or self.normalized_gains.size == 0:
+            raise ValueError("normalized_gains must be a nonempty vector")
+        for name, finite in (
+            ("normalized_gains", np.isfinite(self.normalized_gains).all()),
+            ("rate_thresholds", np.isfinite(self.rate_thresholds).all()),
+            ("total_power", math.isfinite(self.total_power)),
+            ("bandwidth_hz", math.isfinite(self.bandwidth_hz)),
+        ):
+            if not finite:
+                raise ValueError(f"{name} must be finite")
+        if np.any(self.normalized_gains <= 0):
+            raise ValueError("normalized gains must be strictly positive")
+        if np.any(np.diff(self.normalized_gains) < 0):
+            raise ValueError("normalized gains must be sorted ascending")
+        if self.rate_thresholds.shape != self.normalized_gains.shape:
+            raise ValueError("one rate threshold per user is required")
+        if np.any(self.rate_thresholds < 0):
+            raise ValueError("rate thresholds must be nonnegative")
+        if not self.total_power > 0:
+            raise ValueError("total_power must be positive")
+        if not self.bandwidth_hz > 0:
+            raise ValueError("bandwidth_hz must be positive")

@@ -17,11 +17,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nbiot_noma import power_opt
+from nbiot_noma import baselines, power_opt
 from nbiot_noma.baselines import (
+    _ClusteringScorer,
     _grid_box,
+    _grid_feasible,
+    _labellings,
+    _partition_values,
     _tone_values_equal_split,
-    _valid_assignments,
     exhaustive_clustering,
     grid_power_oracle,
     mckp_oracle,
@@ -35,6 +38,7 @@ from nbiot_noma.selfcheck import random_feasible_cluster, tiny_config
 from conftest import make_scenario
 from reference_oracles import (
     _tone_values_equal_split as reference_tone_values_equal_split,
+    _valid_assignments,
     reference_exhaustive_clustering,
     reference_find_feasible_tail,
     reference_grid_power_oracle,
@@ -104,6 +108,53 @@ def test_grid_box_holds_every_feasible_point():
             assert np.all((first <= j) & (j < last)), (cluster, division)
 
 
+def test_bisected_grid_matches_the_mesh():
+    clusters = clusters_of_size(3, 60, seed=303)
+    clusters += [infeasible(c, 4.0) for c in clusters[:10]]
+    for cluster in clusters:
+        for division in (1000, 333, 50, 7, 2):
+            assert_same_feasible_set(cluster, cluster.total_power / division)
+
+
+def boundary_cases():
+    """(cluster, step) pairs putting a constraint boundary exactly on the grid."""
+    for cluster in clusters_of_size(3, 20, seed=304):
+        # A power-of-two division puts p_max on the grid, and then T2/2 on
+        # every even row and 2*T2 - p_max are grid values too.
+        yield cluster, cluster.total_power / 256
+        # A zero second threshold makes delta[1]*T2 - rho[1] equal T2 itself.
+        thresholds = cluster.rate_thresholds * np.array([1.0, 0.0, 1.0])
+        yield replace(cluster, rate_thresholds=thresholds), cluster.total_power / 512
+        # step = theta3 / 2**m puts theta3 on the grid at column 2**m; a
+        # theta3 below p_max/300 would need too fine a grid, so it is skipped.
+        theta3 = threshold_coefficients(cluster)[2][2]
+        m = int(np.ceil(np.log2(theta3 * 300 / cluster.total_power)))
+        if m >= 0:
+            yield cluster, theta3 / 2.0**m
+
+
+def assert_same_feasible_set(cluster, step):
+    delta, rho, theta = threshold_coefficients(cluster)
+    axis = np.arange(0.0, cluster.total_power + step / 2.0, step)
+    i, j = _grid_feasible(axis, cluster.total_power, delta, rho, theta)
+    ref_i, ref_j = np.nonzero(reference_mesh_feasible(cluster, step))
+    assert np.array_equal(i, ref_i), (cluster, step)
+    assert np.array_equal(j, ref_j), (cluster, step)
+
+
+def test_bisected_grid_matches_the_mesh_on_boundaries():
+    hits = {"theta3": 0, "cap": 0, "half": 0}
+    for cluster, step in boundary_cases():
+        assert_same_feasible_set(cluster, step)
+        delta, rho, theta = threshold_coefficients(cluster)
+        axis = np.arange(0.0, cluster.total_power + step / 2.0, step)
+        on_grid = np.isin(delta[1] * axis - rho[1], axis)
+        hits["theta3"] += theta[2] in axis
+        hits["cap"] += bool(on_grid.all())
+        hits["half"] += bool(np.isin(axis / 2.0, axis).any())
+    assert min(hits.values()) >= 15  # every kind of boundary is exercised
+
+
 def tiny_scenarios(count, seed):
     rng = np.random.default_rng(seed)
     return [generate_scenario(tiny_config(ScenarioConfig(), rng)) for _ in range(count)]
@@ -141,6 +192,66 @@ def test_exhaustive_clustering_matches_reference():
         assert np.array_equal(report.rates, ref_report.rates)
         assert report.sum_rate == ref_report.sum_rate
         assert np.array_equal(report.satisfied, ref_report.satisfied)
+
+
+def tie_scenarios():
+    """Tiny cells whose orderings, relabellings or maps tie exactly or within rounding."""
+    rng = np.random.default_rng(77)
+    for kinds, num_c, k_max, num_s in (
+        ("uumm", 2, 2, 3), ("uummm", 2, 3, 4), ("ummmm", 2, 3, 2),
+        ("mmmm", 2, 2, 6), ("uuumm", 2, 3, 5), ("uum", 1, 3, 4), ("umm", 1, 3, 3),
+    ):
+        n = len(kinds)
+        rows = rng.exponential(1.0, size=(2, num_s))
+        # Exact duplicates: the same two rows over and over, so swapping
+        # same-class members or whole clusters changes nothing.
+        yield make_scenario(rows[np.arange(n) % 2], kinds, num_clusters=num_c, max_rank=k_max)
+        yield make_scenario(np.tile(rows[0], (n, 1)), kinds, num_clusters=num_c, max_rank=k_max)
+        # Near duplicates: a few ulps apart, so ties break on rounding alone.
+        ulps = 1.0 + rng.integers(-4, 5, size=(n, 1)) * np.finfo(float).eps
+        yield make_scenario(
+            rows[np.arange(n) % 2] * ulps, kinds, num_clusters=num_c, max_rank=k_max
+        )
+        yield make_scenario(
+            np.tile(rows[0], (n, 1)) * ulps, kinds, num_clusters=num_c, max_rank=k_max
+        )
+        # Near-duplicate tones: maps that trade tones tie within rounding,
+        # so different rank orders of one clustering can pick different maps.
+        flat = rng.exponential(1.0, size=(n, 1)) * (
+            1.0 + rng.integers(-4, 5, size=(n, num_s)) * np.finfo(float).eps
+        )
+        yield make_scenario(flat, kinds, num_clusters=num_c, max_rank=k_max)
+
+
+def test_exhaustive_clustering_ties_match_reference():
+    for sc in tie_scenarios():
+        assignment, sub_map, report = exhaustive_clustering(sc)
+        ref_assignment, ref_map, ref_report = reference_exhaustive_clustering(sc)
+        assert assignment.clusters == ref_assignment.clusters
+        assert np.array_equal(sub_map.owner, ref_map.owner)
+        assert np.array_equal(report.rates, ref_report.rates)
+        assert report.sum_rate == ref_report.sum_rate
+
+
+def test_canonical_pass_values_each_partition_once(monkeypatch):
+    calls = []
+    best_map = baselines._best_map
+
+    def counting(per_tone, maps):
+        calls.append(per_tone.shape)
+        return best_map(per_tone, maps)
+
+    monkeypatch.setattr(baselines, "_best_map", counting)
+    for sc in [*tie_scenarios(), *tiny_scenarios(20, seed=11)]:
+        cfg = sc.config
+        partitions = {
+            frozenset(frozenset(members) for members in a.clusters if members)
+            for a in _valid_assignments(sc, cfg.num_clusters, cfg.max_rank)
+        }
+        labellings = list(_labellings(sc.num_devices, cfg.num_clusters, cfg.max_rank))
+        calls.clear()
+        values = _partition_values(_ClusteringScorer(sc), labellings)
+        assert len(calls) == len(values) == len(partitions)
 
 
 def paired_clusters(gains):

@@ -26,6 +26,8 @@ from nbiot_noma.power_opt import (
 )
 from nbiot_noma.selfcheck import random_feasible_cluster
 
+from reference_oracles import ReferenceOrderedCluster
+
 
 def simple_cluster(gains, thresholds=None, p_max=1.0, bandwidth=1.0):
     gains = np.asarray(gains, dtype=float)
@@ -100,6 +102,73 @@ class TestOrderedCluster:
         fields[field] = np.array([1.0, bad]) if field.endswith("s") else bad
         with pytest.raises(ValueError, match=field):
             OrderedCluster(**fields)
+
+    VALID = dict(
+        normalized_gains=[1.0, 2.0], rate_thresholds=[0.1, 0.2], total_power=3.0, bandwidth_hz=1.0
+    )
+    NAN, INF = math.nan, math.inf
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # one fault each
+            dict(normalized_gains=[1.0, NAN]),
+            dict(normalized_gains=[INF, 2.0]),
+            dict(normalized_gains=[1.0, -INF]),
+            dict(rate_thresholds=[NAN, 0.1]),
+            dict(rate_thresholds=[0.1, INF]),
+            dict(total_power=NAN),
+            dict(total_power=-INF),
+            dict(bandwidth_hz=INF),
+            dict(bandwidth_hz=NAN),
+            dict(normalized_gains=[[1.0, 2.0]]),
+            dict(normalized_gains=[]),
+            dict(normalized_gains=2.0),
+            dict(normalized_gains=[2.0, 1.0]),
+            dict(normalized_gains=[1.0, 3.0, 2.0], rate_thresholds=[0.0, 0.0, 0.0]),
+            dict(normalized_gains=[0.0, 2.0]),
+            dict(normalized_gains=[-1.0, 2.0]),
+            dict(rate_thresholds=[0.1]),
+            dict(rate_thresholds=[[0.1, 0.2]]),
+            dict(rate_thresholds=0.1),
+            dict(rate_thresholds=[0.1, -0.2]),
+            dict(total_power=0.0),
+            dict(total_power=-1.0),
+            dict(bandwidth_hz=0.0),
+            dict(bandwidth_hz=-2.0),
+            # which check fires first
+            dict(normalized_gains=[[1.0, NAN]]),
+            dict(normalized_gains=[], total_power=NAN),
+            dict(normalized_gains=[2.0, NAN], total_power=-1.0),
+            dict(normalized_gains=[0.0, 2.0], rate_thresholds=[NAN, 0.1]),
+            dict(total_power=INF, bandwidth_hz=NAN),
+            dict(normalized_gains=[2.0, -1.0]),
+            dict(normalized_gains=[2.0, 1.0], rate_thresholds=[0.1]),
+            dict(normalized_gains=[2.0, 1.0], total_power=0.0),
+            dict(rate_thresholds=[-0.1], bandwidth_hz=0.0),
+            dict(rate_thresholds=[-0.1, 0.2], total_power=0.0),
+            dict(total_power=0.0, bandwidth_hz=0.0),
+            dict(rate_thresholds=[[NAN, 0.1]]),
+        ],
+        ids=repr,
+    )
+    def test_rejections_match_reference(self, bad):
+        fields = {**self.VALID, **bad}
+        with pytest.raises(ValueError) as ref:
+            ReferenceOrderedCluster(**fields)
+        with pytest.raises(ValueError) as new:
+            OrderedCluster(**fields)
+        assert str(new.value) == str(ref.value)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [VALID, dict(VALID, normalized_gains=[2.0, 2.0]), dict(VALID, rate_thresholds=[0, 0])],
+        ids=repr,
+    )
+    def test_valid_inputs_accepted(self, fields):
+        ReferenceOrderedCluster(**fields)
+        cluster = OrderedCluster(**fields)
+        assert cluster.normalized_gains.dtype == cluster.rate_thresholds.dtype == float
 
 
 class TestFeasibility:
