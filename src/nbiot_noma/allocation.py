@@ -19,8 +19,10 @@ SIC evaluation.  A commit changes only the receiving cluster's split, so
 one SIC call on that cluster's (rank, tone) slab rebuilds its row.  With
 C clusters of at most K members and S tones, a step costs O(C) and a
 commit O(K*S).  A commit that leaves its cluster with no unsatisfied
-member defers the rebuild to the start of phase 2, since until then that
-cluster cannot be picked.  Final rates come from
+member skips the rebuild, since that cluster cannot be picked again in
+phase 1.  The loop and phase 2 each open with one SIC call on the (rank,
+cluster, tone) stack, which builds every cluster's rows at the split its
+owned tones give it.  Final rates come from
 :func:`~nbiot_noma.rate_model.rate_report` on the final map.
 """
 
@@ -80,20 +82,47 @@ def allocate(
     slot_budgets = np.append(scenario.power_budgets, 0.0)[slot_dev][:, :, None]
     slot_thresholds = np.append(thresholds, 0.0)[slot_dev]
 
+    num_c, depth = slot_dev.shape
     owner = np.full(num_s, -1, dtype=int)
     # cand[c, s, k]: member k's rate, bps, if cluster c takes tone s next and
     # every member spreads its budget over one tone more than c owns;
     # cand_sum[s, c] is its sum over k.  cand is C-contiguous so that each
     # such sum adds one contiguous block of K slots, padding included; a
-    # strided or unpadded sum can round differently.  Before the first
-    # commit one SIC call gives every cluster's rows.
-    received = (slabs * slot_budgets).transpose(1, 0, 2)  # (K, C, S)
-    terms = sic_log_terms(received, noise)
-    cand = np.ascontiguousarray((tone_bw * terms / log2).transpose(1, 2, 0))
-    cand_sum = np.ascontiguousarray(cand.sum(axis=2).T)
-    cluster_sum = np.zeros(len(clusters))  # current sum rate of each cluster, bps
+    # strided or unpadded sum can round differently.
+    cand = np.empty((num_c, num_s, depth))
+    cand_sum = np.empty((num_s, num_c))
+    cluster_sum = np.zeros(num_c)  # current sum rate of each cluster, bps
     rates = np.zeros(scenario.num_devices)
     total = 0.0
+
+    def build_rows(start: int) -> None:
+        """Every cluster's candidate rows for tones ``start`` on, at the split
+        its tones among the first ``start`` give it: one SIC call on the
+        (K, C, S) stack."""
+        counts = np.bincount(owner[:start], minlength=num_c)
+        received = (slabs * (slot_budgets / (counts + 1)[:, None, None])).transpose(1, 0, 2)
+        terms = sic_log_terms(received, noise)  # (K, C, S)
+        rows = terms[:, :, start:]
+        if start:
+            # grown[c, k]: member k's sum of ln(1 + SINR) over c's owned tones
+            # in ascending order.  Tones sorted by (count, cluster) put each
+            # group of clusters owning n tones in one (G, n) run.  The group's
+            # (G, K, n) block is copied C-contiguous so that each member's sum
+            # runs over one contiguous row as in rebuild: numpy sums 8 or more
+            # elements in 8 lanes, and a strided sum rounds differently.
+            owned = owner[:start]
+            by_group = np.argsort(counts[owned] * num_c + owned, kind="stable")
+            grown = np.zeros((num_c, depth))
+            pos = 0
+            for n in sorted(set(counts.tolist()) - {0}):
+                group = np.flatnonzero(counts == n)
+                tones = by_group[pos : pos + group.size * n].reshape(group.size, n)
+                pos += tones.size
+                block = np.ascontiguousarray(terms[:, group[:, None], tones].transpose(1, 0, 2))
+                grown[group] = block.sum(axis=2)
+            rows = grown.T[:, :, None] + rows
+        cand[:, start:] = (tone_bw * rows / log2).transpose(1, 2, 0)
+        cand_sum[start:] = cand[:, start:].sum(axis=2).T
 
     def rebuild(c: int, start: int) -> None:
         """Cluster c's candidate rows for tones ``start`` on, after a commit."""
@@ -129,6 +158,7 @@ def allocate(
     # tones move its rates, so a commit changes only its own flag.
     open_ = (slot_thresholds > 0.0).any(axis=1)
     next_s = 0
+    build_rows(0)
 
     # Phase 1: serve clusters that still contain an unsatisfied device.  A
     # cluster that its commit closes cannot be picked again in this phase,
@@ -142,8 +172,7 @@ def allocate(
 
     # Phase 2: spend leftover spectrum on whichever cluster gains the most.
     if next_s < num_s:
-        for c in np.unique(owner[:next_s]):
-            rebuild(c, next_s)
+        build_rows(next_s)
     nonempty = slot_dev[:, 0] < scenario.num_devices
     for s in range(next_s, num_s):
         rebuild(commit(s, nonempty, phase=2), s + 1)

@@ -60,41 +60,52 @@ def ofdma_allocate(scenario: Scenario) -> tuple[np.ndarray, PowerMatrix, RateRep
     the highest gain on it, or to the overall highest-gain device once
     everyone is satisfied.  A device splits its budget evenly over the
     tones it owns, so rates are plain interference-free Shannon rates.
+    Most devices own one tone, so every device's rate on every tone as
+    its only one is built up front in one call; a device reads its first
+    tone's rate from that table and recomputes only from its second on.
     Returns (owner device per subcarrier with -1 for none, powers, report).
     """
     n = scenario.num_devices
     num_s = scenario.config.num_subcarriers
     noise = scenario.config.noise_per_subcarrier
     bw = scenario.config.subcarrier_bandwidth
-    owner = np.full(num_s, -1, dtype=int)
+    gains = scenario.gain_matrix
+    budgets = scenario.power_budgets
+    owner: list[int] = []
     tones_of: list[list[int]] = [[] for _ in range(n)]
-    rates = np.zeros(n)
-    thresholds = scenario.rate_thresholds
-    gains_t = np.ascontiguousarray(scenario.gain_matrix.T)  # (S, n)
+    rates = [0.0] * n
+    thresholds = scenario.rate_thresholds.tolist()
+    gains_t = np.ascontiguousarray(gains.T)  # (S, n)
+    # The K = 1 SIC case, inline: one device needs no interference sums.
+    # solo[s, d]: d's rate, bps, when s is its only tone (p = budget / 1).
+    solo = bw * np.log1p(gains_t * budgets / noise) / _LOG2
     # pool_gains[s, d]: d's gain on s while d is unsatisfied, else -inf, so
     # its argmax is the lowest-id unsatisfied device with the highest gain.
-    unsatisfied = rates < thresholds
+    unsatisfied = [0.0 < t for t in thresholds]  # every rate starts at 0
     pool_gains = np.where(unsatisfied, gains_t, -math.inf)
-    num_unsatisfied = int(unsatisfied.sum())
+    num_unsatisfied = sum(unsatisfied)
 
     for s in range(num_s):
         dev = int((pool_gains[s] if num_unsatisfied else gains_t[s]).argmax())
-        owner[s] = dev
+        owner.append(dev)
         tones = tones_of[dev]
         tones.append(s)
         # Only the receiving device's split changes; the others keep their rates.
-        h = scenario.gain_matrix[dev].take(tones)
-        p = scenario.power_budgets[dev] / len(tones)
-        # The K = 1 SIC case, inline: one device needs no interference sums.
-        rates[dev] = bw * float(np.log1p(h * p / noise).sum()) / _LOG2
+        if len(tones) == 1:
+            rates[dev] = solo[s, dev]
+        else:
+            h = gains[dev].take(tones)
+            p = budgets[dev] / len(tones)
+            rates[dev] = bw * float(np.log1p(h * p / noise).sum()) / _LOG2
         short = bool(rates[dev] < thresholds[dev])
         if short != unsatisfied[dev]:  # more tones can also lower a rate
             unsatisfied[dev] = short
             num_unsatisfied += 1 if short else -1
             pool_gains[:, dev] = gains_t[:, dev] if short else -math.inf
 
-    powers = equal_split_powers(scenario, np.arange(n), owner)
-    return owner, powers, build_report(scenario, rates)
+    owner_arr = np.array(owner, dtype=int)
+    powers = equal_split_powers(scenario, np.arange(n), owner_arr)
+    return owner_arr, powers, build_report(scenario, rates)
 
 
 def half_tone_scenario(scenario: Scenario) -> Scenario:
@@ -389,8 +400,8 @@ def _first_true(holds, num_rows: int, num_cols: int) -> np.ndarray:
 
 
 def _grid_feasible(axis, p_max, delta, rho, theta) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) of every feasible (T2, T3) = (axis[i], axis[j]) of the 3-user
-    mesh, in row-major order.
+    """(counts, j) of the feasible (T2, T3) = (axis[i], axis[j]) of the 3-user
+    mesh: counts[i] points on row i, and j of every point in row-major order.
 
     Inside :func:`_grid_box` each row's feasible columns are one interval.
     As T3 grows along a row, T3 <= delta[1]*T2 - rho[1] and T2 - T3 >= T3
@@ -406,10 +417,9 @@ def _grid_feasible(axis, p_max, delta, rho, theta) -> tuple[np.ndarray, np.ndarr
     lo = _first_true(lambda c: room >= t2 - t3[c], rows, t3.size - 1)
     hi = _first_true(lambda c: ~((t3[c] <= cap) & (t2 - t3[c] >= t3[c])), rows, t3.size - 1)
     counts = np.maximum(hi - lo, 0)
-    i = np.repeat(np.arange(rows), counts)
     # Column of the k-th point: its row's first column plus its rank within the row.
-    j = np.arange(i.size) + (first + lo - (np.cumsum(counts) - counts))[i]
-    return i, j
+    j = np.arange(counts.sum()) + np.repeat(first + lo - (np.cumsum(counts) - counts), counts)
+    return counts, j
 
 
 def grid_power_oracle(
@@ -462,22 +472,17 @@ def grid_power_oracle(
         tail = np.array([p_max, t2[k]])
         return powers_from_tail(tail), float(obj[k])
 
-    i, j = _grid_feasible(axis, p_max, delta, rho, theta)
-    if not i.size:
+    counts, j = _grid_feasible(axis, p_max, delta, rho, theta)
+    if not j.size:
         raise GridResolutionError("no feasible grid point; refine the step")
-    # Each log term is a 1-D table on the axis, gathered in the full mesh's
-    # row-major order and summed left to right as the mesh form would be.
+    # Each log term is a 1-D table on the axis, summed left to right as the
+    # full mesh's row-major form would be.  The first three terms depend on
+    # the row only, so they are formed once per row and repeated.
+    t2 = axis[: counts.size]
     log_g1 = np.log1p(g[1] * axis)
-    obj = (
-        bw / _LOG2
-        * (
-            math.log1p(g[0] * p_max)
-            + log_g1[i]
-            - np.log1p(g[0] * axis)[i]
-            + np.log1p(g[2] * axis)[j]
-            - log_g1[j]
-        )
-    )
+    row_part = math.log1p(g[0] * p_max) + log_g1[: counts.size] - np.log1p(g[0] * t2)
+    obj = bw / _LOG2 * (np.repeat(row_part, counts) + np.log1p(g[2] * axis)[j] - log_g1[j])
     k = int(np.argmax(obj))
-    tail = np.array([p_max, float(axis[i[k]]), float(axis[j[k]])])
+    i = int(np.searchsorted(np.cumsum(counts), k, side="right"))
+    tail = np.array([p_max, float(axis[i]), float(axis[j[k]])])
     return powers_from_tail(tail), float(obj[k])

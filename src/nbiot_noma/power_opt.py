@@ -452,12 +452,13 @@ def probe_concavity(
         raise ValueError("gains must be strictly ascending for the probe")
     rng = np.random.default_rng(0) if rng is None else rng
 
+    # Per consecutive pair: its gains and the log-range its tail values span.
+    pairs = [(lo, hi, np.log(1e-2 / hi), np.log(1e2 / lo)) for lo, hi in zip(g[:-1], g[1:])]
     pos_closed = pos_fd = mismatched = 0
     worst = 0.0
     for _ in range(samples):
-        j = int(rng.integers(1, cluster.size))
-        lo, hi = g[j - 1], g[j]
-        z = float(np.exp(rng.uniform(np.log(1e-2 / hi), np.log(1e2 / lo))))
+        lo, hi, log_z_min, log_z_max = pairs[int(rng.integers(1, cluster.size)) - 1]
+        z = float(np.exp(rng.uniform(log_z_min, log_z_max)))
         closed = second_derivative_core(lo, hi, z)
 
         def core(t):

@@ -77,8 +77,8 @@ MUTANTS = (
     Mutant(
         "ofdma-rates-up-1e-15",
         "src/nbiot_noma/baselines.py",
-        "rates[dev] = bw * float(np.log1p(h * p / noise).sum()) / _LOG2",
-        "rates[dev] = bw * float(np.log1p(h * p / noise).sum()) / _LOG2 * (1 + 1e-15)",
+        "solo = bw * np.log1p(gains_t * budgets / noise) / _LOG2",
+        "solo = bw * np.log1p(gains_t * budgets / noise) / _LOG2 * (1 + 1e-15)",
         ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
     ),
     Mutant(
@@ -156,8 +156,25 @@ MUTANTS = (
     Mutant(
         "greedy-skips-deferred-rebuild",
         "src/nbiot_noma/allocation.py",
-        "        for c in np.unique(owner[:next_s]):\n            rebuild(c, next_s)\n",
-        "        pass\n",
+        "    if next_s < num_s:\n        build_rows(next_s)\n",
+        "    if next_s < num_s:\n        pass\n",
+        ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
+    ),
+    Mutant(
+        "phase2-grown-strided-sum",
+        "src/nbiot_noma/allocation.py",
+        "np.ascontiguousarray(terms[:, group[:, None], tones].transpose(1, 0, 2))",
+        "terms[:, group[:, None], tones].transpose(1, 0, 2)",
+        (
+            "tests/test_allocation_reference.py::"
+            "test_cluster_deep_in_phase_one_matches_reference",
+        ),
+    ),
+    Mutant(
+        "phase2-split-off-by-one",
+        "src/nbiot_noma/allocation.py",
+        "(slot_budgets / (counts + 1)[:, None, None])",
+        "(slot_budgets / counts[:, None, None])",
         ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
     ),
     Mutant(
@@ -170,8 +187,8 @@ MUTANTS = (
     Mutant(
         "ofdma-power-up-1e-9",
         "src/nbiot_noma/baselines.py",
-        "p = scenario.power_budgets[dev] / len(tones)",
-        "p = scenario.power_budgets[dev] / len(tones) * (1 + 1e-9)",
+        "p = budgets[dev] / len(tones)",
+        "p = budgets[dev] / len(tones) * (1 + 1e-9)",
         ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
     ),
     Mutant(

@@ -28,6 +28,7 @@ from reference_allocation import (
     reference_fast_ofdm_allocate,
     reference_ofdma_allocate,
 )
+from reference_rate_model import sic_member_rates
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SEEDS_PER_CELL = 20
@@ -141,6 +142,26 @@ def test_exact_ties_go_to_the_first_cluster(thresholds):
     assignment = ClusterAssignment(clusters=[[0, 1], [2, 3]])
     assert_same_allocation(sc, assignment)
     assert list(allocate(sc, assignment)[0].owner) == [0, 1, 0, 1]
+
+
+def test_cluster_deep_in_phase_one_matches_reference():
+    # One cluster must own 9 strong tones before both members meet their
+    # thresholds, so phase 2 opens on a cluster whose per-member log terms
+    # numpy sums in 8 lanes, where a strided sum rounds differently.  Tone 9
+    # is weak, so taking it lowers both rates; the thresholds sit exactly on
+    # (member 0) and one ulp above (member 1) the rates at 10 tones, so the
+    # satisfied mask of that commit shows the last bit of both rates.
+    gains = np.full((2, 10), 1e-3)
+    gains[:, :9] = np.random.default_rng(9).uniform(50.0, 200.0, (2, 9))
+    at_ten = sic_member_rates(gains, np.full(gains.shape, 1.0 / 10), 1.0, 1.0)
+    thresholds = [at_ten[0], np.nextafter(at_ten[1], np.inf)]
+    sc = make_scenario(gains, "um", thresholds=thresholds)
+    assignment = ClusterAssignment(clusters=[[0, 1]])
+    assert_same_allocation(sc, assignment)
+    steps = []
+    allocate(sc, assignment, on_step=lambda *a: steps.append(a))
+    assert [phase for _, _, _, phase in steps] == [1] * 9 + [2]
+    assert list(steps[-1][2]) == [True, False]
 
 
 @st.composite

@@ -136,7 +136,8 @@ def boundary_cases():
 def assert_same_feasible_set(cluster, step):
     delta, rho, theta = threshold_coefficients(cluster)
     axis = np.arange(0.0, cluster.total_power + step / 2.0, step)
-    i, j = _grid_feasible(axis, cluster.total_power, delta, rho, theta)
+    counts, j = _grid_feasible(axis, cluster.total_power, delta, rho, theta)
+    i = np.repeat(np.arange(counts.size), counts)
     ref_i, ref_j = np.nonzero(reference_mesh_feasible(cluster, step))
     assert np.array_equal(i, ref_i), (cluster, step)
     assert np.array_equal(j, ref_j), (cluster, step)
