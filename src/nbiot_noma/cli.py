@@ -114,6 +114,8 @@ def _cmd_sweep(args) -> int:
             mmtc_to_urllc_ratio=ratio,
         )
         spec.validate()
+        if args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     results = run_experiment(spec, workers=args.workers)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -199,8 +198,12 @@ def run_experiment(
     as results with NaN metrics and the error string attached rather than
     being dropped; any other exception is a bug and propagates.
     ``measure_runtime=False`` zeroes the wall-clock field so two runs of
-    the same spec produce byte-identical CSV output.
+    the same spec produce byte-identical CSV output.  ``workers`` below 1
+    raises ``ValueError`` before any trial runs; above 1, the trials run
+    in a process pool.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     spec.validate()
     jobs = [
         (spec, i, value, t, measure_runtime, check_invariants)
@@ -208,6 +211,8 @@ def run_experiment(
         for t in range(spec.trials)
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(_run_trial, jobs, chunksize=1))
     else:

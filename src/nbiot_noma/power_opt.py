@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     ConvergenceError,
@@ -245,6 +244,8 @@ def _lp_argmin(c, a_ub, b_ub, p_max) -> np.ndarray | None:
     """
     m = c.size
     if m > 2:
+        from scipy import optimize  # imported on first use: see maximize_rates
+
         res = optimize.linprog(
             c=c, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, p_max)] * m, method="highs"
         )
@@ -333,6 +334,10 @@ def maximize_rates(
             optimality_gap=0.0,
             iterations=0,
         )
+
+    # Imported here, not at the top: a Monte Carlo run never solves for
+    # power, and this import takes most of the package's start-up time.
+    from scipy import optimize
 
     a_ub, b_ub = _constraint_system(cluster)
 

@@ -261,6 +261,21 @@ MUTANTS = (
         '    "grid_power_oracle",\n    "mckp_oracle_fixed_powers",\n]',
         ("tests/test_package_surface.py::test_all_names_resolve",),
     ),
+    Mutant(
+        "eager-scipy-import",
+        "src/nbiot_noma/power_opt.py",
+        "import numpy as np\n\nfrom .errors import (",
+        "import numpy as np\nfrom scipy import optimize\n\nfrom .errors import (",
+        ("tests/test_cold_start.py",),
+    ),
+    Mutant(
+        "eager-process-pool",
+        "src/nbiot_noma/harness.py",
+        "import time\nfrom dataclasses import dataclass, replace\n",
+        "import time\nfrom concurrent.futures import ProcessPoolExecutor\n"
+        "from dataclasses import dataclass, replace\n",
+        ("tests/test_cold_start.py",),
+    ),
 )
 
 

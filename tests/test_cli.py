@@ -195,6 +195,8 @@ def test_bug_exits_runtime_with_traceback(tmp_path, config_file, monkeypatch, ca
         ["sweep", "--var", "k_max", "--values", "2,abc"],
         ["run", "--trials", "0"],
         ["run", "--schemes", "noma,bogus"],
+        ["run", "--workers", "0"],
+        ["run", "--workers", "-1"],
     ],
 )
 def test_bad_argument_value_is_usage_error(tmp_path, config_file, capsys, argv):

@@ -1,0 +1,86 @@
+"""A Monte Carlo run loads numpy only.
+
+SciPy's optimizer is imported by the first power solve and the process
+pool by the first run with ``workers > 1``, so importing the package and
+running trials serially pay for neither.  The check starts a fresh
+interpreter, since this test session has long since loaded both.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json
+import sys
+
+import numpy as np
+
+import nbiot_noma
+from nbiot_noma import cli
+from nbiot_noma.harness import ExperimentSpec, emit_csv, run_experiment
+from nbiot_noma.power_opt import OrderedCluster, maximize_rates
+from nbiot_noma.scenario import read_config_file
+
+
+def deferred():
+    return sorted(
+        name for name in sys.modules
+        if name == "scipy" or name.startswith("scipy.")
+        or name == "concurrent.futures.process"
+    )
+
+
+config_path, api_csv, cli_csv = sys.argv[1:]
+state = {"after_import": deferred()}
+config = read_config_file(config_path)
+spec = ExperimentSpec(
+    base_config=config,
+    sweep_values=(config.num_devices,),
+    trials=1,
+    schemes=("noma", "ofdma", "fast_ofdm"),
+    mmtc_to_urllc_ratio=config.num_mmtc / config.num_urllc,
+)
+results = run_experiment(spec, check_invariants=True)
+state["errors"] = [r.error for r in results if r.error is not None]
+emit_csv(results, api_csv)
+state["after_run"] = deferred()
+state["cli_exit"] = cli.main(
+    ["run", "--config", config_path, "--out", cli_csv, "--trials", "1",
+     "--schemes", "noma,ofdma,fast_ofdm"]
+)
+state["after_cli"] = deferred()
+cluster = OrderedCluster(
+    normalized_gains=np.array([1.0, 2.0]),
+    rate_thresholds=np.array([0.1, 0.1]),
+    total_power=3.0,
+    bandwidth_hz=1.0,
+)
+maximize_rates(cluster)
+state["optimize_after_solve"] = "scipy.optimize" in sys.modules
+print(json.dumps(state))
+"""
+
+
+def test_monte_carlo_run_loads_neither_scipy_nor_the_process_pool(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    config = ROOT / "configs" / "cell_default.cfg"
+    api_csv, cli_csv = tmp_path / "api.csv", tmp_path / "cli.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(config), str(api_csv), str(cli_csv)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    state = json.loads(proc.stdout.splitlines()[-1])
+    assert state["after_import"] == []
+    assert state["errors"] == []
+    assert state["after_run"] == []
+    assert state["cli_exit"] == 0
+    assert state["after_cli"] == []
+    assert api_csv.read_text().count("\n") == 1 + 3
+    assert cli_csv.read_text().count("\n") == 1 + 3
+    assert state["optimize_after_solve"] is True

@@ -73,6 +73,15 @@ class TestRunExperiment:
         parallel = run_experiment(spec, workers=2, measure_runtime=False)
         assert serial == parallel
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected_before_any_trial(self, monkeypatch, workers):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("nbiot_noma.harness.generate_scenario", no_trial)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_experiment(small_spec(trials=1), workers=workers)
+
     def test_failed_trial_recorded_with_error(self):
         # 3 devices with max_rank=2 force a 2-cluster split where one
         # cluster is a singleton and no repair exists

@@ -16,8 +16,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import optimize
 
-from nbiot_noma import baselines, power_opt
+from nbiot_noma import baselines
 from nbiot_noma.baselines import (
     _ClusteringScorer,
     _grid_box,
@@ -298,15 +299,19 @@ def assert_same_solution(new, ref, gap_rtol):
 
 @pytest.fixture
 def highs_calls(monkeypatch):
-    """Counts the LPs the package hands to SciPy's HiGHS."""
+    """Counts the LPs the package hands to SciPy's HiGHS.
+
+    ``power_opt`` imports ``scipy.optimize`` on first use, so the count
+    goes through the attribute that import resolves at call time.
+    """
     calls = []
-    linprog = power_opt.optimize.linprog
+    linprog = optimize.linprog
 
     def counting(*args, **kwargs):
         calls.append(kwargs["c"].size)
         return linprog(*args, **kwargs)
 
-    monkeypatch.setattr(power_opt.optimize, "linprog", counting)
+    monkeypatch.setattr(optimize, "linprog", counting)
     return calls
 
 
