@@ -16,9 +16,7 @@ from .scenario import (
 )
 from .rate_model import (
     ClusterAssignment,
-    PowerMatrix,
     RateReport,
-    SubcarrierMap,
     jain_fairness,
     rate_report,
     validate,

@@ -36,9 +36,7 @@ import numpy as np
 from .errors import InvalidAssignmentError, NonFiniteRateError
 from .rate_model import (
     ClusterAssignment,
-    PowerMatrix,
     RateReport,
-    SubcarrierMap,
     equal_split_powers,
     rate_report,
     sic_log_terms,
@@ -53,8 +51,9 @@ def allocate(
     scenario: Scenario,
     assignment: ClusterAssignment,
     on_step: Callable[[int, int, np.ndarray, int], None] | None = None,
-) -> tuple[SubcarrierMap, PowerMatrix, RateReport]:
-    """Run the greedy loop; returns the subcarrier map, powers and rates.
+) -> tuple[np.ndarray, np.ndarray, RateReport]:
+    """Run the greedy loop; returns (owner, watts, report): each tone's
+    cluster (S,), every device's power on every tone (n, S) and the rates.
 
     ``on_step``, if given, is called after every assignment with
     (subcarrier, cluster, satisfied mask copy, phase) and exists for
@@ -62,7 +61,7 @@ def allocate(
     :class:`~nbiot_noma.errors.NonFiniteRateError` when a candidate's sum
     rate is NaN or infinite.
     """
-    violations = structural_violations(assignment, scenario)
+    violations = structural_violations(scenario, assignment)
     if violations:
         raise InvalidAssignmentError(violations)
 
@@ -177,6 +176,5 @@ def allocate(
     for s in range(next_s, num_s):
         rebuild(commit(s, nonempty, phase=2), s + 1)
 
-    sub_map = SubcarrierMap(owner=owner)
-    powers = equal_split_powers(scenario, assignment.cluster_of(scenario.num_devices), owner)
-    return sub_map, powers, rate_report(scenario, assignment, sub_map, powers)
+    watts = equal_split_powers(scenario, assignment.cluster_of(scenario.num_devices), owner)
+    return owner, watts, rate_report(scenario, assignment, owner, watts)

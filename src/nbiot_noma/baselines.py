@@ -22,9 +22,7 @@ from .power_opt import (
 )
 from .rate_model import (
     ClusterAssignment,
-    PowerMatrix,
     RateReport,
-    SubcarrierMap,
     build_report,
     equal_split_powers,
     rate_report,
@@ -53,7 +51,7 @@ EXHAUSTIVE_MAX_SUBCARRIERS = 6
 GRID_MAX_USERS = 3
 
 
-def ofdma_allocate(scenario: Scenario) -> tuple[np.ndarray, PowerMatrix, RateReport]:
+def ofdma_allocate(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, RateReport]:
     """Greedy one-device-per-subcarrier allocation.
 
     Each subcarrier (ascending index) goes to the unsatisfied device with
@@ -63,7 +61,8 @@ def ofdma_allocate(scenario: Scenario) -> tuple[np.ndarray, PowerMatrix, RateRep
     Most devices own one tone, so every device's rate on every tone as
     its only one is built up front in one call; a device reads its first
     tone's rate from that table and recomputes only from its second on.
-    Returns (owner device per subcarrier with -1 for none, powers, report).
+    Returns (owner, watts, report) as :func:`~nbiot_noma.allocation.allocate`
+    does, with each device its own group: ``owner[s]`` is a device id.
     """
     n = scenario.num_devices
     num_s = scenario.config.num_subcarriers
@@ -104,8 +103,8 @@ def ofdma_allocate(scenario: Scenario) -> tuple[np.ndarray, PowerMatrix, RateRep
             pool_gains[:, dev] = gains_t[:, dev] if short else -math.inf
 
     owner_arr = np.array(owner, dtype=int)
-    powers = equal_split_powers(scenario, np.arange(n), owner_arr)
-    return owner_arr, powers, build_report(scenario, rates)
+    watts = equal_split_powers(scenario, np.arange(n), owner_arr)
+    return owner_arr, watts, build_report(scenario, rates)
 
 
 def half_tone_scenario(scenario: Scenario) -> Scenario:
@@ -119,10 +118,10 @@ def half_tone_scenario(scenario: Scenario) -> Scenario:
                    gain_matrix=np.repeat(scenario.gain_matrix, 2, axis=1))
 
 
-def fast_ofdm_allocate(scenario: Scenario) -> tuple[np.ndarray, PowerMatrix, RateReport]:
+def fast_ofdm_allocate(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, RateReport]:
     """OFDMA on the tone-split cell: twice the tones at half the bandwidth.
 
-    The returned owner array and power matrix are indexed by half-tones;
+    The returned owner (2S,) and watts (n, 2S) are indexed by half-tones;
     the report compares against the same per-device thresholds, so up to
     2S devices can be served.
     """
@@ -181,11 +180,11 @@ def _best_map(per_tone: np.ndarray, maps) -> tuple[float, np.ndarray]:
 
 def mckp_oracle(
     scenario: Scenario, assignment: ClusterAssignment
-) -> tuple[SubcarrierMap, PowerMatrix, RateReport]:
+) -> tuple[np.ndarray, np.ndarray, RateReport]:
     """Best subcarrier-to-cluster map by full enumeration of all C^S maps.
 
     The exact counterpart of :func:`nbiot_noma.allocation.allocate`: the
-    same arguments and the same (map, powers, report) triple.  Every
+    same arguments and the same (owner, watts, report) triple.  Every
     candidate map is scored under the greedy's equal-split rule (budget
     divided by the cluster's owned-tone count).  Ties go to the
     lexicographically smallest map.
@@ -198,11 +197,9 @@ def mckp_oracle(
             f"({MCKP_MAX_SUBCARRIERS}, {MCKP_MAX_CLUSTERS})"
         )
     per_tone = _tone_values_equal_split(scenario, assignment)  # (S, C, S)
-    sub_map = SubcarrierMap(owner=_best_map(per_tone, _lex_maps(num_s, num_c))[1])
-    powers = equal_split_powers(
-        scenario, assignment.cluster_of(scenario.num_devices), sub_map.owner
-    )
-    return sub_map, powers, rate_report(scenario, assignment, sub_map, powers)
+    owner = _best_map(per_tone, _lex_maps(num_s, num_c))[1]
+    watts = equal_split_powers(scenario, assignment.cluster_of(scenario.num_devices), owner)
+    return owner, watts, rate_report(scenario, assignment, owner, watts)
 
 
 def _equal_split_rates(scenario, members, tones) -> np.ndarray:
@@ -318,7 +315,7 @@ _RESCORE_RTOL = 1e-9
 
 def exhaustive_clustering(
     scenario: Scenario,
-) -> tuple[ClusterAssignment, SubcarrierMap, RateReport]:
+) -> tuple[ClusterAssignment, np.ndarray, RateReport]:
     """Global optimum over all valid clusterings and subcarrier maps.
 
     Every structurally valid assignment is paired with its best map under
@@ -362,9 +359,8 @@ def exhaustive_clustering(
                 best = (value, clusters, owner)
     _, clusters, owner = best
     assignment = ClusterAssignment(clusters=[list(order) for order in clusters])
-    sub_map = SubcarrierMap(owner=owner)
-    powers = equal_split_powers(scenario, assignment.cluster_of(scenario.num_devices), owner)
-    return assignment, sub_map, rate_report(scenario, assignment, sub_map, powers)
+    watts = equal_split_powers(scenario, assignment.cluster_of(scenario.num_devices), owner)
+    return assignment, owner, rate_report(scenario, assignment, owner, watts)
 
 
 def _grid_box(axis, p_max, delta, rho, theta) -> tuple[int, int, int]:

@@ -125,8 +125,6 @@ def _repair_singletons(clusters, scenario: Scenario, k_max: int) -> None:
         clusters[target].append(dev)
 
 
-def build_clusters(scenario: Scenario, num_clusters: int | None = None) -> ClusterAssignment:
-    """URLLC then mMTC clustering in one call."""
-    if num_clusters is None:
-        num_clusters = scenario.config.num_clusters
-    return cluster_mmtc(scenario, cluster_urllc(scenario, num_clusters))
+def build_clusters(scenario: Scenario) -> ClusterAssignment:
+    """URLLC then mMTC clustering in one call, into the config's cluster count."""
+    return cluster_mmtc(scenario, cluster_urllc(scenario, scenario.config.num_clusters))

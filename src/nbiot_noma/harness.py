@@ -127,15 +127,15 @@ def evaluate_scheme(scheme: str, scenario: Scenario, check: bool = False):
     """One scheme on one scenario; returns its RateReport."""
     if scheme == "noma":
         assignment = build_clusters(scenario)
-        sub_map, powers, report = allocate(scenario, assignment)
+        owner, watts, report = allocate(scenario, assignment)
         if check:
-            violations = validate(assignment, sub_map, powers, scenario)
+            violations = validate(scenario, assignment, owner, watts)
             if violations:
                 raise AssertionError(
                     "pipeline output violates constraints: "
                     + "; ".join(str(v) for v in violations)
                 )
-            mismatch = sic_chain_mismatch(scenario, assignment, sub_map, powers)
+            mismatch = sic_chain_mismatch(scenario, assignment, owner, watts)
             if not mismatch <= 1e-9:  # NaN fails too
                 raise AssertionError(
                     f"SIC chain conservation off by {mismatch:.3e} relative"

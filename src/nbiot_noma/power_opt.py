@@ -50,7 +50,15 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+
+# maximize_rates stops once the LP optimality gap is within GAP_RTOL of the
+# objective, accepts an SLSQP point whose constraint violation is within
+# FEASIBILITY_ATOL watts, and raises ConvergenceError after MAX_ITERATIONS.
+GAP_RTOL = 1e-6
+FEASIBILITY_ATOL = 1e-9
 MAX_ITERATIONS = 10_000
+# probe_concavity counts a sample as mismatched beyond this relative error.
+CONCAVITY_RTOL = 1e-4
 
 
 @dataclass(eq=False)
@@ -179,50 +187,23 @@ def _constraint_system(cluster: OrderedCluster):
 
     Rows: the threshold chain T[j+1] <= delta[j]*T[j] - rho[j]; the
     difference ordering (T[j] - T[j+1]) nonincreasing with the last
-    difference at least T[n]; and T[n] >= theta[n].
+    difference at least T[n]; and T[n] >= theta[n].  They are filled over
+    (T[1], ..., T[n]) and T[1] is then moved to the right-hand side.
     """
     n = cluster.size
-    p_max = cluster.total_power
     delta, rho, theta = threshold_coefficients(cluster)
-    m = n - 1
-    rows, rhs = [], []
-
-    for j in range(n - 1):  # threshold chain, 0-based j pairs (j, j+1)
-        row = np.zeros(m)
-        row[j] = 1.0
-        if j == 0:
-            rhs.append(delta[0] * p_max - rho[0])
-        else:
-            row[j - 1] = -delta[j]
-            rhs.append(-rho[j])
-        rows.append(row)
-
-    for j in range(n - 2):  # difference ordering: -T[j] + 2T[j+1] - T[j+2] <= 0
-        row = np.zeros(m)
-        row[j] += 2.0
-        row[j + 1] -= 1.0
-        if j == 0:
-            rhs.append(p_max)
-        else:
-            row[j - 1] -= 1.0
-            rhs.append(0.0)
-        rows.append(row)
-
-    row = np.zeros(m)  # last difference: 2*T[n] - T[n-1] <= 0
-    row[m - 1] = 2.0
-    if m >= 2:
-        row[m - 2] -= 1.0
-        rhs.append(0.0)
-    else:
-        rhs.append(p_max)
-    rows.append(row)
-
-    row = np.zeros(m)  # minimum tail for the last user: T[n] >= theta[n]
-    row[m - 1] = -1.0
-    rows.append(row)
-    rhs.append(-theta[-1])
-
-    return np.vstack(rows), np.array(rhs)
+    a = np.zeros((2 * n - 1, n))
+    b = np.zeros(2 * n - 1)
+    j = np.arange(n - 1)  # threshold chain: -delta[j]*T[j] + T[j+1] <= -rho[j]
+    a[j, j] = -delta[:-1]
+    a[j, j + 1] = 1.0
+    b[j] = -rho[:-1]
+    j = np.arange(n - 2)  # difference ordering: -T[j] + 2*T[j+1] - T[j+2] <= 0
+    a[n - 1 + j[:, None], j[:, None] + np.arange(3)] = (-1.0, 2.0, -1.0)
+    a[-2, -2:] = (-1.0, 2.0)  # last difference: -T[n-1] + 2*T[n] <= 0
+    a[-1, -1] = -1.0  # minimum tail for the last user: -T[n] <= -theta[n]
+    b[-1] = -theta[-1]
+    return np.ascontiguousarray(a[:, 1:]), b - a[:, 0] * cluster.total_power
 
 
 # Constraint slack allowed to a vertex of a small LP, in units of the
@@ -301,13 +282,7 @@ def _certified_gap(x, grad, a_ub, b_ub, p_max):
     return float(grad @ (vertex - x)), vertex
 
 
-def maximize_rates(
-    cluster: OrderedCluster,
-    *,
-    gap_rtol: float = 1e-6,
-    feasibility_atol: float = 1e-9,
-    max_iterations: int = MAX_ITERATIONS,
-) -> PowerSolution:
+def maximize_rates(cluster: OrderedCluster) -> PowerSolution:
     """Maximize the cluster sum rate over the linear feasible set.
 
     A smooth constrained step (SLSQP) does the bulk of the work; the
@@ -316,7 +291,7 @@ def maximize_rates(
     that stay inside the polytope.  Raises :class:`InfeasibleClusterError`
     when no tail vector meets the thresholds and
     :class:`ConvergenceError` (carrying the best iterate) if tolerances
-    are unmet after ``max_iterations``.
+    are unmet after ``MAX_ITERATIONS``.
     """
     start = find_feasible_tail(cluster)
     if start is None:
@@ -370,20 +345,20 @@ def maximize_rates(
         float(np.max(-candidate, initial=0.0)),
         float(np.max(candidate - p_max, initial=0.0)),
     )
-    if violation <= feasibility_atol:
+    if violation <= FEASIBILITY_ATOL:
         x = candidate
 
     best_x, best_obj = x, -neg_obj(x)
-    while iterations < max_iterations:
+    while iterations < MAX_ITERATIONS:
         grad = -neg_grad(x)
         obj = -neg_obj(x)
         if obj > best_obj:
             best_x, best_obj = x, obj
         gap, vertex = _certified_gap(x, grad, a_ub, b_ub, p_max)
-        if gap <= gap_rtol * max(abs(obj), 1e-300):
+        if gap <= GAP_RTOL * max(abs(obj), 1e-300):
             tail = full(x)
             return PowerSolution(
-                powers=powers_from_tail(tail, tol=feasibility_atol),
+                powers=powers_from_tail(tail, tol=FEASIBILITY_ATOL),
                 objective=obj,
                 tail=tail,
                 optimality_gap=gap,
@@ -399,8 +374,8 @@ def maximize_rates(
         x = x + float(line.x) * direction
         iterations += 1
     raise ConvergenceError(
-        f"optimality gap above tolerance after {max_iterations} iterations",
-        best_powers=powers_from_tail(full(best_x), tol=feasibility_atol),
+        f"optimality gap above tolerance after {MAX_ITERATIONS} iterations",
+        best_powers=powers_from_tail(full(best_x), tol=FEASIBILITY_ATOL),
         best_objective=best_obj,
     )
 
@@ -442,7 +417,6 @@ def probe_concavity(
     cluster: OrderedCluster,
     samples: int = 1000,
     rng: np.random.Generator | None = None,
-    rel_tol: float = 1e-4,
 ) -> ConcavityReport:
     """Cross-check curvature signs numerically; failures are counted, not raised.
 
@@ -478,7 +452,7 @@ def probe_concavity(
             pos_fd += 1
         rel = abs(closed - fd) / max(abs(closed), 1e-300)
         worst = max(worst, rel)
-        if rel > rel_tol:
+        if rel > CONCAVITY_RTOL:
             mismatched += 1
     return ConcavityReport(
         samples=samples,

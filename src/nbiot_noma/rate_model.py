@@ -30,8 +30,6 @@ from .scenario import Scenario
 
 __all__ = [
     "ClusterAssignment",
-    "SubcarrierMap",
-    "PowerMatrix",
     "RateReport",
     "Violation",
     "sic_log_terms",
@@ -80,20 +78,6 @@ class ClusterAssignment:
 
 
 @dataclass
-class SubcarrierMap:
-    """owner[s] is the owning cluster index, or -1 while unassigned."""
-
-    owner: np.ndarray
-
-
-@dataclass
-class PowerMatrix:
-    """watts[d, s] is device d's transmit power on subcarrier s."""
-
-    watts: np.ndarray
-
-
-@dataclass
 class RateReport:
     rates: np.ndarray  # bps per device
     sum_rate: float  # bps
@@ -133,28 +117,41 @@ def sic_log_terms(received: np.ndarray, noise_watts: float) -> np.ndarray:
     return np.log1p(received / (noise_watts + interference_below(received)))
 
 
-def equal_split_powers(scenario: Scenario, group_of, owner) -> PowerMatrix:
+def equal_split_powers(scenario: Scenario, group_of, owner) -> np.ndarray:
     """Every device spreads its budget evenly over its group's tones.
 
     ``group_of[d]`` is device d's group and ``owner[s]`` the group that owns
-    tone s, -1 meaning none.  p[d, s] = budget(d) / (tones its group owns)
-    on those tones, 0 elsewhere; a group with no tones keeps zero rows.
+    tone s, -1 meaning none.  Returns the (n, S) watts: p[d, s] =
+    budget(d) / (tones its group owns) on those tones, 0 elsewhere; a group
+    with no tones keeps zero rows.
     """
     on = (owner >= 0) & (owner == group_of[:, None])
     share = scenario.power_budgets / np.maximum(on.sum(axis=1), 1)
-    return PowerMatrix(watts=np.where(on, share[:, None], 0.0))
+    return np.where(on, share[:, None], 0.0)
 
 
-def _sic_table(scenario, assignment, sub_map, powers):
+def _check_allocation(scenario: Scenario, owner: np.ndarray, watts: np.ndarray) -> None:
+    """Reject an allocation that does not fit the cell: ``owner`` must be an
+    integer (S,) vector and ``watts`` an (n, S) matrix."""
+    num_s = scenario.config.num_subcarriers
+    if owner.shape != (num_s,) or owner.dtype.kind not in "iu":
+        msg = f"owner has shape {owner.shape} and dtype {owner.dtype}, not integer ({num_s},)"
+        raise InvalidAssignmentError([Violation("C12", msg)])
+    if watts.shape != (scenario.num_devices, num_s):
+        raise InvalidPowerError(
+            f"watts has shape {watts.shape}, not ({scenario.num_devices}, {num_s})"
+        )
+
+
+def _sic_table(scenario, assignment, owner, watts):
     """(owners (T,), received power (K, T), ln(1 + SINR) (K, T)) over the T
     tones with a valid owner: a column holds its tone's owning cluster's
     members in rank order, padded by :meth:`ClusterAssignment.slot_table`."""
-    owner = sub_map.owner
     tones = np.flatnonzero((owner >= 0) & (owner < assignment.num_clusters))
     owners = owner[tones]
     rows = assignment.slot_table(scenario.num_devices)[owners].T
     pad = np.zeros((1, scenario.config.num_subcarriers))
-    received = np.vstack([scenario.gain_matrix * powers.watts, pad])[rows, tones]
+    received = np.vstack([scenario.gain_matrix * watts, pad])[rows, tones]
     return owners, received, sic_log_terms(received, scenario.config.noise_per_subcarrier)
 
 
@@ -192,14 +189,19 @@ def build_report(scenario: Scenario, rates: np.ndarray) -> RateReport:
 def rate_report(
     scenario: Scenario,
     assignment: ClusterAssignment,
-    sub_map: SubcarrierMap,
-    powers: PowerMatrix,
+    owner: np.ndarray,
+    watts: np.ndarray,
 ) -> RateReport:
     """Rates for every device plus sum rate, fairness and QoS satisfaction.
 
-    The first cluster member outside [0, n) raises ``InvalidAssignmentError``,
-    the first device in no cluster ``UnassignedDeviceError`` and the first
-    negative or non-finite power ``InvalidPowerError``."""
+    ``owner[s]`` is tone s's cluster, -1 for none, and ``watts[d, s]``
+    device d's power on it.  A misshapen ``owner`` or a non-integer one
+    raises ``InvalidAssignmentError``, misshapen ``watts``
+    ``InvalidPowerError``.  Then the first cluster member outside [0, n)
+    raises ``InvalidAssignmentError``, the first device in no cluster
+    ``UnassignedDeviceError`` and the first negative or non-finite power
+    ``InvalidPowerError``."""
+    _check_allocation(scenario, owner, watts)
     n = scenario.num_devices
     unknown = next((d for m in assignment.clusters for d in m if not 0 <= d < n), None)
     if unknown is not None:
@@ -207,13 +209,12 @@ def rate_report(
     unplaced = np.flatnonzero(assignment.cluster_of(n) < 0)
     if unplaced.size:
         raise UnassignedDeviceError(f"device {unplaced[0]} is in no cluster")
-    w = powers.watts
-    ok = (w >= 0) & (w < np.inf)
+    ok = (watts >= 0) & (watts < np.inf)
     if not ok.all():
         d, s = np.argwhere(~ok)[0]
-        raise InvalidPowerError(f"device {d} has power {float(w[d, s])!r} W on subcarrier {s}")
+        raise InvalidPowerError(f"device {d} has power {float(watts[d, s])!r} W on subcarrier {s}")
     rates = np.zeros(n)
-    owners, _, terms = _sic_table(scenario, assignment, sub_map, powers)
+    owners, _, terms = _sic_table(scenario, assignment, owner, watts)
     # A stable sort makes each cluster's tones one column range, in tone order.
     order = np.argsort(owners, kind="stable")
     terms = terms[:, order]
@@ -232,17 +233,18 @@ def rate_report(
 def sic_chain_mismatch(
     scenario: Scenario,
     assignment: ClusterAssignment,
-    sub_map: SubcarrierMap,
-    powers: PowerMatrix,
+    owner: np.ndarray,
+    watts: np.ndarray,
 ) -> float:
     """Worst relative error of the per-tone SIC telescoping identity.
 
     On any single tone the decode-and-subtract chain conserves capacity:
     the member rates sum to log2(1 + total received power / noise).
     Returns the largest relative mismatch over all owned tones (0.0 when
-    nothing is allocated).
+    nothing is allocated).  Misshapen arrays raise as in :func:`rate_report`.
     """
-    _, received, terms = _sic_table(scenario, assignment, sub_map, powers)
+    _check_allocation(scenario, owner, watts)
+    _, received, terms = _sic_table(scenario, assignment, owner, watts)
     chain = terms.sum(axis=0)
     direct = np.log1p(received.sum(axis=0) / scenario.config.noise_per_subcarrier)
     mismatch = np.abs(chain - direct) / np.maximum(np.abs(direct), 1e-300)
@@ -250,7 +252,7 @@ def sic_chain_mismatch(
 
 
 def structural_violations(
-    assignment: ClusterAssignment, scenario: Scenario
+    scenario: Scenario, assignment: ClusterAssignment
 ) -> list[Violation]:
     """Clustering constraints C5-C11 plus the rank capacity bound."""
     out = []
@@ -298,10 +300,10 @@ def structural_violations(
 
 
 def validate(
-    assignment: ClusterAssignment,
-    sub_map: SubcarrierMap,
-    powers: PowerMatrix,
     scenario: Scenario,
+    assignment: ClusterAssignment,
+    owner: np.ndarray,
+    watts: np.ndarray,
 ) -> list[Violation]:
     """All structural constraints (C2, C4-C18) as data, not exceptions.
 
@@ -311,12 +313,12 @@ def validate(
     indicators, one owner per subcarrier) never appear here.  The URLLC
     full-budget equality C4 is checked only for devices whose cluster owns
     spectrum; a cluster that received no subcarriers has nowhere to spend
-    its budget.
+    its budget.  Misshapen arrays raise as in :func:`rate_report`.
     """
-    out = list(structural_violations(assignment, scenario))
+    _check_allocation(scenario, owner, watts)
+    out = list(structural_violations(scenario, assignment))
     cfg = scenario.config
 
-    owner = sub_map.owner
     bad_owner = (owner < -1) | (owner >= assignment.num_clusters)
     for s in np.flatnonzero(bad_owner):
         out.append(Violation("C12", f"subcarrier {int(s)} owner {int(owner[s])} invalid"))
@@ -330,18 +332,17 @@ def validate(
             )
         )
 
-    w = powers.watts
-    neg = np.argwhere(w < 0)
+    neg = np.argwhere(watts < 0)
     for d, s in neg[:10]:
         cid = "C15" if scenario.is_urllc[d] else "C14"
         out.append(Violation(cid, f"negative power p[{int(d)},{int(s)}]"))
 
     cluster_of = assignment.cluster_of(scenario.num_devices)
     foreign = owner != cluster_of[:, None]
-    off = (w > 0) & foreign
+    off = (watts > 0) & foreign
     off_any = off.any(axis=1)
     # Row sums of a C-contiguous array keep each row's pairwise order.
-    row_sums = np.ascontiguousarray(w).sum(axis=1)
+    row_sums = np.ascontiguousarray(watts).sum(axis=1)
     budgets = scenario.power_budgets
     diff = np.abs(row_sums - budgets)
     # As math.isclose(row_sum, budget, rel_tol=BUDGET_RTOL): never for inf or NaN.

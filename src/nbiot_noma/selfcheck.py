@@ -164,8 +164,8 @@ def _check_pipeline_constraints(base, rng, trials=3) -> CheckResult:
         )
         scenario = generate_scenario(cfg)
         assignment = build_clusters(scenario)
-        sub_map, powers, _ = allocate(scenario, assignment)
-        worst_violations += len(validate(assignment, sub_map, powers, scenario))
+        owner, watts, _ = allocate(scenario, assignment)
+        worst_violations += len(validate(scenario, assignment, owner, watts))
     return CheckResult(
         "pipeline-constraints", worst_violations == 0, f"{worst_violations} violations"
     )

@@ -98,8 +98,8 @@ MUTANTS = (
     Mutant(
         "rate-report-accepts-negative-power",
         "src/nbiot_noma/rate_model.py",
-        "(w >= 0) & (w < np.inf)",
-        "(w >= -np.inf) & (w < np.inf)",
+        "(watts >= 0) & (watts < np.inf)",
+        "(watts >= -np.inf) & (watts < np.inf)",
         ("tests/test_rate_model_reference.py::test_bench_cells_match_reference",),
     ),
     Mutant(
@@ -126,17 +126,17 @@ MUTANTS = (
     Mutant(
         "greedy-spends-double-budget",
         "src/nbiot_noma/allocation.py",
-        "    return sub_map, powers, rate_report(scenario, assignment, sub_map, powers)",
-        "    powers.watts *= 2\n"
-        "    return sub_map, powers, rate_report(scenario, assignment, sub_map, powers)",
+        "    return owner, watts, rate_report(scenario, assignment, owner, watts)",
+        "    watts *= 2\n"
+        "    return owner, watts, rate_report(scenario, assignment, owner, watts)",
         ("tests/test_baselines.py::TestMckpOracle::test_dominates_greedy",),
     ),
     Mutant(
         "greedy-drops-final-rate-pass",
         "src/nbiot_noma/allocation.py",
-        "    return sub_map, powers, rate_report(scenario, assignment, sub_map, powers)",
+        "    return owner, watts, rate_report(scenario, assignment, owner, watts)",
         "    from .rate_model import build_report\n"
-        "    return sub_map, powers, build_report(scenario, rates)",
+        "    return owner, watts, build_report(scenario, rates)",
         ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
     ),
     Mutant(
@@ -275,6 +275,20 @@ MUTANTS = (
         "import time\nfrom concurrent.futures import ProcessPoolExecutor\n"
         "from dataclasses import dataclass, replace\n",
         ("tests/test_cold_start.py",),
+    ),
+    Mutant(
+        "rate-report-broadcasts-powers",
+        "src/nbiot_noma/rate_model.py",
+        "    if watts.shape != (scenario.num_devices, num_s):",
+        "    if False:",
+        ("tests/test_rate_model.py::TestAllocationShape",),
+    ),
+    Mutant(
+        "ordering-stencil-loses-a-tail",
+        "src/nbiot_noma/power_opt.py",
+        "= (-1.0, 2.0, -1.0)",
+        "= (-1.0, 1.0, -1.0)",
+        ("tests/test_power_opt.py::TestSolve::test_contract_on_random_instances",),
     ),
 )
 

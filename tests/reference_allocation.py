@@ -21,9 +21,7 @@ from nbiot_noma.baselines import half_tone_scenario
 from nbiot_noma.errors import InvalidAssignmentError
 from nbiot_noma.rate_model import (
     ClusterAssignment,
-    PowerMatrix,
     RateReport,
-    SubcarrierMap,
     build_report,
     structural_violations,
 )
@@ -34,27 +32,27 @@ from reference_rate_model import sic_member_rates
 _LOG2 = math.log(2.0)
 
 
-def _powers_for(scenario: Scenario, clusters, owned_tones) -> PowerMatrix:
+def _powers_for(scenario: Scenario, clusters, owned_tones) -> np.ndarray:
     watts = np.zeros((scenario.num_devices, scenario.config.num_subcarriers))
     for members, tones in zip(clusters, owned_tones):
         if tones:
             for dev in members:
                 watts[dev, tones] = scenario.power_budgets[dev] / len(tones)
-    return PowerMatrix(watts=watts)
+    return watts
 
 
 def reference_allocate(
     scenario: Scenario,
     assignment: ClusterAssignment,
     on_step: Callable[[int, int, np.ndarray, int], None] | None = None,
-) -> tuple[SubcarrierMap, PowerMatrix, RateReport]:
-    """Run the greedy loop; returns the subcarrier map, powers and rates.
+) -> tuple[np.ndarray, np.ndarray, RateReport]:
+    """Run the greedy loop; returns the owner, watts and rates.
 
     ``on_step``, if given, is called after every assignment with
     (subcarrier, cluster, satisfied mask copy, phase) and exists for
     instrumentation in tests.
     """
-    violations = structural_violations(assignment, scenario)
+    violations = structural_violations(scenario, assignment)
     if violations:
         raise InvalidAssignmentError(violations)
 
@@ -127,9 +125,7 @@ def reference_allocate(
     owner = np.full(num_s, -1, dtype=int)
     for c, tones in enumerate(owned):
         owner[tones] = c
-    sub_map = SubcarrierMap(owner=owner)
-    powers = _powers_for(scenario, clusters, owned)
-    return sub_map, powers, build_report(scenario, rates)
+    return owner, _powers_for(scenario, clusters, owned), build_report(scenario, rates)
 
 
 def _oma_rates(scenario: Scenario, tones_of: list[list[int]]) -> np.ndarray:
@@ -144,14 +140,14 @@ def _oma_rates(scenario: Scenario, tones_of: list[list[int]]) -> np.ndarray:
     return rates
 
 
-def reference_ofdma_allocate(scenario: Scenario) -> tuple[np.ndarray, PowerMatrix, RateReport]:
+def reference_ofdma_allocate(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, RateReport]:
     """Greedy one-device-per-subcarrier allocation.
 
     Each subcarrier (ascending index) goes to the unsatisfied device with
     the highest gain on it, or to the overall highest-gain device once
     everyone is satisfied.  A device splits its budget evenly over the
     tones it owns, so rates are plain interference-free Shannon rates.
-    Returns (owner device per subcarrier with -1 for none, powers, report).
+    Returns (owner device per subcarrier with -1 for none, watts, report).
     """
     n = scenario.num_devices
     num_s = scenario.config.num_subcarriers
@@ -172,11 +168,11 @@ def reference_ofdma_allocate(scenario: Scenario) -> tuple[np.ndarray, PowerMatri
     for dev, tones in enumerate(tones_of):
         if tones:
             watts[dev, tones] = scenario.power_budgets[dev] / len(tones)
-    return owner, PowerMatrix(watts=watts), build_report(scenario, rates)
+    return owner, watts, build_report(scenario, rates)
 
 
 def reference_fast_ofdm_allocate(
     scenario: Scenario,
-) -> tuple[np.ndarray, PowerMatrix, RateReport]:
+) -> tuple[np.ndarray, np.ndarray, RateReport]:
     """OFDMA reference on the tone-split cell."""
     return reference_ofdma_allocate(half_tone_scenario(scenario))

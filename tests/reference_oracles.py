@@ -58,7 +58,6 @@ from nbiot_noma.power_opt import (
 from nbiot_noma.rate_model import (
     ClusterAssignment,
     RateReport,
-    SubcarrierMap,
     rate_report,
     sic_log_terms,
 )
@@ -108,7 +107,7 @@ def _valid_assignments(scenario: Scenario, num_clusters: int, k_max: int):
             yield ClusterAssignment(clusters=[list(order) for order in combo])
 
 
-def reference_mckp_oracle(scenario: Scenario, assignment: ClusterAssignment) -> SubcarrierMap:
+def reference_mckp_oracle(scenario: Scenario, assignment: ClusterAssignment) -> np.ndarray:
     """Best subcarrier-to-cluster map by full enumeration of all C^S maps.
 
     Each candidate is scored under the same equal-split rule the greedy
@@ -143,12 +142,12 @@ def reference_mckp_oracle(scenario: Scenario, assignment: ClusterAssignment) -> 
         if obj[k] > best_obj:
             best_obj = float(obj[k])
             best_map = digits[k].copy()
-    return SubcarrierMap(owner=best_map.astype(int))
+    return best_map.astype(int)
 
 
 def reference_exhaustive_clustering(
     scenario: Scenario,
-) -> tuple[ClusterAssignment, SubcarrierMap, RateReport]:
+) -> tuple[ClusterAssignment, np.ndarray, RateReport]:
     """``exhaustive_clustering`` before the partition pruning: every valid
     assignment scored with the reference MCKP, the first best kept."""
     cfg = scenario.config
@@ -165,12 +164,12 @@ def reference_exhaustive_clustering(
         )
     best = None
     for assignment in _valid_assignments(scenario, cfg.num_clusters, cfg.max_rank):
-        sub_map = reference_mckp_oracle(scenario, assignment)
-        tone_sets = [np.flatnonzero(sub_map.owner == c) for c in range(assignment.num_clusters)]
-        powers = reference_equal_split_powers(scenario, assignment.clusters, tone_sets)
-        report = rate_report(scenario, assignment, sub_map, powers)
+        owner = reference_mckp_oracle(scenario, assignment)
+        tone_sets = [np.flatnonzero(owner == c) for c in range(assignment.num_clusters)]
+        watts = reference_equal_split_powers(scenario, assignment.clusters, tone_sets)
+        report = rate_report(scenario, assignment, owner, watts)
         if best is None or report.sum_rate > best[2].sum_rate:
-            best = (assignment, sub_map, report)
+            best = (assignment, owner, report)
     if best is None:
         raise InstanceTooLargeError("no structurally valid clustering exists")
     return best

@@ -8,7 +8,7 @@ lookups, and ``equal_split_powers`` as it stood before it took a
 device-to-group array.  Each cluster gathers its own (members, owned tones) block with
 ``np.ix_``, ``validate`` checks one device at a time, and the equal split
 loops over groups and members.  ``_slots`` and ``_owned_by`` are the
-former ``ClusterAssignment.slots`` and ``SubcarrierMap.owned_by``.  They
+former ``ClusterAssignment.slots`` and the subcarrier map's ``owned_by``.  They
 are kept verbatim so that the array versions in ``nbiot_noma.rate_model``
 can be checked against them for identical powers, rates, reports and
 violation lists.
@@ -24,9 +24,7 @@ from nbiot_noma.errors import UnassignedDeviceError
 from nbiot_noma.rate_model import (
     BUDGET_RTOL,
     ClusterAssignment,
-    PowerMatrix,
     RateReport,
-    SubcarrierMap,
     Violation,
     build_report,
     sic_log_terms,
@@ -43,11 +41,11 @@ def _slots(assignment: ClusterAssignment) -> dict[int, tuple[int, int]]:
     return out
 
 
-def _owned_by(sub_map: SubcarrierMap, cluster: int) -> np.ndarray:
-    return np.flatnonzero(sub_map.owner == cluster)
+def _owned_by(owner: np.ndarray, cluster: int) -> np.ndarray:
+    return np.flatnonzero(owner == cluster)
 
 
-def reference_equal_split_powers(scenario: Scenario, groups, tone_sets) -> PowerMatrix:
+def reference_equal_split_powers(scenario: Scenario, groups, tone_sets) -> np.ndarray:
     """Every member of a group spreads its budget evenly over the group's tones.
 
     p[d, s] = budget(d) / len(tones) on the group's tones, 0 elsewhere.  A
@@ -58,7 +56,7 @@ def reference_equal_split_powers(scenario: Scenario, groups, tone_sets) -> Power
         if len(tones):
             for dev in members:
                 watts[dev, tones] = scenario.power_budgets[dev] / len(tones)
-    return PowerMatrix(watts=watts)
+    return watts
 
 
 def sic_member_rates(
@@ -81,16 +79,16 @@ def sic_member_rates(
 def _cluster_rates(
     scenario: Scenario,
     assignment: ClusterAssignment,
-    sub_map: SubcarrierMap,
-    powers: PowerMatrix,
+    owner: np.ndarray,
+    watts: np.ndarray,
     cluster: int,
 ) -> np.ndarray:
     members = assignment.clusters[cluster]
-    tones = _owned_by(sub_map, cluster)
+    tones = _owned_by(owner, cluster)
     if not members:
         return np.zeros(0)
     gains = scenario.gain_matrix[np.ix_(members, tones)]
-    p = powers.watts[np.ix_(members, tones)]
+    p = watts[np.ix_(members, tones)]
     return sic_member_rates(
         gains, p, scenario.config.noise_per_subcarrier,
         scenario.config.subcarrier_bandwidth,
@@ -100,8 +98,8 @@ def _cluster_rates(
 def reference_rate_report(
     scenario: Scenario,
     assignment: ClusterAssignment,
-    sub_map: SubcarrierMap,
-    powers: PowerMatrix,
+    owner: np.ndarray,
+    watts: np.ndarray,
 ) -> RateReport:
     """Rates for every device plus sum rate, fairness and QoS satisfaction."""
     rates = np.zeros(scenario.num_devices)
@@ -112,15 +110,15 @@ def reference_rate_report(
     for c in range(assignment.num_clusters):
         members = assignment.clusters[c]
         if members:
-            rates[members] = _cluster_rates(scenario, assignment, sub_map, powers, c)
+            rates[members] = _cluster_rates(scenario, assignment, owner, watts, c)
     return build_report(scenario, rates)
 
 
 def reference_sic_chain_mismatch(
     scenario: Scenario,
     assignment: ClusterAssignment,
-    sub_map: SubcarrierMap,
-    powers: PowerMatrix,
+    owner: np.ndarray,
+    watts: np.ndarray,
 ) -> float:
     """Worst relative error of the per-tone SIC telescoping identity.
 
@@ -132,12 +130,12 @@ def reference_sic_chain_mismatch(
     noise = scenario.config.noise_per_subcarrier
     worst = 0.0
     for c, members in enumerate(assignment.clusters):
-        tones = _owned_by(sub_map, c)
+        tones = _owned_by(owner, c)
         if not members or tones.size == 0:
             continue
         received = (
             scenario.gain_matrix[np.ix_(members, tones)]
-            * powers.watts[np.ix_(members, tones)]
+            * watts[np.ix_(members, tones)]
         )
         chain = sic_log_terms(received, noise).sum(axis=0)
         direct = np.log1p(received.sum(axis=0) / noise)
@@ -147,7 +145,7 @@ def reference_sic_chain_mismatch(
 
 
 def reference_structural_violations(
-    assignment: ClusterAssignment, scenario: Scenario
+    scenario: Scenario, assignment: ClusterAssignment
 ) -> list[Violation]:
     """Clustering constraints C5-C11 plus the rank capacity bound."""
     out = []
@@ -194,10 +192,10 @@ def reference_structural_violations(
 
 
 def reference_validate(
-    assignment: ClusterAssignment,
-    sub_map: SubcarrierMap,
-    powers: PowerMatrix,
     scenario: Scenario,
+    assignment: ClusterAssignment,
+    owner: np.ndarray,
+    watts: np.ndarray,
 ) -> list[Violation]:
     """All structural constraints (C2, C4-C18) as data, not exceptions.
 
@@ -209,10 +207,9 @@ def reference_validate(
     spectrum; a cluster that received no subcarriers has nowhere to spend
     its budget.
     """
-    out = list(reference_structural_violations(assignment, scenario))
+    out = list(reference_structural_violations(scenario, assignment))
     cfg = scenario.config
 
-    owner = sub_map.owner
     bad_owner = (owner < -1) | (owner >= assignment.num_clusters)
     for s in np.flatnonzero(bad_owner):
         out.append(Violation("C12", f"subcarrier {int(s)} owner {int(owner[s])} invalid"))
@@ -226,13 +223,13 @@ def reference_validate(
             )
         )
 
-    w = powers.watts
+    w = watts
     neg = np.argwhere(w < 0)
     for d, s in neg[:10]:
         cid = "C15" if scenario.is_urllc[d] else "C14"
         out.append(Violation(cid, f"negative power p[{int(d)},{int(s)}]"))
 
-    owned = [_owned_by(sub_map, c) for c in range(assignment.num_clusters)]
+    owned = [_owned_by(owner, c) for c in range(assignment.num_clusters)]
     slots = _slots(assignment)
     for dev in range(scenario.num_devices):
         if dev not in slots:

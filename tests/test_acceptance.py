@@ -373,10 +373,10 @@ def test_criterion_8_constraint_validation(
         )
         scenario = generate_scenario(cfg)
         assignment = build_clusters(scenario)
-        sub_map, powers, _ = allocate(scenario, assignment)
-        violation_count += len(validate(assignment, sub_map, powers, scenario))
+        owner, watts, _ = allocate(scenario, assignment)
+        violation_count += len(validate(scenario, assignment, owner, watts))
         worst_chain = max(
-            worst_chain, sic_chain_mismatch(scenario, assignment, sub_map, powers)
+            worst_chain, sic_chain_mismatch(scenario, assignment, owner, watts)
         )
     ok = not errors and violation_count == 0 and worst_chain <= 1e-9
     report(

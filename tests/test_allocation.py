@@ -11,7 +11,6 @@ from nbiot_noma.clustering import build_clusters
 from nbiot_noma.errors import InvalidAssignmentError, NonFiniteRateError
 from nbiot_noma.rate_model import (
     ClusterAssignment,
-    PowerMatrix,
     equal_split_powers,
     validate,
 )
@@ -23,22 +22,22 @@ from conftest import make_scenario
 class TestEqualSplit:
     def test_four_tones(self):
         sc = make_scenario([[1.0] * 4], "m", budgets=[0.2], max_rank=2)
-        powers = equal_split_powers(sc, np.array([0]), np.array([0, 0, 0, 0]))
-        assert np.allclose(powers.watts[0], 0.05, rtol=1e-15)
+        watts = equal_split_powers(sc, np.array([0]), np.array([0, 0, 0, 0]))
+        assert np.allclose(watts[0], 0.05, rtol=1e-15)
 
     def test_single_tone(self):
         sc = make_scenario([[1.0] * 4], "m", budgets=[0.2], max_rank=2)
-        powers = equal_split_powers(sc, np.array([0]), np.array([-1, -1, 0, -1]))
-        assert powers.watts[0, 2] == 0.2
-        assert powers.watts[0].sum() == 0.2
+        watts = equal_split_powers(sc, np.array([0]), np.array([-1, -1, 0, -1]))
+        assert watts[0, 2] == 0.2
+        assert watts[0].sum() == 0.2
 
     def test_adding_fifth_tone_conserves_budget(self):
         sc = make_scenario([[1.0] * 5], "m", budgets=[0.2], max_rank=2)
         first = equal_split_powers(sc, np.array([0]), np.array([0, 0, 0, 0, -1]))
         second = equal_split_powers(sc, np.array([0]), np.zeros(5, dtype=int))
-        assert np.allclose(first.watts[0, :4], 0.05, rtol=1e-15)
-        assert np.allclose(second.watts[0], 0.04, rtol=1e-15)
-        assert second.watts[0].sum() == pytest.approx(0.2, rel=1e-12)
+        assert np.allclose(first[0, :4], 0.05, rtol=1e-15)
+        assert np.allclose(second[0], 0.04, rtol=1e-15)
+        assert second[0].sum() == pytest.approx(0.2, rel=1e-12)
 
 
 class TestAllocate:
@@ -48,10 +47,10 @@ class TestAllocate:
             budgets=[0.2, 0.4], thresholds=[5.0, 5.0],
         )
         assignment = ClusterAssignment(clusters=[[0, 1]])
-        sub_map, powers, report = allocate(sc, assignment)
-        assert np.all(sub_map.owner == 0)
-        assert np.allclose(powers.watts[0], 0.05)
-        assert np.allclose(powers.watts[1], 0.1)
+        owner, watts, report = allocate(sc, assignment)
+        assert np.all(owner == 0)
+        assert np.allclose(watts[0], 0.05)
+        assert np.allclose(watts[1], 0.1)
 
     def test_crossed_gains_split(self):
         # cluster 0 dominates tone 0, cluster 1 dominates tone 1; zero
@@ -64,17 +63,17 @@ class TestAllocate:
         ]
         sc = make_scenario(gains, "mmmm", num_clusters=2)
         assignment = ClusterAssignment(clusters=[[0, 1], [2, 3]])
-        sub_map, _, _ = allocate(sc, assignment)
-        assert sub_map.owner[0] == 0
-        assert sub_map.owner[1] == 1
+        owner, _, _ = allocate(sc, assignment)
+        assert owner[0] == 0
+        assert owner[1] == 1
 
     def test_unreachable_thresholds_terminate(self):
         sc = make_scenario(
             [[1.0, 1.0], [1.0, 1.0]], "mm", thresholds=[1e9, 1e9]
         )
         assignment = ClusterAssignment(clusters=[[0, 1]])
-        sub_map, _, report = allocate(sc, assignment)
-        assert np.all(sub_map.owner == 0)  # spectrum exhausted, no error
+        owner, _, report = allocate(sc, assignment)
+        assert np.all(owner == 0)  # spectrum exhausted, no error
         assert report.satisfied_count < 2
 
     @pytest.mark.parametrize("thresholds", [None, [1e9] * 4])
@@ -120,11 +119,11 @@ class TestAllocate:
         )
         sc = generate_scenario(cfg)
         steps = []
-        sub_map, _, _ = allocate(
+        owner, _, _ = allocate(
             sc, build_clusters(sc), on_step=lambda s, c, sat, phase: steps.append(s)
         )
         assert steps == list(range(cfg.num_subcarriers))
-        assert np.all(sub_map.owner >= 0)
+        assert np.all(owner >= 0)
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=25, deadline=None)
@@ -140,10 +139,10 @@ class TestAllocate:
         )
         sc = generate_scenario(cfg)
         assignment = build_clusters(sc)
-        sub_map, powers, report = allocate(sc, assignment)
-        assert validate(assignment, sub_map, powers, sc) == []
-        row_sums = powers.watts.sum(axis=1)
-        has_spectrum = np.isin(assignment.cluster_of(sc.num_devices), sub_map.owner)
+        owner, watts, report = allocate(sc, assignment)
+        assert validate(sc, assignment, owner, watts) == []
+        row_sums = watts.sum(axis=1)
+        has_spectrum = np.isin(assignment.cluster_of(sc.num_devices), owner)
         assert row_sums[has_spectrum] == pytest.approx(
             sc.power_budgets[has_spectrum], rel=1e-12
         )
@@ -153,7 +152,7 @@ class TestAllocate:
         # scratch for each candidate cluster and confirm the loop picked
         # the total-sum-rate argmax (phase 1 restricted to clusters with
         # an unsatisfied member)
-        from nbiot_noma.rate_model import SubcarrierMap, rate_report
+        from nbiot_noma.rate_model import rate_report
 
         cfg = dataclasses.replace(
             ScenarioConfig(),
@@ -177,9 +176,7 @@ class TestAllocate:
                 for dev in assignment.clusters[c]:
                     if tones:
                         watts[dev, tones] = sc.power_budgets[dev] / len(tones)
-            return rate_report(
-                sc, assignment, SubcarrierMap(owner), PowerMatrix(watts)
-            )
+            return rate_report(sc, assignment, owner, watts)
 
         owned = [[] for _ in range(cfg.num_clusters)]
         for s, chosen, phase in steps:

@@ -63,8 +63,8 @@ def assert_same_allocation(scenario, assignment):
     ref_steps, new_steps = [], []
     ref = reference_allocate(scenario, assignment, on_step=lambda *a: ref_steps.append(a))
     new = allocate(scenario, assignment, on_step=lambda *a: new_steps.append(a))
-    assert np.array_equal(new[0].owner, ref[0].owner)
-    assert np.array_equal(new[1].watts, ref[1].watts)
+    assert np.array_equal(new[0], ref[0])
+    assert np.array_equal(new[1], ref[1])
     assert np.array_equal(new[2].rates, ref[2].rates)
     assert [(s, c, phase) for s, c, _, phase in new_steps] == [
         (s, c, phase) for s, c, _, phase in ref_steps
@@ -75,7 +75,7 @@ def assert_same_allocation(scenario, assignment):
 
 def assert_same_oma(new, ref):
     assert np.array_equal(new[0], ref[0])
-    assert np.array_equal(new[1].watts, ref[1].watts)
+    assert np.array_equal(new[1], ref[1])
     assert np.array_equal(new[2].rates, ref[2].rates)
 
 
@@ -141,7 +141,7 @@ def test_exact_ties_go_to_the_first_cluster(thresholds):
     sc = make_scenario(np.ones((4, 4)), "mmmm", thresholds=thresholds, num_clusters=2)
     assignment = ClusterAssignment(clusters=[[0, 1], [2, 3]])
     assert_same_allocation(sc, assignment)
-    assert list(allocate(sc, assignment)[0].owner) == [0, 1, 0, 1]
+    assert list(allocate(sc, assignment)[0]) == [0, 1, 0, 1]
 
 
 def test_cluster_deep_in_phase_one_matches_reference():

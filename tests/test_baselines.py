@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,19 +17,21 @@ from nbiot_noma.baselines import (
 from nbiot_noma.clustering import build_clusters
 from nbiot_noma.errors import GridResolutionError, InstanceTooLargeError
 from nbiot_noma.power_opt import OrderedCluster, find_feasible_tail, maximize_rates
-from nbiot_noma.rate_model import ClusterAssignment, PowerMatrix, rate_report
-from nbiot_noma.scenario import ScenarioConfig, generate_scenario
+from nbiot_noma.rate_model import ClusterAssignment, RateReport, rate_report
+from nbiot_noma.scenario import ScenarioConfig, generate_scenario, read_config_file
 from nbiot_noma.selfcheck import tiny_config
 
 from conftest import make_scenario
+
+CELL_DEFAULT = Path(__file__).resolve().parent.parent / "configs" / "cell_default.cfg"
 
 
 class TestOfdma:
     def test_single_device_owns_everything(self):
         sc = make_scenario([[2.0, 3.0, 4.0]], "m", budgets=[0.6], max_rank=2)
-        owner, powers, report = ofdma_allocate(sc)
+        owner, watts, report = ofdma_allocate(sc)
         assert np.all(owner == 0)
-        assert np.allclose(powers.watts[0], 0.2)
+        assert np.allclose(watts[0], 0.2)
         expected = sum(math.log2(1 + g * 0.2) for g in (2.0, 3.0, 4.0))
         assert report.rates[0] == pytest.approx(expected, rel=1e-12)
 
@@ -57,10 +60,10 @@ class TestOfdma:
             ScenarioConfig(), num_urllc=2, num_mmtc=6, num_clusters=2, rng_seed=5
         )
         sc = generate_scenario(cfg)
-        owner, powers, _ = ofdma_allocate(sc)
+        owner, watts, _ = ofdma_allocate(sc)
         for s, dev in enumerate(owner):
             others = np.delete(np.arange(sc.num_devices), dev)
-            assert np.all(powers.watts[others, s] == 0.0)
+            assert np.all(watts[others, s] == 0.0)
 
 
 class TestFastOfdm:
@@ -106,14 +109,14 @@ class TestMckpOracle:
         sc = make_scenario([[1.0, 2.0], [0.5, 0.5]], "mm")
         assignment = ClusterAssignment(clusters=[[0, 1]])
         best, _, _ = mckp_oracle(sc, assignment)
-        assert list(best.owner) == [0, 0]
+        assert list(best) == [0, 0]
 
     def test_matches_greedy_on_crossed_gains(self):
         gains = [[10.0, 1.0], [5.0, 0.5], [1.0, 10.0], [0.5, 5.0]]
         sc = make_scenario(gains, "mmmm", num_clusters=2)
         assignment = ClusterAssignment(clusters=[[0, 1], [2, 3]])
         best, _, _ = mckp_oracle(sc, assignment)
-        assert list(best.owner) == [0, 1]
+        assert list(best) == [0, 1]
 
     def test_lexicographic_tie_break(self):
         # identical equal-split clusters on identical tones: giving each
@@ -123,7 +126,7 @@ class TestMckpOracle:
         sc = make_scenario(gains, "mmmm", num_clusters=2)
         assignment = ClusterAssignment(clusters=[[0, 1], [2, 3]])
         best, _, _ = mckp_oracle(sc, assignment)
-        assert list(best.owner) == [0, 1]
+        assert list(best) == [0, 1]
 
     def test_instance_too_large(self):
         sc = make_scenario(np.ones((2, 13)), "mm")
@@ -145,20 +148,20 @@ class TestMckpOracle:
 class TestExhaustiveClustering:
     def test_forced_minimal_pair(self):
         sc = make_scenario([[2.0], [1.0]], "um", num_clusters=1)
-        assignment, sub_map, report = exhaustive_clustering(sc)
+        assignment, owner, report = exhaustive_clustering(sc)
         assert assignment.clusters == [[0, 1]]
-        assert list(sub_map.owner) == [0]
+        assert list(owner) == [0]
 
     def test_two_orderings_evaluated(self):
         sc = make_scenario([[4.0], [1.0]], "mm", num_clusters=1, budgets=[1.0, 1.0])
-        best_assignment, sub_map, best = exhaustive_clustering(sc)
+        best_assignment, owner, best = exhaustive_clustering(sc)
         # score the opposite ordering by hand and confirm the oracle's
         # choice is the better of the two
         other = ClusterAssignment(
             clusters=[list(reversed(best_assignment.clusters[0]))]
         )
-        powers = PowerMatrix(watts=np.ones((2, 1)))
-        other_rate = rate_report(sc, other, sub_map, powers).sum_rate
+        watts = np.ones((2, 1))
+        other_rate = rate_report(sc, other, owner, watts).sum_rate
         assert best.sum_rate >= other_rate - 1e-12
 
     def test_instance_too_large(self):
@@ -208,3 +211,45 @@ class TestGridOracle:
         cluster = OrderedCluster([1.0, 2.0], [0.0, 0.0], 1.0, 1.0)
         with pytest.raises(ValueError, match="step"):
             grid_power_oracle(cluster, step)
+
+
+def default_cell(seed):
+    return generate_scenario(dataclasses.replace(read_config_file(CELL_DEFAULT), rng_seed=seed))
+
+
+def tiny_cell(seed):
+    return generate_scenario(tiny_config(ScenarioConfig(), np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize(
+    "allocator, make_cell",
+    [
+        (allocate, default_cell),
+        (mckp_oracle, tiny_cell),
+        (ofdma_allocate, default_cell),
+        (fast_ofdm_allocate, default_cell),
+    ],
+    ids=lambda v: v.__name__,
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_allocators_share_one_interface(allocator, make_cell, seed):
+    """(owner, watts, report), and rate_report on the returned arrays with
+    the allocator's own groups gives back its rates bit for bit.  The OMA
+    groups are single devices; fast-OFDM's arrays index the half-tone cell."""
+    cell = make_cell(seed)
+    if allocator in (ofdma_allocate, fast_ofdm_allocate):
+        groups = ClusterAssignment(clusters=[[d] for d in range(cell.num_devices)])
+        owner, watts, report = allocator(cell)
+        if allocator is fast_ofdm_allocate:
+            cell = half_tone_scenario(cell)
+    else:
+        groups = build_clusters(cell)
+        owner, watts, report = allocator(cell, groups)
+    num_s = cell.config.num_subcarriers
+    assert isinstance(owner, np.ndarray) and owner.dtype.kind == "i"
+    assert owner.shape == (num_s,)
+    assert isinstance(watts, np.ndarray) and watts.shape == (cell.num_devices, num_s)
+    assert isinstance(report, RateReport)
+    again = rate_report(cell, groups, owner, watts)
+    assert np.array_equal(again.rates, report.rates)
+    assert again.sum_rate == report.sum_rate

@@ -105,7 +105,7 @@ class TestMmtcClustering:
         )
         assignment = cluster_mmtc(sc, cluster_urllc(sc, 2))
         assert assignment.clusters == [[0, 2], [1, 3]]
-        assert structural_violations(assignment, sc) == []
+        assert structural_violations(sc, assignment) == []
 
     def test_unrepairable_singleton(self):
         sc = make_scenario(
@@ -148,7 +148,7 @@ class TestStructureProperties:
         )
         sc = generate_scenario(cfg)
         assignment = build_clusters(sc)
-        assert structural_violations(assignment, sc) == []
+        assert structural_violations(sc, assignment) == []
 
     def test_urllc_all_rank_one_when_u_le_c(self):
         cfg = dataclasses.replace(

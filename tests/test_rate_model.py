@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,20 +7,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nbiot_noma.errors import DegenerateRatesError, UnassignedDeviceError
+from nbiot_noma.allocation import allocate
+from nbiot_noma.clustering import build_clusters
+from nbiot_noma.errors import (
+    DegenerateRatesError,
+    InvalidAssignmentError,
+    InvalidPowerError,
+    UnassignedDeviceError,
+)
 from nbiot_noma.power_opt import OrderedCluster, ordered_user_rates
 from nbiot_noma.rate_model import (
     ClusterAssignment,
-    PowerMatrix,
-    SubcarrierMap,
+    Violation,
     jain_fairness,
     rate_report,
     sic_chain_mismatch,
     sic_log_terms,
     validate,
 )
+from nbiot_noma.scenario import generate_scenario, read_config_file
 
 from conftest import make_scenario
+
+CELL_SMALL = Path(__file__).resolve().parent.parent / "configs" / "cell_small.cfg"
 
 LOG2_3 = 1.5849625007211562  # log2(3), checked against mpmath
 
@@ -28,9 +38,9 @@ def two_device_cluster():
     """One tone, N0*W = 1: rank 1 has h=4, rank 2 has h=1, both at p=1."""
     scenario = make_scenario([[4.0], [1.0]], "mm")
     assignment = ClusterAssignment(clusters=[[0, 1]])
-    sub_map = SubcarrierMap(owner=np.array([0]))
-    powers = PowerMatrix(watts=np.array([[1.0], [1.0]]))
-    return scenario, assignment, sub_map, powers
+    owner = np.array([0])
+    watts = np.array([[1.0], [1.0]])
+    return scenario, assignment, owner, watts
 
 
 class TestDeviceRate:
@@ -38,35 +48,35 @@ class TestDeviceRate:
         # sole highest-rank device, h^2 = 1, p = N0*W: rate = W * log2(2) = W
         scenario = make_scenario([[1.0], [1.0]], "mm", tone_bandwidth=7.5)
         assignment = ClusterAssignment(clusters=[[0, 1]])
-        sub_map = SubcarrierMap(owner=np.array([0]))
-        powers = PowerMatrix(watts=np.array([[0.0], [7.5]]))  # noise N0*W = 7.5
-        rates = rate_report(scenario, assignment, sub_map, powers).rates
+        owner = np.array([0])
+        watts = np.array([[0.0], [7.5]])  # noise N0*W = 7.5
+        rates = rate_report(scenario, assignment, owner, watts).rates
         assert rates[1] == pytest.approx(7.5, rel=1e-12)
 
     def test_two_device_sinr(self):
-        scenario, assignment, sub_map, powers = two_device_cluster()
-        r1, r2 = rate_report(scenario, assignment, sub_map, powers).rates
+        scenario, assignment, owner, watts = two_device_cluster()
+        r1, r2 = rate_report(scenario, assignment, owner, watts).rates
         assert r1 == pytest.approx(LOG2_3, rel=1e-12)
         assert r2 == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_power_zero_rate(self):
-        scenario, assignment, sub_map, powers = two_device_cluster()
-        powers = PowerMatrix(watts=np.zeros((2, 1)))
-        assert rate_report(scenario, assignment, sub_map, powers).rates[0] == 0.0
+        scenario, assignment, owner, watts = two_device_cluster()
+        watts = np.zeros((2, 1))
+        assert rate_report(scenario, assignment, owner, watts).rates[0] == 0.0
 
     def test_unassigned_device(self):
-        scenario, _, sub_map, powers = two_device_cluster()
+        scenario, _, owner, watts = two_device_cluster()
         assignment = ClusterAssignment(clusters=[[0]])
         with pytest.raises(UnassignedDeviceError):
-            rate_report(scenario, assignment, sub_map, powers)
+            rate_report(scenario, assignment, owner, watts)
 
     def test_empty_cluster_rate_zero(self):
         # a cluster with no subcarriers yields zero rate, not an error
         scenario = make_scenario([[2.0], [1.0]], "mm")
         assignment = ClusterAssignment(clusters=[[0, 1]])
-        sub_map = SubcarrierMap(owner=np.array([-1]))
-        powers = PowerMatrix(watts=np.zeros((2, 1)))
-        assert rate_report(scenario, assignment, sub_map, powers).rates[0] == 0.0
+        owner = np.array([-1])
+        watts = np.zeros((2, 1))
+        assert rate_report(scenario, assignment, owner, watts).rates[0] == 0.0
 
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e6)
@@ -89,9 +99,9 @@ class TestSicProperties:
         n = gains.size
         scenario = make_scenario(gains.reshape(n, 1), "m" * n)
         assignment = ClusterAssignment(clusters=[list(range(n))])
-        sub_map = SubcarrierMap(owner=np.array([0]))
-        pm = PowerMatrix(watts=powers.reshape(n, 1))
-        mismatch = sic_chain_mismatch(scenario, assignment, sub_map, pm)
+        owner = np.array([0])
+        pm = powers.reshape(n, 1)
+        mismatch = sic_chain_mismatch(scenario, assignment, owner, pm)
         assert mismatch <= 1e-9
 
     @given(
@@ -125,23 +135,23 @@ class TestSicProperties:
     def test_chain_check_keeps_nan(self):
         # a negative power on an owned tone takes the SINR below -1; the
         # mismatch must come out NaN, not be skipped as a small value
-        scenario, assignment, sub_map, powers = two_device_cluster()
-        powers.watts[0, 0] = -5.0
-        assert math.isnan(sic_chain_mismatch(scenario, assignment, sub_map, powers))
+        scenario, assignment, owner, watts = two_device_cluster()
+        watts[0, 0] = -5.0
+        assert math.isnan(sic_chain_mismatch(scenario, assignment, owner, watts))
 
     def test_highest_rank_power_monotonicity(self):
-        scenario, assignment, sub_map, powers = two_device_cluster()
-        base_low, base_high = rate_report(scenario, assignment, sub_map, powers).rates
-        boosted = PowerMatrix(watts=np.array([[1.0], [2.0]]))
-        low, high = rate_report(scenario, assignment, sub_map, boosted).rates
+        scenario, assignment, owner, watts = two_device_cluster()
+        base_low, base_high = rate_report(scenario, assignment, owner, watts).rates
+        boosted = np.array([[1.0], [2.0]])
+        low, high = rate_report(scenario, assignment, owner, boosted).rates
         assert high > base_high
         assert low < base_low
 
     def test_rank_invariant_to_lower_rank_power(self):
-        scenario, assignment, sub_map, powers = two_device_cluster()
-        base = rate_report(scenario, assignment, sub_map, powers).rates[1]
-        boosted = PowerMatrix(watts=np.array([[9.0], [1.0]]))
-        assert rate_report(scenario, assignment, sub_map, boosted).rates[1] == base
+        scenario, assignment, owner, watts = two_device_cluster()
+        base = rate_report(scenario, assignment, owner, watts).rates[1]
+        boosted = np.array([[9.0], [1.0]])
+        assert rate_report(scenario, assignment, owner, boosted).rates[1] == base
 
     def test_matches_ordered_user_formula_on_equal_gain_tone(self):
         # With one shared gain the per-interferer SINR and the
@@ -150,9 +160,9 @@ class TestSicProperties:
         h, noise_w = 3.0, 1.0
         scenario = make_scenario([[h]] * 3, "mmm")
         assignment = ClusterAssignment(clusters=[[0, 1, 2]])
-        sub_map = SubcarrierMap(owner=np.array([0]))
+        owner = np.array([0])
         p = np.array([0.5, 0.3, 0.2])
-        pm = PowerMatrix(watts=p.reshape(3, 1))
+        pm = p.reshape(3, 1)
         cluster = OrderedCluster(
             normalized_gains=np.full(3, h / noise_w),
             rate_thresholds=np.zeros(3),
@@ -160,7 +170,7 @@ class TestSicProperties:
             bandwidth_hz=1.0,
         )
         expected = ordered_user_rates(p, cluster)
-        rates = rate_report(scenario, assignment, sub_map, pm).rates
+        rates = rate_report(scenario, assignment, owner, pm).rates
         for rank in range(3):
             assert rates[rank] == pytest.approx(expected[rank], rel=1e-12)
 
@@ -190,9 +200,9 @@ class TestRateReport:
     def test_two_device_thresholds(self):
         scenario = make_scenario([[4.0], [1.0]], "mm", thresholds=[1.0, 1.0])
         assignment = ClusterAssignment(clusters=[[0, 1]])
-        sub_map = SubcarrierMap(owner=np.array([0]))
-        powers = PowerMatrix(watts=np.ones((2, 1)))
-        report = rate_report(scenario, assignment, sub_map, powers)
+        owner = np.array([0])
+        watts = np.ones((2, 1))
+        report = rate_report(scenario, assignment, owner, watts)
         assert report.satisfied_count == 2
         assert report.sum_rate == pytest.approx(LOG2_3 + 1.0, rel=1e-12)
         assert report.sum_rate == pytest.approx(report.rates.sum(), rel=1e-9)
@@ -200,9 +210,9 @@ class TestRateReport:
     def test_all_zero_rates(self):
         scenario = make_scenario([[4.0], [1.0]], "mm", thresholds=[1.0, 1.0])
         assignment = ClusterAssignment(clusters=[[0, 1]])
-        sub_map = SubcarrierMap(owner=np.array([-1]))
-        powers = PowerMatrix(watts=np.zeros((2, 1)))
-        report = rate_report(scenario, assignment, sub_map, powers)
+        owner = np.array([-1])
+        watts = np.zeros((2, 1))
+        report = rate_report(scenario, assignment, owner, watts)
         assert report.satisfied_count == 0
         assert math.isnan(report.fairness)
 
@@ -210,9 +220,9 @@ class TestRateReport:
         # symmetric devices with symmetric allocations achieve equal rates
         scenario = make_scenario([[2.0, 2.0], [2.0, 2.0]], "mm", num_clusters=2)
         assignment = ClusterAssignment(clusters=[[0], [1]])
-        sub_map = SubcarrierMap(owner=np.array([0, 1]))
-        powers = PowerMatrix(watts=np.array([[1.0, 0.0], [0.0, 1.0]]))
-        report = rate_report(scenario, assignment, sub_map, powers)
+        owner = np.array([0, 1])
+        watts = np.array([[1.0, 0.0], [0.0, 1.0]])
+        report = rate_report(scenario, assignment, owner, watts)
         assert report.fairness == pytest.approx(1.0, rel=1e-12)
 
 
@@ -223,54 +233,90 @@ class TestValidate:
             num_clusters=2, budgets=[1.0] * 4,
         )
         assignment = ClusterAssignment(clusters=[[0, 2], [1, 3]])
-        sub_map = SubcarrierMap(owner=np.array([0, 1]))
+        owner = np.array([0, 1])
         watts = np.zeros((4, 2))
         watts[[0, 2], 0] = 1.0
         watts[[1, 3], 1] = 1.0
-        return scenario, assignment, sub_map, PowerMatrix(watts=watts)
+        return scenario, assignment, owner, watts
 
     def test_valid(self):
-        scenario, assignment, sub_map, powers = self.valid_triple()
-        assert validate(assignment, sub_map, powers, scenario) == []
+        scenario, assignment, owner, watts = self.valid_triple()
+        assert validate(scenario, assignment, owner, watts) == []
 
     def test_singleton_cluster(self):
-        scenario, _, sub_map, powers = self.valid_triple()
+        scenario, _, owner, watts = self.valid_triple()
         assignment = ClusterAssignment(clusters=[[0, 2, 3], [1]])
-        tags = {v.constraint for v in validate(assignment, sub_map, powers, scenario)}
+        tags = {v.constraint for v in validate(scenario, assignment, owner, watts)}
         assert "C11" in tags
 
     def test_rank_order_rule(self):
-        scenario, _, sub_map, powers = self.valid_triple()
+        scenario, _, owner, watts = self.valid_triple()
         assignment = ClusterAssignment(clusters=[[2, 0], [1, 3]])  # mMTC above URLLC
-        tags = {v.constraint for v in validate(assignment, sub_map, powers, scenario)}
+        tags = {v.constraint for v in validate(scenario, assignment, owner, watts)}
         assert "C5" in tags
 
     def test_power_outside_cluster(self):
-        scenario, assignment, sub_map, powers = self.valid_triple()
-        powers.watts[0, 1] = 0.5  # cluster 0 does not own tone 1
-        tags = {v.constraint for v in validate(assignment, sub_map, powers, scenario)}
+        scenario, assignment, owner, watts = self.valid_triple()
+        watts[0, 1] = 0.5  # cluster 0 does not own tone 1
+        tags = {v.constraint for v in validate(scenario, assignment, owner, watts)}
         assert "POWER_OWNERSHIP" in tags
 
     def test_mmtc_budget_cap(self):
-        scenario, assignment, sub_map, powers = self.valid_triple()
-        powers.watts[2, 0] = 2.0  # budget is 1.0
-        tags = {v.constraint for v in validate(assignment, sub_map, powers, scenario)}
+        scenario, assignment, owner, watts = self.valid_triple()
+        watts[2, 0] = 2.0  # budget is 1.0
+        tags = {v.constraint for v in validate(scenario, assignment, owner, watts)}
         assert "C2" in tags
 
     def test_urllc_budget_equality(self):
-        scenario, assignment, sub_map, powers = self.valid_triple()
-        powers.watts[0, 0] = 0.25  # URLLC must spend the full budget
-        tags = {v.constraint for v in validate(assignment, sub_map, powers, scenario)}
+        scenario, assignment, owner, watts = self.valid_triple()
+        watts[0, 0] = 0.25  # URLLC must spend the full budget
+        tags = {v.constraint for v in validate(scenario, assignment, owner, watts)}
         assert "C4" in tags
 
     def test_negative_power(self):
-        scenario, assignment, sub_map, powers = self.valid_triple()
-        powers.watts[3, 1] = -0.1
-        tags = {v.constraint for v in validate(assignment, sub_map, powers, scenario)}
+        scenario, assignment, owner, watts = self.valid_triple()
+        watts[3, 1] = -0.1
+        tags = {v.constraint for v in validate(scenario, assignment, owner, watts)}
         assert "C14" in tags
 
     def test_duplicate_device(self):
-        scenario, _, sub_map, powers = self.valid_triple()
+        scenario, _, owner, watts = self.valid_triple()
         assignment = ClusterAssignment(clusters=[[0, 2], [1, 3, 2]])
-        tags = {v.constraint for v in validate(assignment, sub_map, powers, scenario)}
+        tags = {v.constraint for v in validate(scenario, assignment, owner, watts)}
         assert "C8/C9" in tags
+
+
+class TestAllocationShape:
+    """Every reader rejects misshapen allocation arrays with a named error;
+    a (1, S) watts matrix used to broadcast into a plausible sum rate."""
+
+    READERS = [rate_report, sic_chain_mismatch, validate]
+
+    @pytest.fixture(scope="class")
+    def allocation(self):
+        scenario = generate_scenario(read_config_file(CELL_SMALL))
+        assignment = build_clusters(scenario)
+        owner, watts, _ = allocate(scenario, assignment)
+        assert watts.shape == (12, 12)
+        return scenario, assignment, owner, watts
+
+    @pytest.mark.parametrize("reader", READERS, ids=lambda f: f.__name__)
+    def test_first_row_of_watts(self, allocation, reader):
+        scenario, assignment, owner, watts = allocation
+        with pytest.raises(InvalidPowerError, match=r"watts has shape \(1, 12\), not \(12, 12\)"):
+            reader(scenario, assignment, owner, watts[:1])
+
+    @pytest.mark.parametrize("reader", READERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "bad_owner, named",
+        [(lambda o: o[:-1], "shape (11,)"), (lambda o: o.astype(float), "dtype float64")],
+        ids=["one-tone-short", "float"],
+    )
+    def test_owner_not_an_integer_vector(self, allocation, reader, bad_owner, named):
+        scenario, assignment, owner, watts = allocation
+        with pytest.raises(InvalidAssignmentError) as err:
+            reader(scenario, assignment, bad_owner(owner), watts)
+        [violation] = err.value.violations
+        assert isinstance(violation, Violation)
+        assert violation.constraint == "C12"
+        assert named in violation.message

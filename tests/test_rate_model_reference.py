@@ -28,8 +28,6 @@ from nbiot_noma.clustering import build_clusters
 from nbiot_noma.errors import InvalidAssignmentError, InvalidPowerError
 from nbiot_noma.rate_model import (
     ClusterAssignment,
-    PowerMatrix,
-    SubcarrierMap,
     equal_split_powers,
     rate_report,
     sic_chain_mismatch,
@@ -54,33 +52,32 @@ def same(a: float, b: float) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
-def assert_same_validate(scenario, assignment, sub_map, powers):
-    violations = validate(assignment, sub_map, powers, scenario)
-    assert violations == reference_validate(assignment, sub_map, powers, scenario)
+def assert_same_validate(scenario, assignment, owner, watts):
+    violations = validate(scenario, assignment, owner, watts)
+    assert violations == reference_validate(scenario, assignment, owner, watts)
     assert not any("np.float64(" in v.message for v in violations)
 
 
-def assert_unknown_id_rejected(scenario, assignment, sub_map, powers, unknown):
+def assert_unknown_id_rejected(scenario, assignment, owner, watts, unknown):
     """Violation lists still match; ``rate_report`` names the first unknown id."""
-    assert_same_validate(scenario, assignment, sub_map, powers)
+    assert_same_validate(scenario, assignment, owner, watts)
     with pytest.raises(InvalidAssignmentError) as err:
-        rate_report(scenario, assignment, sub_map, powers)
+        rate_report(scenario, assignment, owner, watts)
     message = f"assignment fails structural checks: C8/C9: unknown device id {unknown}"
     assert str(err.value) == message
 
 
-def assert_same_rates(scenario, assignment, sub_map, powers):
-    args = (scenario, assignment, sub_map, powers)
+def assert_same_rates(scenario, assignment, owner, watts):
+    args = (scenario, assignment, owner, watts)
     assert_same_validate(*args)
-    w = powers.watts
-    bad = np.argwhere(~((w >= 0) & (w < np.inf)))
+    bad = np.argwhere(~((watts >= 0) & (watts < np.inf)))
     if bad.size:
         # The reference raised a bare ValueError from the fairness index or
         # returned NaN rates; rate_report names the first bad power instead.
         d, s = bad[0]
         with pytest.raises(InvalidPowerError) as err:
             rate_report(*args)
-        assert str(err.value) == f"device {d} has power {float(w[d, s])!r} W on subcarrier {s}"
+        assert str(err.value) == f"device {d} has power {float(watts[d, s])!r} W on subcarrier {s}"
         return
     new = rate_report(*args)
     ref = reference_rate_report(*args)
@@ -95,46 +92,46 @@ def assert_same_rates(scenario, assignment, sub_map, powers):
     assert chain <= 1e-9 and ref_chain <= 1e-9
 
 
-def injected(scenario, assignment, sub_map, powers, rng):
+def injected(scenario, assignment, owner, watts, rng):
     """Copies of the allocation with off-cluster and over-budget powers,
     with a negative power, and with invalid owner ids."""
-    num_d, num_s = powers.watts.shape
-    watts = powers.watts.copy()
+    num_d, num_s = watts.shape
+    bad_watts = watts.copy()
     for dev in rng.choice(num_d, size=3, replace=False):
-        watts[dev, rng.integers(num_s)] += scenario.power_budgets[dev]
-    yield sub_map, PowerMatrix(watts=watts)
-    watts = powers.watts.copy()
-    watts[rng.integers(num_d), rng.integers(num_s)] = -1e-3
-    yield sub_map, PowerMatrix(watts=watts)
-    owner = sub_map.owner.copy()
-    owner[rng.integers(num_s)] = assignment.num_clusters
-    owner[rng.integers(num_s)] = -2
-    yield SubcarrierMap(owner=owner), powers
+        bad_watts[dev, rng.integers(num_s)] += scenario.power_budgets[dev]
+    yield owner, bad_watts
+    bad_watts = watts.copy()
+    bad_watts[rng.integers(num_d), rng.integers(num_s)] = -1e-3
+    yield owner, bad_watts
+    bad_owner = owner.copy()
+    bad_owner[rng.integers(num_s)] = assignment.num_clusters
+    bad_owner[rng.integers(num_s)] = -2
+    yield bad_owner, watts
 
 
-def edge_cases(scenario, assignment, sub_map, powers):
-    """(check, assignment, map, powers): a device listed in two clusters, ids
+def edge_cases(scenario, assignment, owner, watts):
+    """(check, assignment, owner, watts): a device listed in two clusters, ids
     -1, n and both inside a cluster, a URLLC row holding inf, and an mMTC row
     and a URLLC row holding NaN.  ``rate_report`` rejects the out-of-range
     ids by name, so they have no rates to compare."""
-    clusters, w = assignment.clusters, powers.watts
-    first = int(sub_map.owner[0])
+    clusters, w = assignment.clusters, watts
+    first = int(owner[0])
     dev = clusters[first][0]
     twice = [*clusters]
     twice[first - 1] = clusters[first - 1] + [dev]
-    yield assert_same_rates, ClusterAssignment(clusters=twice), sub_map, powers
+    yield assert_same_rates, ClusterAssignment(clusters=twice), owner, watts
     for ids in ([-1], [scenario.num_devices], [-1, scenario.num_devices]):
         odd_ids = [*clusters]
         odd_ids[first] = clusters[first] + ids
         check = partial(assert_unknown_id_rejected, unknown=ids[0])
-        yield check, ClusterAssignment(clusters=odd_ids), sub_map, powers
+        yield check, ClusterAssignment(clusters=odd_ids), owner, watts
     urllc = next(d for d in np.flatnonzero(scenario.is_urllc).tolist() if w[d].any())
     mmtc = next(d for d in np.flatnonzero(~scenario.is_urllc).tolist() if w[d].any())
     for value, devs in ((math.inf, [urllc]), (math.nan, [mmtc, urllc])):
-        watts = w.copy()
+        bad_watts = w.copy()
         for d in devs:
-            watts[d, np.flatnonzero(w[d])[0]] = value
-        yield assert_same_rates, assignment, sub_map, PowerMatrix(watts=watts)
+            bad_watts[d, np.flatnonzero(w[d])[0]] = value
+        yield assert_same_rates, assignment, owner, bad_watts
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
@@ -143,10 +140,10 @@ def test_bench_cells_match_reference(cell):
     for seed in range(SEEDS_PER_CELL):
         sc = cell_scenario(cell, seed)
         assignment = build_clusters(sc)
-        sub_map, powers, _ = allocate(sc, assignment)
-        assert_same_rates(sc, assignment, sub_map, powers)
-        for bad_map, bad_powers in injected(sc, assignment, sub_map, powers, rng):
-            assert_same_rates(sc, assignment, bad_map, bad_powers)
+        owner, watts, _ = allocate(sc, assignment)
+        assert_same_rates(sc, assignment, owner, watts)
+        for bad_owner, bad_watts in injected(sc, assignment, owner, watts, rng):
+            assert_same_rates(sc, assignment, bad_owner, bad_watts)
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
@@ -154,8 +151,8 @@ def test_edge_cases_match_reference(cell):
     for seed in range(SEEDS_PER_CELL):
         sc = cell_scenario(cell, seed)
         assignment = build_clusters(sc)
-        sub_map, powers, _ = allocate(sc, assignment)
-        for check, *args in edge_cases(sc, assignment, sub_map, powers):
+        owner, watts, _ = allocate(sc, assignment)
+        for check, *args in edge_cases(sc, assignment, owner, watts):
             check(sc, *args)
 
 
@@ -183,12 +180,12 @@ def test_structural_violations_match_reference(cell):
     for seed in range(SEEDS_PER_CELL):
         sc = cell_scenario(cell, seed)
         clusters = build_clusters(sc).clusters
-        assert structural_violations(ClusterAssignment(clusters), sc) == []
+        assert structural_violations(sc, ClusterAssignment(clusters)) == []
         messages = []
         for broken in broken_clusterings(sc, clusters):
             assignment = ClusterAssignment(clusters=broken)
-            violations = structural_violations(assignment, sc)
-            assert violations == reference_structural_violations(assignment, sc)
+            violations = structural_violations(sc, assignment)
+            assert violations == reference_structural_violations(sc, assignment)
             messages += [v.message for v in violations]
         for phrase in ("appears in clusters", "unknown device id", "single member",
                        "max_rank is", "ranks below an mMTC", "is in no cluster"):
@@ -205,12 +202,12 @@ def test_equal_split_matches_reference(cell):
     for seed in range(SEEDS_PER_CELL):
         sc = cell_scenario(cell, seed)
         assignment = build_clusters(sc)
-        sub_map, _, _ = allocate(sc, assignment)
-        new = equal_split_powers(sc, assignment.cluster_of(sc.num_devices), sub_map.owner)
+        owner, _, _ = allocate(sc, assignment)
+        new = equal_split_powers(sc, assignment.cluster_of(sc.num_devices), owner)
         ref = reference_equal_split_powers(
-            sc, assignment.clusters, owned_tones(sub_map.owner, assignment.num_clusters)
+            sc, assignment.clusters, owned_tones(owner, assignment.num_clusters)
         )
-        assert np.array_equal(new.watts, ref.watts)
+        assert np.array_equal(new, ref)
         for cell_sc in (sc, half_tone_scenario(sc)):
             n = cell_sc.num_devices
             owner = ofdma_allocate(cell_sc)[0]
@@ -218,7 +215,7 @@ def test_equal_split_matches_reference(cell):
             ref = reference_equal_split_powers(
                 cell_sc, [[d] for d in range(n)], owned_tones(owner, n)
             )
-            assert np.array_equal(new.watts, ref.watts)
+            assert np.array_equal(new, ref)
 
 
 # Zero-gain tones and gains across 60 decades, log-uniform.
@@ -256,8 +253,8 @@ def extreme_allocations(draw):
     return (
         sc,
         ClusterAssignment(clusters=clusters),
-        SubcarrierMap(owner=np.array(owner)),
-        PowerMatrix(watts=np.array(watts, dtype=float).reshape(n, num_s)),
+        np.array(owner),
+        np.array(watts, dtype=float).reshape(n, num_s),
     )
 
 
