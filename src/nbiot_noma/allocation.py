@@ -22,8 +22,8 @@ commit O(K*S).  A commit that leaves its cluster with no unsatisfied
 member skips the rebuild, since that cluster cannot be picked again in
 phase 1.  The loop and phase 2 each open with one SIC call on the (rank,
 cluster, tone) stack, which builds every cluster's rows at the split its
-owned tones give it.  Final rates come from
-:func:`~nbiot_noma.rate_model.rate_report` on the final map.
+owned tones give it; ``rate_model.owned_sums`` sums the owned tones as a
+rebuild does.  Final rates come from ``rate_model.rate_report``.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .rate_model import (
     ClusterAssignment,
     RateReport,
     equal_split_powers,
+    owned_sums,
     rate_report,
     sic_log_terms,
     structural_violations,
@@ -98,28 +99,13 @@ def allocate(
         """Every cluster's candidate rows for tones ``start`` on, at the split
         its tones among the first ``start`` give it: one SIC call on the
         (K, C, S) stack."""
-        counts = np.bincount(owner[:start], minlength=num_c)
+        owned = owner[:start]
+        counts = np.bincount(owned, minlength=num_c)
         received = (slabs * (slot_budgets / (counts + 1)[:, None, None])).transpose(1, 0, 2)
         terms = sic_log_terms(received, noise)  # (K, C, S)
-        rows = terms[:, :, start:]
-        if start:
-            # grown[c, k]: member k's sum of ln(1 + SINR) over c's owned tones
-            # in ascending order.  Tones sorted by (count, cluster) put each
-            # group of clusters owning n tones in one (G, n) run.  The group's
-            # (G, K, n) block is copied C-contiguous so that each member's sum
-            # runs over one contiguous row as in rebuild: numpy sums 8 or more
-            # elements in 8 lanes, and a strided sum rounds differently.
-            owned = owner[:start]
-            by_group = np.argsort(counts[owned] * num_c + owned, kind="stable")
-            grown = np.zeros((num_c, depth))
-            pos = 0
-            for n in sorted(set(counts.tolist()) - {0}):
-                group = np.flatnonzero(counts == n)
-                tones = by_group[pos : pos + group.size * n].reshape(group.size, n)
-                pos += tones.size
-                block = np.ascontiguousarray(terms[:, group[:, None], tones].transpose(1, 0, 2))
-                grown[group] = block.sum(axis=2)
-            rows = grown.T[:, :, None] + rows
+        # grown[c, k]: member k's sum of ln(1 + SINR) over c's owned tones.
+        grown = owned_sums(terms[:, owned, np.arange(start)], owned, num_c)
+        rows = grown.T[:, :, None] + terms[:, :, start:]
         cand[:, start:] = (tone_bw * rows / log2).transpose(1, 2, 0)
         cand_sum[start:] = cand[:, start:].sum(axis=2).T
 

@@ -95,7 +95,7 @@ def _cmd_sweep(args) -> int:
         else:
             values = _csv_floats(args.values)
             if args.var in ("total_devices", "k_max"):
-                values = [int(v) for v in values]
+                values = [int(v) if v.is_integer() else v for v in values]
         if args.seed is not None:
             config = replace(config, rng_seed=args.seed)
         if args.ratio is not None:
@@ -142,6 +142,8 @@ def _print_summary(results):
 
 
 def _cmd_validate(args) -> int:
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
     config = read_config_file(args.config)
     checks = run_self_checks(config, seed=args.seed)
     for check in checks:

@@ -33,6 +33,7 @@ __all__ = [
     "RateReport",
     "Violation",
     "sic_log_terms",
+    "owned_sums",
     "equal_split_powers",
     "rate_report",
     "build_report",
@@ -115,6 +116,24 @@ def sic_log_terms(received: np.ndarray, noise_watts: float) -> np.ndarray:
     bps.
     """
     return np.log1p(received / (noise_watts + interference_below(received)))
+
+
+def owned_sums(terms: np.ndarray, owners: np.ndarray, num_groups: int) -> np.ndarray:
+    """(G, K) sums: row k of ``terms`` (K, T) over the columns that ``owners``
+    (T,) gives to group g, in column order; 0 for a group with no column.
+
+    Groups owning m columns are summed from one C-contiguous (G, K, m) block:
+    numpy adds 8 or more contiguous elements in eight lanes, so a strided,
+    zero-padded or ``np.add.reduceat`` sum rounds differently.
+    """
+    counts = np.bincount(owners, minlength=num_groups)
+    order = np.argsort(owners, kind="stable")  # each group's columns in one run
+    size = counts[owners[order]]
+    sums = np.zeros((num_groups, terms.shape[0]))
+    for m in set(counts.tolist()) - {0}:
+        cols = order[size == m].reshape(-1, m)
+        sums[counts == m] = np.ascontiguousarray(terms[:, cols].transpose(1, 0, 2)).sum(axis=2)
+    return sums
 
 
 def equal_split_powers(scenario: Scenario, group_of, owner) -> np.ndarray:
@@ -200,7 +219,8 @@ def rate_report(
     ``InvalidPowerError``.  Then the first cluster member outside [0, n)
     raises ``InvalidAssignmentError``, the first device in no cluster
     ``UnassignedDeviceError`` and the first negative or non-finite power
-    ``InvalidPowerError``."""
+    ``InvalidPowerError``.  Member rates come from one :func:`owned_sums`
+    call; a device listed in two clusters gets its last cluster's rate."""
     _check_allocation(scenario, owner, watts)
     n = scenario.num_devices
     unknown = next((d for m in assignment.clusters for d in m if not 0 <= d < n), None)
@@ -213,21 +233,12 @@ def rate_report(
     if not ok.all():
         d, s = np.argwhere(~ok)[0]
         raise InvalidPowerError(f"device {d} has power {float(watts[d, s])!r} W on subcarrier {s}")
-    rates = np.zeros(n)
     owners, _, terms = _sic_table(scenario, assignment, owner, watts)
-    # A stable sort makes each cluster's tones one column range, in tone order.
-    order = np.argsort(owners, kind="stable")
-    terms = terms[:, order]
-    bounds = np.searchsorted(owners[order], np.arange(assignment.num_clusters + 1))
-    tone_bw = scenario.config.subcarrier_bandwidth
+    sums = owned_sums(terms, owners, assignment.num_clusters)
+    rates = np.zeros(n)
     for c, members in enumerate(assignment.clusters):
-        if members:
-            # Summing a C-contiguous copy keeps numpy's pairwise order per
-            # member, so the rates match a per-cluster gather bit for bit.
-            lo, hi = bounds[c], bounds[c + 1]
-            block = np.ascontiguousarray(terms[: len(members), lo:hi])
-            rates[members] = tone_bw * block.sum(axis=1) / math.log(2.0)
-    return build_report(scenario, rates)
+        rates[members] = sums[c, : len(members)]
+    return build_report(scenario, scenario.config.subcarrier_bandwidth * rates / math.log(2.0))
 
 
 def sic_chain_mismatch(

@@ -117,6 +117,8 @@ class ScenarioConfig:
             lo, hi = getattr(self, name)
             if not (0 <= lo <= hi and math.isfinite(hi)):
                 raise ConfigError(f"{name} must satisfy 0 <= min <= max < inf")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be nonnegative, got {self.rng_seed}")
 
 
 def _as_array(name: str, value, dtype) -> np.ndarray:

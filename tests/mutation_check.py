@@ -42,8 +42,8 @@ MUTANTS = (
     Mutant(
         "strided-member-sum",
         "src/nbiot_noma/rate_model.py",
-        "np.ascontiguousarray(terms[: len(members), lo:hi])",
-        "terms[: len(members), lo:hi]",
+        "np.ascontiguousarray(terms[:, cols].transpose(1, 0, 2))",
+        "terms[:, cols].transpose(1, 0, 2)",
         ("tests/test_rate_model_reference.py::test_bench_cells_match_reference",),
     ),
     Mutant(
@@ -162,9 +162,9 @@ MUTANTS = (
     ),
     Mutant(
         "phase2-grown-strided-sum",
-        "src/nbiot_noma/allocation.py",
-        "np.ascontiguousarray(terms[:, group[:, None], tones].transpose(1, 0, 2))",
-        "terms[:, group[:, None], tones].transpose(1, 0, 2)",
+        "src/nbiot_noma/rate_model.py",
+        "np.ascontiguousarray(terms[:, cols].transpose(1, 0, 2))",
+        "terms[:, cols].transpose(1, 0, 2)",
         (
             "tests/test_allocation_reference.py::"
             "test_cluster_deep_in_phase_one_matches_reference",

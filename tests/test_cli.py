@@ -197,6 +197,13 @@ def test_bug_exits_runtime_with_traceback(tmp_path, config_file, monkeypatch, ca
         ["run", "--schemes", "noma,bogus"],
         ["run", "--workers", "0"],
         ["run", "--workers", "-1"],
+        ["sweep", "--var", "k_max", "--values", "0"],
+        ["sweep", "--var", "k_max", "--values", "-1"],
+        ["sweep", "--var", "total_devices", "--values", "0"],
+        ["sweep", "--var", "total_devices", "--values", "2.7"],
+        ["sweep", "--var", "threshold_scale", "--values", "-0.5"],
+        ["run", "--seed", "-5"],
+        ["sweep", "--var", "k_max", "--values", "2", "--seed", "-5"],
     ],
 )
 def test_bad_argument_value_is_usage_error(tmp_path, config_file, capsys, argv):
@@ -206,6 +213,13 @@ def test_bad_argument_value_is_usage_error(tmp_path, config_file, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_validate_negative_seed_is_usage_error(config_file, capsys):
+    code = main(["validate", "--config", str(config_file), "--seed", "-1"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--seed" in err and "Traceback" not in err
 
 
 def test_solve_power_bad_gains_is_usage_error(capsys):

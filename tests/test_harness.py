@@ -162,6 +162,27 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             small_spec(schemes=("tdma",)).validate()
 
+    @pytest.mark.parametrize(
+        "variable, value",
+        [("k_max", 0), ("k_max", 1), ("k_max", -1), ("k_max", 2.5),
+         ("total_devices", 0), ("total_devices", 2.7), ("total_devices", math.inf),
+         ("threshold_scale", -0.5), ("threshold_scale", math.inf),
+         ("threshold_scale", math.nan)],
+    )
+    def test_spec_rejects_sweep_value_that_cannot_make_a_cell(self, variable, value):
+        spec = small_spec(sweep_variable=variable, sweep_values=(4, value))
+        with pytest.raises(ValueError, match=rf"{variable} value {value!r} must be"):
+            spec.validate()
+
+    def test_spec_rejects_negative_seed(self):
+        base = dataclasses.replace(small_spec().base_config, rng_seed=-1)
+        with pytest.raises(ValueError, match="rng_seed must be nonnegative"):
+            small_spec(base_config=base).validate()
+
+    def test_spec_accepts_integral_floats_and_zero_scale(self):
+        small_spec(sweep_variable="k_max", sweep_values=(2.0, 4)).validate()
+        small_spec(sweep_variable="threshold_scale", sweep_values=(0.0, 2.5)).validate()
+
 
 class TestEmitCsv:
     def test_round_trip_12_digits(self, tmp_path):

@@ -320,3 +320,9 @@ class TestAllocationShape:
         assert isinstance(violation, Violation)
         assert violation.constraint == "C12"
         assert named in violation.message
+
+    def test_unsigned_owner_gives_the_same_rates(self, allocation):
+        # the "u" dtypes pass the shape check, uint64 included
+        scenario, assignment, owner, watts = allocation
+        report = rate_report(scenario, assignment, owner.astype(np.uint64), watts)
+        assert np.array_equal(report.rates, rate_report(scenario, assignment, owner, watts).rates)

@@ -284,6 +284,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="power_budget_mmtc"):
             read_config_file(path)
 
+    def test_negative_seed_rejected(self, tmp_path):
+        path = tmp_path / "cell.cfg"
+        path.write_text("rng_seed = -1\n")
+        with pytest.raises(ConfigError, match="rng_seed"):
+            read_config_file(path)
+
     @pytest.mark.parametrize(
         "line, key",
         [("num_clusters = 2.5", "num_clusters"), ("noise_psd_dbm = abc", "noise_psd_dbm"),
