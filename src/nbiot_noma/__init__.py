@@ -15,7 +15,6 @@ from .scenario import (
     watt_to_dbm,
 )
 from .rate_model import (
-    ClusterAssignment,
     RateReport,
     jain_fairness,
     rate_report,

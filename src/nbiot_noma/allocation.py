@@ -35,12 +35,13 @@ import numpy as np
 
 from .errors import InvalidAssignmentError, NonFiniteRateError
 from .rate_model import (
-    ClusterAssignment,
     RateReport,
+    cluster_of,
     equal_split_powers,
     owned_sums,
     rate_report,
     sic_log_terms,
+    slot_table,
     structural_violations,
 )
 from .scenario import Scenario
@@ -50,11 +51,12 @@ __all__ = ["allocate"]
 
 def allocate(
     scenario: Scenario,
-    assignment: ClusterAssignment,
+    clusters: list[list[int]],
     on_step: Callable[[int, int, np.ndarray, int], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, RateReport]:
-    """Run the greedy loop; returns (owner, watts, report): each tone's
-    cluster (S,), every device's power on every tone (n, S) and the rates.
+    """Run the greedy loop over the rank-ordered ``clusters``; returns (owner,
+    watts, report): each tone's cluster (S,), every device's power on every
+    tone (n, S) and the rates.
 
     ``on_step``, if given, is called after every assignment with
     (subcarrier, cluster, satisfied mask copy, phase) and exists for
@@ -62,7 +64,7 @@ def allocate(
     :class:`~nbiot_noma.errors.NonFiniteRateError` when a candidate's sum
     rate is NaN or infinite.
     """
-    violations = structural_violations(scenario, assignment)
+    violations = structural_violations(scenario, clusters)
     if violations:
         raise InvalidAssignmentError(violations)
 
@@ -70,13 +72,12 @@ def allocate(
     num_s = cfg.num_subcarriers
     noise = cfg.noise_per_subcarrier
     tone_bw = cfg.subcarrier_bandwidth
-    clusters = assignment.clusters
     thresholds = scenario.rate_thresholds
     log2 = math.log(2.0)
 
     # Padding slots point at the sentinel device, which has zero gain, budget
     # and threshold, so it adds nothing and always counts as satisfied.
-    slot_dev = assignment.slot_table(scenario.num_devices)
+    slot_dev = slot_table(clusters, scenario.num_devices)
     gains_ext = np.vstack([scenario.gain_matrix, np.zeros(num_s)])
     slabs = gains_ext[slot_dev]  # (C, K, S): each cluster's gains in rank order
     slot_budgets = np.append(scenario.power_budgets, 0.0)[slot_dev][:, :, None]
@@ -162,5 +163,5 @@ def allocate(
     for s in range(next_s, num_s):
         rebuild(commit(s, nonempty, phase=2), s + 1)
 
-    watts = equal_split_powers(scenario, assignment.cluster_of(scenario.num_devices), owner)
-    return owner, watts, rate_report(scenario, assignment, owner, watts)
+    watts = equal_split_powers(scenario, cluster_of(clusters, scenario.num_devices), owner)
+    return owner, watts, rate_report(scenario, clusters, owner, watts)

@@ -21,9 +21,9 @@ from .power_opt import (
     threshold_coefficients,
 )
 from .rate_model import (
-    ClusterAssignment,
     RateReport,
     build_report,
+    cluster_of,
     equal_split_powers,
     rate_report,
     sic_log_terms,
@@ -143,11 +143,9 @@ def _cluster_tone_values(scenario, members) -> np.ndarray:
     return (cfg.subcarrier_bandwidth * terms.sum(axis=0) / _LOG2).T
 
 
-def _tone_values_equal_split(scenario, assignment) -> np.ndarray:
+def _tone_values_equal_split(scenario, clusters) -> np.ndarray:
     """value[s, c, k]: cluster-c sum rate on tone s when it owns k+1 tones."""
-    return np.stack(
-        [_cluster_tone_values(scenario, members) for members in assignment.clusters], axis=1
-    )
+    return np.stack([_cluster_tone_values(scenario, members) for members in clusters], axis=1)
 
 
 def _lex_maps(num_s: int, num_c: int):
@@ -179,7 +177,7 @@ def _best_map(per_tone: np.ndarray, maps) -> tuple[float, np.ndarray]:
 
 
 def mckp_oracle(
-    scenario: Scenario, assignment: ClusterAssignment
+    scenario: Scenario, clusters: list[list[int]]
 ) -> tuple[np.ndarray, np.ndarray, RateReport]:
     """Best subcarrier-to-cluster map by full enumeration of all C^S maps.
 
@@ -190,16 +188,16 @@ def mckp_oracle(
     lexicographically smallest map.
     """
     cfg = scenario.config
-    num_s, num_c = cfg.num_subcarriers, assignment.num_clusters
+    num_s, num_c = cfg.num_subcarriers, len(clusters)
     if num_s > MCKP_MAX_SUBCARRIERS or num_c > MCKP_MAX_CLUSTERS:
         raise InstanceTooLargeError(
             f"S={num_s}, C={num_c} exceeds the exhaustive bounds "
             f"({MCKP_MAX_SUBCARRIERS}, {MCKP_MAX_CLUSTERS})"
         )
-    per_tone = _tone_values_equal_split(scenario, assignment)  # (S, C, S)
+    per_tone = _tone_values_equal_split(scenario, clusters)  # (S, C, S)
     owner = _best_map(per_tone, _lex_maps(num_s, num_c))[1]
-    watts = equal_split_powers(scenario, assignment.cluster_of(scenario.num_devices), owner)
-    return owner, watts, rate_report(scenario, assignment, owner, watts)
+    watts = equal_split_powers(scenario, cluster_of(clusters, scenario.num_devices), owner)
+    return owner, watts, rate_report(scenario, clusters, owner, watts)
 
 
 def _equal_split_rates(scenario, members, tones) -> np.ndarray:
@@ -315,7 +313,7 @@ _RESCORE_RTOL = 1e-9
 
 def exhaustive_clustering(
     scenario: Scenario,
-) -> tuple[ClusterAssignment, np.ndarray, RateReport]:
+) -> tuple[list[list[int]], np.ndarray, RateReport]:
     """Global optimum over all valid clusterings and subcarrier maps.
 
     Every structurally valid assignment is paired with its best map under
@@ -357,10 +355,10 @@ def exhaustive_clustering(
             value, owner = scorer.sum_rate(clusters)
             if best is None or value > best[0]:
                 best = (value, clusters, owner)
-    _, clusters, owner = best
-    assignment = ClusterAssignment(clusters=[list(order) for order in clusters])
-    watts = equal_split_powers(scenario, assignment.cluster_of(scenario.num_devices), owner)
-    return assignment, owner, rate_report(scenario, assignment, owner, watts)
+    _, ordered, owner = best
+    clusters = [list(order) for order in ordered]
+    watts = equal_split_powers(scenario, cluster_of(clusters, scenario.num_devices), owner)
+    return clusters, owner, rate_report(scenario, clusters, owner, watts)
 
 
 def _grid_box(axis, p_max, delta, rho, theta) -> tuple[int, int, int]:

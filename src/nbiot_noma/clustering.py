@@ -3,7 +3,8 @@
 URLLC devices are sorted by descending average channel gain and placed at
 the lowest ranks, round-robin across clusters; mMTC devices follow into
 the remaining slots.  Ties in average gain break toward the lower device
-id so the result is deterministic.
+id so the result is deterministic.  A clustering is a list of lists:
+``clusters[c]`` holds cluster c's device ids in rank order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import logging
 import numpy as np
 
 from .errors import CapacityExceededError, SingletonClusterError
-from .rate_model import ClusterAssignment
 from .scenario import Scenario
 
 __all__ = [
@@ -36,7 +36,7 @@ def _sorted_by_gain(scenario: Scenario, ids) -> list[int]:
     return sorted(ids, key=lambda d: (-gains[d], d))
 
 
-def cluster_urllc(scenario: Scenario, num_clusters: int) -> ClusterAssignment:
+def cluster_urllc(scenario: Scenario, num_clusters: int) -> list[list[int]]:
     """Place URLLC devices at the lowest ranks, strongest gain first.
 
     The i-th device of the sorted order goes to cluster i mod C; successive
@@ -54,10 +54,10 @@ def cluster_urllc(scenario: Scenario, num_clusters: int) -> ClusterAssignment:
                 f"x {k_max} ranks"
             )
         clusters[i % num_clusters].append(dev)
-    return ClusterAssignment(clusters=clusters)
+    return clusters
 
 
-def cluster_mmtc(scenario: Scenario, partial: ClusterAssignment) -> ClusterAssignment:
+def cluster_mmtc(scenario: Scenario, partial: list[list[int]]) -> list[list[int]]:
     """Fill the remaining ranks with mMTC devices, strongest gain first.
 
     Empty clusters get their rank-1 member first (in cluster-index order);
@@ -66,7 +66,7 @@ def cluster_mmtc(scenario: Scenario, partial: ClusterAssignment) -> ClusterAssig
     repaired by pulling the weakest mMTC out of the largest cluster.
     """
     k_max = scenario.config.max_rank
-    clusters = [list(members) for members in partial.clusters]
+    clusters = [list(members) for members in partial]
     queue = _sorted_by_gain(scenario, np.flatnonzero(~scenario.is_urllc).tolist())
 
     for members in clusters:
@@ -93,7 +93,7 @@ def cluster_mmtc(scenario: Scenario, partial: ClusterAssignment) -> ClusterAssig
     for c, members in enumerate(clusters):
         if members and all(scenario.is_urllc[d] for d in members):
             log.debug("cluster %d contains only URLLC devices", c)
-    return ClusterAssignment(clusters=clusters)
+    return clusters
 
 
 def _repair_singletons(clusters, scenario: Scenario, k_max: int) -> None:
@@ -125,6 +125,6 @@ def _repair_singletons(clusters, scenario: Scenario, k_max: int) -> None:
         clusters[target].append(dev)
 
 
-def build_clusters(scenario: Scenario) -> ClusterAssignment:
+def build_clusters(scenario: Scenario) -> list[list[int]]:
     """URLLC then mMTC clustering in one call, into the config's cluster count."""
     return cluster_mmtc(scenario, cluster_urllc(scenario, scenario.config.num_clusters))

@@ -133,16 +133,16 @@ def trial_config(spec: ExperimentSpec, sweep_value, seed: int) -> ScenarioConfig
 def evaluate_scheme(scheme: str, scenario: Scenario, check: bool = False):
     """One scheme on one scenario; returns its RateReport."""
     if scheme == "noma":
-        assignment = build_clusters(scenario)
-        owner, watts, report = allocate(scenario, assignment)
+        clusters = build_clusters(scenario)
+        owner, watts, report = allocate(scenario, clusters)
         if check:
-            violations = validate(scenario, assignment, owner, watts)
+            violations = validate(scenario, clusters, owner, watts)
             if violations:
                 raise AssertionError(
                     "pipeline output violates constraints: "
                     + "; ".join(str(v) for v in violations)
                 )
-            mismatch = sic_chain_mismatch(scenario, assignment, owner, watts)
+            mismatch = sic_chain_mismatch(scenario, clusters, owner, watts)
             if not mismatch <= 1e-9:  # NaN fails too
                 raise AssertionError(
                     f"SIC chain conservation off by {mismatch:.3e} relative"
@@ -207,7 +207,7 @@ def run_experiment(
     ``measure_runtime=False`` zeroes the wall-clock field so two runs of
     the same spec produce byte-identical CSV output.  ``workers`` below 1
     raises ``ValueError`` before any trial runs; above 1, the trials run
-    in a process pool.
+    in a process pool of at most one process per trial.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -220,7 +220,7 @@ def run_experiment(
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             nested = list(pool.map(_run_trial, jobs, chunksize=1))
     else:
         nested = [_run_trial(job) for job in jobs]

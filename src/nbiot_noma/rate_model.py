@@ -11,6 +11,7 @@ same-cluster members with rank strictly greater than k:
 Because URLLC members always precede mMTC members in rank order, this one
 formula covers both device classes: an mMTC member is interfered only by
 later mMTCs, a URLLC member by later URLLCs plus every mMTC in the cluster.
+A clustering is a list of lists: ``clusters[c]`` is cluster c's devices in rank order.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
 from .scenario import Scenario
 
 __all__ = [
-    "ClusterAssignment",
     "RateReport",
     "Violation",
     "sic_log_terms",
@@ -40,42 +40,12 @@ __all__ = [
     "jain_fairness",
     "validate",
     "structural_violations",
+    "cluster_of",
+    "slot_table",
 ]
 
 # Relative tolerance for power-budget equality/limits (C2, C4).
 BUDGET_RTOL = 1e-9
-
-
-@dataclass
-class ClusterAssignment:
-    """clusters[c] lists device ids in rank order (index 0 is rank 1)."""
-
-    clusters: list[list[int]]
-
-    @property
-    def num_clusters(self) -> int:
-        return len(self.clusters)
-
-    def cluster_of(self, num_devices: int) -> np.ndarray:
-        """device id -> the cluster listing it, else -1.  A device listed twice
-        maps to its last cluster and ids outside [0, num_devices) are skipped;
-        :func:`structural_violations` reports both."""
-        out = [-1] * num_devices
-        for c, members in enumerate(self.clusters):
-            for dev in members:
-                if 0 <= dev < num_devices:
-                    out[dev] = c
-        return np.array(out)
-
-    def slot_table(self, num_devices: int) -> np.ndarray:
-        """(cluster, rank) -> device id.  Short clusters are padded with the
-        sentinel id ``num_devices``, which callers give zero gain and power,
-        so a padding slot adds nothing to any rate or interference sum."""
-        depth = max((len(m) for m in self.clusters), default=0)
-        table = np.full((self.num_clusters, depth), num_devices)
-        for c, members in enumerate(self.clusters):
-            table[c, : len(members)] = members
-        return table
 
 
 @dataclass
@@ -94,6 +64,29 @@ class Violation:
 
     def __str__(self):
         return f"{self.constraint}: {self.message}"
+
+
+def cluster_of(clusters: list[list[int]], num_devices: int) -> np.ndarray:
+    """device id -> the cluster listing it, else -1.  A device listed twice
+    maps to its last cluster and ids outside [0, num_devices) are skipped;
+    :func:`structural_violations` reports both."""
+    out = [-1] * num_devices
+    for c, members in enumerate(clusters):
+        for dev in members:
+            if 0 <= dev < num_devices:
+                out[dev] = c
+    return np.array(out)
+
+
+def slot_table(clusters: list[list[int]], num_devices: int) -> np.ndarray:
+    """(cluster, rank) -> device id.  Short clusters are padded with the
+    sentinel id ``num_devices``, which callers give zero gain and power,
+    so a padding slot adds nothing to any rate or interference sum."""
+    depth = max((len(m) for m in clusters), default=0)
+    table = np.full((len(clusters), depth), num_devices)
+    for c, members in enumerate(clusters):
+        table[c, : len(members)] = members
+    return table
 
 
 def interference_below(received: np.ndarray) -> np.ndarray:
@@ -162,13 +155,13 @@ def _check_allocation(scenario: Scenario, owner: np.ndarray, watts: np.ndarray) 
         )
 
 
-def _sic_table(scenario, assignment, owner, watts):
+def _sic_table(scenario, clusters, owner, watts):
     """(owners (T,), received power (K, T), ln(1 + SINR) (K, T)) over the T
     tones with a valid owner: a column holds its tone's owning cluster's
-    members in rank order, padded by :meth:`ClusterAssignment.slot_table`."""
-    tones = np.flatnonzero((owner >= 0) & (owner < assignment.num_clusters))
+    members in rank order, padded by :func:`slot_table`."""
+    tones = np.flatnonzero((owner >= 0) & (owner < len(clusters)))
     owners = owner[tones]
-    rows = assignment.slot_table(scenario.num_devices)[owners].T
+    rows = slot_table(clusters, scenario.num_devices)[owners].T
     pad = np.zeros((1, scenario.config.num_subcarriers))
     received = np.vstack([scenario.gain_matrix * watts, pad])[rows, tones]
     return owners, received, sic_log_terms(received, scenario.config.noise_per_subcarrier)
@@ -207,7 +200,7 @@ def build_report(scenario: Scenario, rates: np.ndarray) -> RateReport:
 
 def rate_report(
     scenario: Scenario,
-    assignment: ClusterAssignment,
+    clusters: list[list[int]],
     owner: np.ndarray,
     watts: np.ndarray,
 ) -> RateReport:
@@ -223,27 +216,27 @@ def rate_report(
     call; a device listed in two clusters gets its last cluster's rate."""
     _check_allocation(scenario, owner, watts)
     n = scenario.num_devices
-    unknown = next((d for m in assignment.clusters for d in m if not 0 <= d < n), None)
+    unknown = next((d for m in clusters for d in m if not 0 <= d < n), None)
     if unknown is not None:
         raise InvalidAssignmentError([Violation("C8/C9", f"unknown device id {unknown}")])
-    unplaced = np.flatnonzero(assignment.cluster_of(n) < 0)
+    unplaced = np.flatnonzero(cluster_of(clusters, n) < 0)
     if unplaced.size:
         raise UnassignedDeviceError(f"device {unplaced[0]} is in no cluster")
     ok = (watts >= 0) & (watts < np.inf)
     if not ok.all():
         d, s = np.argwhere(~ok)[0]
         raise InvalidPowerError(f"device {d} has power {float(watts[d, s])!r} W on subcarrier {s}")
-    owners, _, terms = _sic_table(scenario, assignment, owner, watts)
-    sums = owned_sums(terms, owners, assignment.num_clusters)
+    owners, _, terms = _sic_table(scenario, clusters, owner, watts)
+    sums = owned_sums(terms, owners, len(clusters))
     rates = np.zeros(n)
-    for c, members in enumerate(assignment.clusters):
+    for c, members in enumerate(clusters):
         rates[members] = sums[c, : len(members)]
     return build_report(scenario, scenario.config.subcarrier_bandwidth * rates / math.log(2.0))
 
 
 def sic_chain_mismatch(
     scenario: Scenario,
-    assignment: ClusterAssignment,
+    clusters: list[list[int]],
     owner: np.ndarray,
     watts: np.ndarray,
 ) -> float:
@@ -255,23 +248,21 @@ def sic_chain_mismatch(
     nothing is allocated).  Misshapen arrays raise as in :func:`rate_report`.
     """
     _check_allocation(scenario, owner, watts)
-    _, received, terms = _sic_table(scenario, assignment, owner, watts)
+    _, received, terms = _sic_table(scenario, clusters, owner, watts)
     chain = terms.sum(axis=0)
     direct = np.log1p(received.sum(axis=0) / scenario.config.noise_per_subcarrier)
     mismatch = np.abs(chain - direct) / np.maximum(np.abs(direct), 1e-300)
     return float(mismatch.max(initial=0.0))
 
 
-def structural_violations(
-    scenario: Scenario, assignment: ClusterAssignment
-) -> list[Violation]:
+def structural_violations(scenario: Scenario, clusters: list[list[int]]) -> list[Violation]:
     """Clustering constraints C5-C11 plus the rank capacity bound."""
     out = []
     n = scenario.num_devices
     is_urllc = scenario.is_urllc.tolist()
     k_max = scenario.config.max_rank
     seen: dict[int, int] = {}
-    for c, members in enumerate(assignment.clusters):
+    for c, members in enumerate(clusters):
         for dev in members:
             if dev in seen:
                 out.append(
@@ -312,7 +303,7 @@ def structural_violations(
 
 def validate(
     scenario: Scenario,
-    assignment: ClusterAssignment,
+    clusters: list[list[int]],
     owner: np.ndarray,
     watts: np.ndarray,
 ) -> list[Violation]:
@@ -327,10 +318,10 @@ def validate(
     its budget.  Misshapen arrays raise as in :func:`rate_report`.
     """
     _check_allocation(scenario, owner, watts)
-    out = list(structural_violations(scenario, assignment))
+    out = list(structural_violations(scenario, clusters))
     cfg = scenario.config
 
-    bad_owner = (owner < -1) | (owner >= assignment.num_clusters)
+    bad_owner = (owner < -1) | (owner >= len(clusters))
     for s in np.flatnonzero(bad_owner):
         out.append(Violation("C12", f"subcarrier {int(s)} owner {int(owner[s])} invalid"))
 
@@ -348,8 +339,8 @@ def validate(
         cid = "C15" if scenario.is_urllc[d] else "C14"
         out.append(Violation(cid, f"negative power p[{int(d)},{int(s)}]"))
 
-    cluster_of = assignment.cluster_of(scenario.num_devices)
-    foreign = owner != cluster_of[:, None]
+    placed = cluster_of(clusters, scenario.num_devices)
+    foreign = owner != placed[:, None]
     off = (watts > 0) & foreign
     off_any = off.any(axis=1)
     # Row sums of a C-contiguous array keep each row's pairwise order.
@@ -363,10 +354,10 @@ def validate(
     c4 = scenario.is_urllc & ~foreign.all(axis=1) & ~close
     c2 = ~scenario.is_urllc & (row_sums > budgets * (1 + BUDGET_RTOL))
     # An unplaced device is already a C8/C9 violation.
-    for dev in np.flatnonzero((cluster_of >= 0) & (off_any | c4 | c2)):
+    for dev in np.flatnonzero((placed >= 0) & (off_any | c4 | c2)):
         row_sum, budget = float(row_sums[dev]), float(budgets[dev])
         if off_any[dev]:
-            tone, cluster = off[dev].argmax(), cluster_of[dev]
+            tone, cluster = off[dev].argmax(), placed[dev]
             msg = f"device {dev} transmits on subcarrier {tone} outside cluster {cluster}"
             out.append(Violation("POWER_OWNERSHIP", msg))
         if c4[dev]:

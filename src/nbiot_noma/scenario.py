@@ -133,7 +133,8 @@ class Scenario:
     """An immutable cell instance: row d of every array is device d.  Treat
     the arrays as read-only.  A wrongly shaped array raises
     :class:`ConfigError` naming it, a bad device value one naming the
-    device."""
+    device, and a tone bandwidth or noise power that is not positive and
+    finite (the config values the rates read) one naming that value."""
 
     config: ScenarioConfig
     gain_matrix: np.ndarray  # (n, S) linear power gain per subcarrier
@@ -143,6 +144,10 @@ class Scenario:
     distances: np.ndarray | None = None  # (n,) m from the base station; NaN if unknown
 
     def __post_init__(self):
+        for name in ("subcarrier_bandwidth", "noise_per_subcarrier"):
+            value = getattr(self.config, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         self.gain_matrix = _as_array("gain_matrix", self.gain_matrix, float)
         n = len(self.gain_matrix) if self.gain_matrix.ndim else 0
         if self.distances is None:

@@ -48,17 +48,20 @@ def tiny_config(base: ScenarioConfig, rng: np.random.Generator) -> ScenarioConfi
 
     The device and cluster counts are drawn so that a structurally valid
     clustering exists and the round-robin fill cannot strand a singleton
-    (total devices at least twice the cluster count).
+    (total devices at least twice the cluster count).  The resource block
+    widens to hold the drawn tones.
     """
     num_clusters = int(rng.integers(1, 3))
     k_max = int(rng.integers(2, 4))
     total = int(rng.integers(2 * num_clusters, min(5, num_clusters * k_max) + 1))
     urllc = int(rng.integers(0, total))
+    num_s = int(rng.integers(2, 7))
     return replace(
         base,
         num_urllc=urllc,
         num_mmtc=total - urllc,
-        num_subcarriers=int(rng.integers(2, 7)),
+        num_subcarriers=num_s,
+        rb_bandwidth=max(base.rb_bandwidth, num_s * base.subcarrier_bandwidth),
         num_clusters=num_clusters,
         max_rank=k_max,
         rng_seed=int(rng.integers(0, 2**32)),
@@ -139,13 +142,13 @@ def _check_solver_vs_grid(rng, trials=10) -> CheckResult:
 
 
 def _check_dominance(name, oracle, base, rng, trials) -> CheckResult:
-    """``oracle(scenario, assignment)``'s sum rate never falls below the greedy's."""
+    """``oracle(scenario, clusters)``'s sum rate never falls below the greedy's."""
     failures = 0
     for _ in range(trials):
         scenario = generate_scenario(tiny_config(base, rng))
-        assignment = build_clusters(scenario)
-        _, _, report = allocate(scenario, assignment)
-        _, _, best = oracle(scenario, assignment)
+        clusters = build_clusters(scenario)
+        _, _, report = allocate(scenario, clusters)
+        _, _, best = oracle(scenario, clusters)
         if best.sum_rate < report.sum_rate * (1 - 1e-9):
             failures += 1
     return CheckResult(name, failures == 0, f"{trials} instances, {failures} failures")
@@ -163,9 +166,9 @@ def _check_pipeline_constraints(base, rng, trials=3) -> CheckResult:
             rng_seed=int(rng.integers(0, 2**32)),
         )
         scenario = generate_scenario(cfg)
-        assignment = build_clusters(scenario)
-        owner, watts, _ = allocate(scenario, assignment)
-        worst_violations += len(validate(scenario, assignment, owner, watts))
+        clusters = build_clusters(scenario)
+        owner, watts, _ = allocate(scenario, clusters)
+        worst_violations += len(validate(scenario, clusters, owner, watts))
     return CheckResult(
         "pipeline-constraints", worst_violations == 0, f"{worst_violations} violations"
     )

@@ -49,8 +49,8 @@ MUTANTS = (
     Mutant(
         "pad-slots-with-device-0",
         "src/nbiot_noma/rate_model.py",
-        "table = np.full((self.num_clusters, depth), num_devices)",
-        "table = np.full((self.num_clusters, depth), 0)",
+        "table = np.full((len(clusters), depth), num_devices)",
+        "table = np.full((len(clusters), depth), 0)",
         ("tests/test_rate_model_reference.py", "tests/test_allocation_reference.py"),
     ),
     Mutant(
@@ -59,6 +59,20 @@ MUTANTS = (
         "(0 < b) & (b < np.inf)",
         "(0 < b)",
         ("tests/test_scenario.py::TestHandBuiltScenario",),
+    ),
+    Mutant(
+        "scenario-accepts-bad-noise",
+        "src/nbiot_noma/scenario.py",
+        "            if not 0 < value < math.inf:\n",
+        "            if False:\n",
+        ("tests/test_scenario.py::TestHandBuiltScenario",),
+    ),
+    Mutant(
+        "pool-ignores-job-count",
+        "src/nbiot_noma/harness.py",
+        "max_workers=min(workers, len(jobs))",
+        "max_workers=workers",
+        ("tests/test_harness.py::TestRunExperiment::test_pool_size_capped_by_job_count",),
     ),
     Mutant(
         "harness-swallows-bugs",
@@ -126,15 +140,15 @@ MUTANTS = (
     Mutant(
         "greedy-spends-double-budget",
         "src/nbiot_noma/allocation.py",
-        "    return owner, watts, rate_report(scenario, assignment, owner, watts)",
+        "    return owner, watts, rate_report(scenario, clusters, owner, watts)",
         "    watts *= 2\n"
-        "    return owner, watts, rate_report(scenario, assignment, owner, watts)",
+        "    return owner, watts, rate_report(scenario, clusters, owner, watts)",
         ("tests/test_baselines.py::TestMckpOracle::test_dominates_greedy",),
     ),
     Mutant(
         "greedy-drops-final-rate-pass",
         "src/nbiot_noma/allocation.py",
-        "    return owner, watts, rate_report(scenario, assignment, owner, watts)",
+        "    return owner, watts, rate_report(scenario, clusters, owner, watts)",
         "    from .rate_model import build_report\n"
         "    return owner, watts, build_report(scenario, rates)",
         ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),

@@ -20,7 +20,6 @@ import numpy as np
 from nbiot_noma.baselines import half_tone_scenario
 from nbiot_noma.errors import InvalidAssignmentError
 from nbiot_noma.rate_model import (
-    ClusterAssignment,
     RateReport,
     build_report,
     structural_violations,
@@ -43,7 +42,7 @@ def _powers_for(scenario: Scenario, clusters, owned_tones) -> np.ndarray:
 
 def reference_allocate(
     scenario: Scenario,
-    assignment: ClusterAssignment,
+    clusters: list[list[int]],
     on_step: Callable[[int, int, np.ndarray, int], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, RateReport]:
     """Run the greedy loop; returns the owner, watts and rates.
@@ -52,7 +51,7 @@ def reference_allocate(
     (subcarrier, cluster, satisfied mask copy, phase) and exists for
     instrumentation in tests.
     """
-    violations = structural_violations(scenario, assignment)
+    violations = structural_violations(scenario, clusters)
     if violations:
         raise InvalidAssignmentError(violations)
 
@@ -60,7 +59,6 @@ def reference_allocate(
     num_s = cfg.num_subcarriers
     noise = cfg.noise_per_subcarrier
     tone_bw = cfg.subcarrier_bandwidth
-    clusters = assignment.clusters
     num_c = len(clusters)
     budgets = scenario.power_budgets
     thresholds = scenario.rate_thresholds

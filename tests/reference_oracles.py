@@ -56,7 +56,6 @@ from nbiot_noma.power_opt import (
     threshold_coefficients,
 )
 from nbiot_noma.rate_model import (
-    ClusterAssignment,
     RateReport,
     rate_report,
     sic_log_terms,
@@ -68,16 +67,16 @@ from reference_rate_model import reference_equal_split_powers
 _LOG2 = math.log(2.0)
 
 
-def _tone_values_equal_split(scenario, assignment) -> np.ndarray:
+def _tone_values_equal_split(scenario, clusters) -> np.ndarray:
     """value[s, c, k]: cluster-c sum rate on tone s when it owns k+1 tones.
 
     Under equal split every member transmits budget/(k+1) per owned tone,
     so the value of a tone depends only on how many tones the cluster owns.
     """
     cfg = scenario.config
-    num_s, num_c = cfg.num_subcarriers, assignment.num_clusters
+    num_s, num_c = cfg.num_subcarriers, len(clusters)
     values = np.zeros((num_s, num_c, num_s))
-    for c, members in enumerate(assignment.clusters):
+    for c, members in enumerate(clusters):
         if not members:
             continue
         gains = scenario.gain_matrix[members]
@@ -104,10 +103,10 @@ def _valid_assignments(scenario: Scenario, num_clusters: int, k_max: int):
             mmtc = [d for d in members if not scenario.is_urllc[d]]
             per_cluster.append(list(_rank_orderings(urllc, mmtc)))
         for combo in itertools.product(*per_cluster):
-            yield ClusterAssignment(clusters=[list(order) for order in combo])
+            yield [list(order) for order in combo]
 
 
-def reference_mckp_oracle(scenario: Scenario, assignment: ClusterAssignment) -> np.ndarray:
+def reference_mckp_oracle(scenario: Scenario, clusters: list[list[int]]) -> np.ndarray:
     """Best subcarrier-to-cluster map by full enumeration of all C^S maps.
 
     Each candidate is scored under the same equal-split rule the greedy
@@ -115,13 +114,13 @@ def reference_mckp_oracle(scenario: Scenario, assignment: ClusterAssignment) -> 
     Ties go to the lexicographically smallest map.
     """
     cfg = scenario.config
-    num_s, num_c = cfg.num_subcarriers, assignment.num_clusters
+    num_s, num_c = cfg.num_subcarriers, len(clusters)
     if num_s > MCKP_MAX_SUBCARRIERS or num_c > MCKP_MAX_CLUSTERS:
         raise InstanceTooLargeError(
             f"S={num_s}, C={num_c} exceeds the exhaustive bounds "
             f"({MCKP_MAX_SUBCARRIERS}, {MCKP_MAX_CLUSTERS})"
         )
-    per_tone = _tone_values_equal_split(scenario, assignment)  # (S, C, S)
+    per_tone = _tone_values_equal_split(scenario, clusters)  # (S, C, S)
 
     total = num_c**num_s
     chunk = 1 << 16
@@ -147,7 +146,7 @@ def reference_mckp_oracle(scenario: Scenario, assignment: ClusterAssignment) -> 
 
 def reference_exhaustive_clustering(
     scenario: Scenario,
-) -> tuple[ClusterAssignment, np.ndarray, RateReport]:
+) -> tuple[list[list[int]], np.ndarray, RateReport]:
     """``exhaustive_clustering`` before the partition pruning: every valid
     assignment scored with the reference MCKP, the first best kept."""
     cfg = scenario.config
@@ -163,13 +162,13 @@ def reference_exhaustive_clustering(
             f"rank<={EXHAUSTIVE_MAX_RANK}, subcarriers<={EXHAUSTIVE_MAX_SUBCARRIERS})"
         )
     best = None
-    for assignment in _valid_assignments(scenario, cfg.num_clusters, cfg.max_rank):
-        owner = reference_mckp_oracle(scenario, assignment)
-        tone_sets = [np.flatnonzero(owner == c) for c in range(assignment.num_clusters)]
-        watts = reference_equal_split_powers(scenario, assignment.clusters, tone_sets)
-        report = rate_report(scenario, assignment, owner, watts)
+    for clusters in _valid_assignments(scenario, cfg.num_clusters, cfg.max_rank):
+        owner = reference_mckp_oracle(scenario, clusters)
+        tone_sets = [np.flatnonzero(owner == c) for c in range(len(clusters))]
+        watts = reference_equal_split_powers(scenario, clusters, tone_sets)
+        report = rate_report(scenario, clusters, owner, watts)
         if best is None or report.sum_rate > best[2].sum_rate:
-            best = (assignment, owner, report)
+            best = (clusters, owner, report)
     if best is None:
         raise InstanceTooLargeError("no structurally valid clustering exists")
     return best

@@ -8,7 +8,7 @@ lookups, and ``equal_split_powers`` as it stood before it took a
 device-to-group array.  Each cluster gathers its own (members, owned tones) block with
 ``np.ix_``, ``validate`` checks one device at a time, and the equal split
 loops over groups and members.  ``_slots`` and ``_owned_by`` are the
-former ``ClusterAssignment.slots`` and the subcarrier map's ``owned_by``.  They
+former clustering class's ``slots`` and the subcarrier map's ``owned_by``.  They
 are kept verbatim so that the array versions in ``nbiot_noma.rate_model``
 can be checked against them for identical powers, rates, reports and
 violation lists.
@@ -23,7 +23,6 @@ import numpy as np
 from nbiot_noma.errors import UnassignedDeviceError
 from nbiot_noma.rate_model import (
     BUDGET_RTOL,
-    ClusterAssignment,
     RateReport,
     Violation,
     build_report,
@@ -32,10 +31,10 @@ from nbiot_noma.rate_model import (
 from nbiot_noma.scenario import Scenario
 
 
-def _slots(assignment: ClusterAssignment) -> dict[int, tuple[int, int]]:
+def _slots(clusters: list[list[int]]) -> dict[int, tuple[int, int]]:
     """device id -> (cluster index, 0-based rank)."""
     out = {}
-    for c, members in enumerate(assignment.clusters):
+    for c, members in enumerate(clusters):
         for rank, dev in enumerate(members):
             out[dev] = (c, rank)
     return out
@@ -78,12 +77,12 @@ def sic_member_rates(
 
 def _cluster_rates(
     scenario: Scenario,
-    assignment: ClusterAssignment,
+    clusters: list[list[int]],
     owner: np.ndarray,
     watts: np.ndarray,
     cluster: int,
 ) -> np.ndarray:
-    members = assignment.clusters[cluster]
+    members = clusters[cluster]
     tones = _owned_by(owner, cluster)
     if not members:
         return np.zeros(0)
@@ -97,26 +96,26 @@ def _cluster_rates(
 
 def reference_rate_report(
     scenario: Scenario,
-    assignment: ClusterAssignment,
+    clusters: list[list[int]],
     owner: np.ndarray,
     watts: np.ndarray,
 ) -> RateReport:
     """Rates for every device plus sum rate, fairness and QoS satisfaction."""
     rates = np.zeros(scenario.num_devices)
-    slots = _slots(assignment)
+    slots = _slots(clusters)
     for dev in range(scenario.num_devices):
         if dev not in slots:
             raise UnassignedDeviceError(f"device {dev} is in no cluster")
-    for c in range(assignment.num_clusters):
-        members = assignment.clusters[c]
+    for c in range(len(clusters)):
+        members = clusters[c]
         if members:
-            rates[members] = _cluster_rates(scenario, assignment, owner, watts, c)
+            rates[members] = _cluster_rates(scenario, clusters, owner, watts, c)
     return build_report(scenario, rates)
 
 
 def reference_sic_chain_mismatch(
     scenario: Scenario,
-    assignment: ClusterAssignment,
+    clusters: list[list[int]],
     owner: np.ndarray,
     watts: np.ndarray,
 ) -> float:
@@ -129,7 +128,7 @@ def reference_sic_chain_mismatch(
     """
     noise = scenario.config.noise_per_subcarrier
     worst = 0.0
-    for c, members in enumerate(assignment.clusters):
+    for c, members in enumerate(clusters):
         tones = _owned_by(owner, c)
         if not members or tones.size == 0:
             continue
@@ -145,13 +144,13 @@ def reference_sic_chain_mismatch(
 
 
 def reference_structural_violations(
-    scenario: Scenario, assignment: ClusterAssignment
+    scenario: Scenario, clusters: list[list[int]]
 ) -> list[Violation]:
     """Clustering constraints C5-C11 plus the rank capacity bound."""
     out = []
     k_max = scenario.config.max_rank
     seen: dict[int, int] = {}
-    for c, members in enumerate(assignment.clusters):
+    for c, members in enumerate(clusters):
         for dev in members:
             if dev in seen:
                 out.append(
@@ -193,7 +192,7 @@ def reference_structural_violations(
 
 def reference_validate(
     scenario: Scenario,
-    assignment: ClusterAssignment,
+    clusters: list[list[int]],
     owner: np.ndarray,
     watts: np.ndarray,
 ) -> list[Violation]:
@@ -207,10 +206,10 @@ def reference_validate(
     spectrum; a cluster that received no subcarriers has nowhere to spend
     its budget.
     """
-    out = list(reference_structural_violations(scenario, assignment))
+    out = list(reference_structural_violations(scenario, clusters))
     cfg = scenario.config
 
-    bad_owner = (owner < -1) | (owner >= assignment.num_clusters)
+    bad_owner = (owner < -1) | (owner >= len(clusters))
     for s in np.flatnonzero(bad_owner):
         out.append(Violation("C12", f"subcarrier {int(s)} owner {int(owner[s])} invalid"))
 
@@ -229,8 +228,8 @@ def reference_validate(
         cid = "C15" if scenario.is_urllc[d] else "C14"
         out.append(Violation(cid, f"negative power p[{int(d)},{int(s)}]"))
 
-    owned = [_owned_by(owner, c) for c in range(assignment.num_clusters)]
-    slots = _slots(assignment)
+    owned = [_owned_by(owner, c) for c in range(len(clusters))]
+    slots = _slots(clusters)
     for dev in range(scenario.num_devices):
         if dev not in slots:
             continue  # already a C8/C9 violation

@@ -10,7 +10,7 @@ from nbiot_noma.allocation import allocate
 from nbiot_noma.clustering import build_clusters
 from nbiot_noma.errors import InvalidAssignmentError, NonFiniteRateError
 from nbiot_noma.rate_model import (
-    ClusterAssignment,
+    cluster_of,
     equal_split_powers,
     validate,
 )
@@ -46,8 +46,8 @@ class TestAllocate:
             np.arange(1, 9).reshape(2, 4).astype(float), "mm",
             budgets=[0.2, 0.4], thresholds=[5.0, 5.0],
         )
-        assignment = ClusterAssignment(clusters=[[0, 1]])
-        owner, watts, report = allocate(sc, assignment)
+        clusters = [[0, 1]]
+        owner, watts, report = allocate(sc, clusters)
         assert np.all(owner == 0)
         assert np.allclose(watts[0], 0.05)
         assert np.allclose(watts[1], 0.1)
@@ -62,8 +62,8 @@ class TestAllocate:
             [0.5, 5.0],
         ]
         sc = make_scenario(gains, "mmmm", num_clusters=2)
-        assignment = ClusterAssignment(clusters=[[0, 1], [2, 3]])
-        owner, _, _ = allocate(sc, assignment)
+        clusters = [[0, 1], [2, 3]]
+        owner, _, _ = allocate(sc, clusters)
         assert owner[0] == 0
         assert owner[1] == 1
 
@@ -71,8 +71,8 @@ class TestAllocate:
         sc = make_scenario(
             [[1.0, 1.0], [1.0, 1.0]], "mm", thresholds=[1e9, 1e9]
         )
-        assignment = ClusterAssignment(clusters=[[0, 1]])
-        owner, _, report = allocate(sc, assignment)
+        clusters = [[0, 1]]
+        owner, _, report = allocate(sc, clusters)
         assert np.all(owner == 0)  # spectrum exhausted, no error
         assert report.satisfied_count < 2
 
@@ -89,9 +89,9 @@ class TestAllocate:
         sc = make_scenario(gains, "mmmm", thresholds=thresholds, num_clusters=2)
         sc.gain_matrix[0, 0] = gain
         sc.power_budgets[0] = budget
-        assignment = ClusterAssignment(clusters=[[0, 1], [2, 3]])
+        clusters = [[0, 1], [2, 3]]
         with pytest.raises(NonFiniteRateError, match="subcarrier 0: cluster 0"):
-            allocate(sc, assignment)
+            allocate(sc, clusters)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
     @pytest.mark.parametrize("thresholds", [None, [1e9] * 4])
@@ -104,14 +104,14 @@ class TestAllocate:
             gains, "mmmm", thresholds=thresholds, budgets=[1e10, 1.0, 1.0, 1.0],
             num_clusters=2,
         )
-        assignment = ClusterAssignment(clusters=[[0, 1], [2, 3]])
+        clusters = [[0, 1], [2, 3]]
         with pytest.raises(NonFiniteRateError, match="subcarrier 0: cluster 0"):
-            allocate(sc, assignment)
+            allocate(sc, clusters)
 
     def test_invalid_assignment_rejected(self):
         sc = make_scenario([[1.0], [1.0]], "mm")
         with pytest.raises(InvalidAssignmentError):
-            allocate(sc, ClusterAssignment(clusters=[[0]]))
+            allocate(sc, [[0]])
 
     def test_every_tone_assigned_once(self):
         cfg = dataclasses.replace(
@@ -138,11 +138,11 @@ class TestAllocate:
             rng_seed=seed,
         )
         sc = generate_scenario(cfg)
-        assignment = build_clusters(sc)
-        owner, watts, report = allocate(sc, assignment)
-        assert validate(sc, assignment, owner, watts) == []
+        clusters = build_clusters(sc)
+        owner, watts, report = allocate(sc, clusters)
+        assert validate(sc, clusters, owner, watts) == []
         row_sums = watts.sum(axis=1)
-        has_spectrum = np.isin(assignment.cluster_of(sc.num_devices), owner)
+        has_spectrum = np.isin(cluster_of(clusters, sc.num_devices), owner)
         assert row_sums[has_spectrum] == pytest.approx(
             sc.power_budgets[has_spectrum], rel=1e-12
         )
@@ -164,19 +164,19 @@ class TestAllocate:
             rng_seed=13,
         )
         sc = generate_scenario(cfg)
-        assignment = build_clusters(sc)
+        clusters = build_clusters(sc)
         steps = []
-        allocate(sc, assignment, on_step=lambda s, c, sat, ph: steps.append((s, c, ph)))
+        allocate(sc, clusters, on_step=lambda s, c, sat, ph: steps.append((s, c, ph)))
 
         def snapshot(owned):
             owner = np.full(cfg.num_subcarriers, -1, dtype=int)
             watts = np.zeros((sc.num_devices, cfg.num_subcarriers))
             for c, tones in enumerate(owned):
                 owner[tones] = c
-                for dev in assignment.clusters[c]:
+                for dev in clusters[c]:
                     if tones:
                         watts[dev, tones] = sc.power_budgets[dev] / len(tones)
-            return rate_report(sc, assignment, owner, watts)
+            return rate_report(sc, clusters, owner, watts)
 
         owned = [[] for _ in range(cfg.num_clusters)]
         for s, chosen, phase in steps:
@@ -184,10 +184,10 @@ class TestAllocate:
             cands = [
                 c
                 for c in range(cfg.num_clusters)
-                if assignment.clusters[c]
+                if clusters[c]
                 and (
                     phase == 2
-                    or not all(current.satisfied[d] for d in assignment.clusters[c])
+                    or not all(current.satisfied[d] for d in clusters[c])
                 )
             ]
             scores = []

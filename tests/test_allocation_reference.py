@@ -19,7 +19,6 @@ from nbiot_noma.allocation import allocate
 from nbiot_noma.baselines import fast_ofdm_allocate, ofdma_allocate
 from nbiot_noma.clustering import build_clusters
 from nbiot_noma.harness import ExperimentSpec, trial_config
-from nbiot_noma.rate_model import ClusterAssignment
 from nbiot_noma.scenario import generate_scenario, read_config_file
 
 from conftest import make_scenario
@@ -59,10 +58,10 @@ def cell_scenario(cell: str, seed: int):
     return generate_scenario(trial_config(spec, value, seed))
 
 
-def assert_same_allocation(scenario, assignment):
+def assert_same_allocation(scenario, clusters):
     ref_steps, new_steps = [], []
-    ref = reference_allocate(scenario, assignment, on_step=lambda *a: ref_steps.append(a))
-    new = allocate(scenario, assignment, on_step=lambda *a: new_steps.append(a))
+    ref = reference_allocate(scenario, clusters, on_step=lambda *a: ref_steps.append(a))
+    new = allocate(scenario, clusters, on_step=lambda *a: new_steps.append(a))
     assert np.array_equal(new[0], ref[0])
     assert np.array_equal(new[1], ref[1])
     assert np.array_equal(new[2].rates, ref[2].rates)
@@ -123,14 +122,14 @@ def small_instances(draw):
         gains, kinds, thresholds=thresholds, budgets=budgets,
         num_clusters=len(sizes), max_rank=max(max(sizes), 2),
     )
-    return sc, ClusterAssignment(clusters=clusters)
+    return sc, clusters
 
 
 @given(small_instances())
 @settings(max_examples=200, deadline=None)
 def test_small_instances_match_reference(instance):
-    sc, assignment = instance
-    assert_same_allocation(sc, assignment)
+    sc, clusters = instance
+    assert_same_allocation(sc, clusters)
     assert_same_oma(ofdma_allocate(sc), reference_ofdma_allocate(sc))
     assert_same_oma(fast_ofdm_allocate(sc), reference_fast_ofdm_allocate(sc))
 
@@ -139,9 +138,9 @@ def test_small_instances_match_reference(instance):
 def test_exact_ties_go_to_the_first_cluster(thresholds):
     # two identical clusters tie whenever they own equally many tones
     sc = make_scenario(np.ones((4, 4)), "mmmm", thresholds=thresholds, num_clusters=2)
-    assignment = ClusterAssignment(clusters=[[0, 1], [2, 3]])
-    assert_same_allocation(sc, assignment)
-    assert list(allocate(sc, assignment)[0]) == [0, 1, 0, 1]
+    clusters = [[0, 1], [2, 3]]
+    assert_same_allocation(sc, clusters)
+    assert list(allocate(sc, clusters)[0]) == [0, 1, 0, 1]
 
 
 def test_cluster_deep_in_phase_one_matches_reference():
@@ -156,10 +155,10 @@ def test_cluster_deep_in_phase_one_matches_reference():
     at_ten = sic_member_rates(gains, np.full(gains.shape, 1.0 / 10), 1.0, 1.0)
     thresholds = [at_ten[0], np.nextafter(at_ten[1], np.inf)]
     sc = make_scenario(gains, "um", thresholds=thresholds)
-    assignment = ClusterAssignment(clusters=[[0, 1]])
-    assert_same_allocation(sc, assignment)
+    clusters = [[0, 1]]
+    assert_same_allocation(sc, clusters)
     steps = []
-    allocate(sc, assignment, on_step=lambda *a: steps.append(a))
+    allocate(sc, clusters, on_step=lambda *a: steps.append(a))
     assert [phase for _, _, _, phase in steps] == [1] * 9 + [2]
     assert list(steps[-1][2]) == [True, False]
 
@@ -194,14 +193,14 @@ def wide_instances(draw):
         gains, kinds, thresholds=thresholds, budgets=budgets,
         num_clusters=len(sizes), max_rank=max(max(sizes), 2),
     )
-    return sc, ClusterAssignment(clusters=clusters)
+    return sc, clusters
 
 
 @given(wide_instances())
 @settings(max_examples=200, deadline=None)
 def test_wide_instances_match_reference(instance):
-    sc, assignment = instance
-    assert_same_allocation(sc, assignment)
+    sc, clusters = instance
+    assert_same_allocation(sc, clusters)
     assert_same_oma(ofdma_allocate(sc), reference_ofdma_allocate(sc))
     assert_same_oma(fast_ofdm_allocate(sc), reference_fast_ofdm_allocate(sc))
 

@@ -17,7 +17,7 @@ from nbiot_noma.baselines import (
 from nbiot_noma.clustering import build_clusters
 from nbiot_noma.errors import GridResolutionError, InstanceTooLargeError
 from nbiot_noma.power_opt import OrderedCluster, find_feasible_tail, maximize_rates
-from nbiot_noma.rate_model import ClusterAssignment, RateReport, rate_report
+from nbiot_noma.rate_model import RateReport, rate_report
 from nbiot_noma.scenario import ScenarioConfig, generate_scenario, read_config_file
 from nbiot_noma.selfcheck import tiny_config
 
@@ -107,15 +107,15 @@ class TestFastOfdm:
 class TestMckpOracle:
     def test_single_cluster_unique_map(self):
         sc = make_scenario([[1.0, 2.0], [0.5, 0.5]], "mm")
-        assignment = ClusterAssignment(clusters=[[0, 1]])
-        best, _, _ = mckp_oracle(sc, assignment)
+        clusters = [[0, 1]]
+        best, _, _ = mckp_oracle(sc, clusters)
         assert list(best) == [0, 0]
 
     def test_matches_greedy_on_crossed_gains(self):
         gains = [[10.0, 1.0], [5.0, 0.5], [1.0, 10.0], [0.5, 5.0]]
         sc = make_scenario(gains, "mmmm", num_clusters=2)
-        assignment = ClusterAssignment(clusters=[[0, 1], [2, 3]])
-        best, _, _ = mckp_oracle(sc, assignment)
+        clusters = [[0, 1], [2, 3]]
+        best, _, _ = mckp_oracle(sc, clusters)
         assert list(best) == [0, 1]
 
     def test_lexicographic_tie_break(self):
@@ -124,42 +124,40 @@ class TestMckpOracle:
         # [1, 0] exactly, so the lexicographically smaller map must win
         gains = [[1.0, 1.0], [0.5, 0.5], [1.0, 1.0], [0.5, 0.5]]
         sc = make_scenario(gains, "mmmm", num_clusters=2)
-        assignment = ClusterAssignment(clusters=[[0, 1], [2, 3]])
-        best, _, _ = mckp_oracle(sc, assignment)
+        clusters = [[0, 1], [2, 3]]
+        best, _, _ = mckp_oracle(sc, clusters)
         assert list(best) == [0, 1]
 
     def test_instance_too_large(self):
         sc = make_scenario(np.ones((2, 13)), "mm")
-        assignment = ClusterAssignment(clusters=[[0, 1]])
+        clusters = [[0, 1]]
         with pytest.raises(InstanceTooLargeError):
-            mckp_oracle(sc, assignment)
+            mckp_oracle(sc, clusters)
 
     def test_dominates_greedy(self):
         base = ScenarioConfig()
         rng = np.random.default_rng(17)
         for _ in range(100):
             sc = generate_scenario(tiny_config(base, rng))
-            assignment = build_clusters(sc)
-            _, _, report = allocate(sc, assignment)
-            _, _, best = mckp_oracle(sc, assignment)
+            clusters = build_clusters(sc)
+            _, _, report = allocate(sc, clusters)
+            _, _, best = mckp_oracle(sc, clusters)
             assert best.sum_rate >= report.sum_rate * (1 - 1e-9)
 
 
 class TestExhaustiveClustering:
     def test_forced_minimal_pair(self):
         sc = make_scenario([[2.0], [1.0]], "um", num_clusters=1)
-        assignment, owner, report = exhaustive_clustering(sc)
-        assert assignment.clusters == [[0, 1]]
+        clusters, owner, report = exhaustive_clustering(sc)
+        assert clusters == [[0, 1]]
         assert list(owner) == [0]
 
     def test_two_orderings_evaluated(self):
         sc = make_scenario([[4.0], [1.0]], "mm", num_clusters=1, budgets=[1.0, 1.0])
-        best_assignment, owner, best = exhaustive_clustering(sc)
+        best_clusters, owner, best = exhaustive_clustering(sc)
         # score the opposite ordering by hand and confirm the oracle's
         # choice is the better of the two
-        other = ClusterAssignment(
-            clusters=[list(reversed(best_assignment.clusters[0]))]
-        )
+        other = [list(reversed(best_clusters[0]))]
         watts = np.ones((2, 1))
         other_rate = rate_report(sc, other, owner, watts).sum_rate
         assert best.sum_rate >= other_rate - 1e-12
@@ -238,7 +236,7 @@ def test_allocators_share_one_interface(allocator, make_cell, seed):
     groups are single devices; fast-OFDM's arrays index the half-tone cell."""
     cell = make_cell(seed)
     if allocator in (ofdma_allocate, fast_ofdm_allocate):
-        groups = ClusterAssignment(clusters=[[d] for d in range(cell.num_devices)])
+        groups = [[d] for d in range(cell.num_devices)]
         owner, watts, report = allocator(cell)
         if allocator is fast_ofdm_allocate:
             cell = half_tone_scenario(cell)

@@ -113,6 +113,18 @@ def test_validate_command(config_file, capsys):
     assert "[FAIL]" not in captured
 
 
+def test_validate_narrow_config(tmp_path, capsys):
+    # two 3.75 kHz tones fill the 7.5 kHz resource block; the random tiny
+    # instances draw up to six tones and must widen the block to hold them
+    path = tmp_path / "narrow.cfg"
+    path.write_text("num_subcarriers = 2\nrb_bandwidth = 7500\n")
+    read_config_file(path)
+    code = main(["validate", "--config", str(path), "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK, captured.err
+    assert captured.out.count("[PASS]") == 6
+
+
 def test_solve_power_prints_solution(capsys):
     code = main(
         ["solve-power", "--lambdas", "1,2", "--thresholds", "1,1", "--pmax", "3"]

@@ -49,7 +49,7 @@ class TestUrllcClustering:
     def test_u_less_than_c(self):
         sc = descending_scenario("uu" + "mm")
         partial = cluster_urllc(sc, 4)
-        assert partial.clusters == [[0], [1], [], []]
+        assert partial == [[0], [1], [], []]
 
     def test_round_robin_overflow(self):
         sc = make_scenario(
@@ -57,11 +57,11 @@ class TestUrllcClustering:
             num_clusters=2, max_rank=3,
         )
         partial = cluster_urllc(sc, 2)
-        assert partial.clusters == [[0, 2, 4], [1, 3]]
+        assert partial == [[0, 2, 4], [1, 3]]
 
     def test_no_urllc(self):
         sc = descending_scenario("mm")
-        assert cluster_urllc(sc, 2).clusters == [[], []]
+        assert cluster_urllc(sc, 2) == [[], []]
 
     def test_capacity_exceeded(self):
         sc = make_scenario([gains_row(1.0)] * 5, "uuuuu", num_clusters=2, max_rank=2)
@@ -72,7 +72,7 @@ class TestUrllcClustering:
         # device 1 has the stronger average gain, so it takes cluster 0
         sc = make_scenario([gains_row(1.0), gains_row(5.0)], "uu", num_clusters=2)
         partial = cluster_urllc(sc, 2)
-        assert partial.clusters == [[1], [0]]
+        assert partial == [[1], [0]]
 
 
 class TestMmtcClustering:
@@ -81,20 +81,20 @@ class TestMmtcClustering:
             [gains_row(float(9 - i)) for i in range(4)], "mmmm",
             num_clusters=2, max_rank=2,
         )
-        assignment = cluster_mmtc(sc, cluster_urllc(sc, 2))
-        assert assignment.clusters == [[0, 2], [1, 3]]
+        clusters = cluster_mmtc(sc, cluster_urllc(sc, 2))
+        assert clusters == [[0, 2], [1, 3]]
 
     def test_forced_rank_two(self):
         sc = make_scenario(
             [gains_row(float(9 - i)) for i in range(4)], "uumm", num_clusters=2
         )
-        assignment = cluster_mmtc(sc, cluster_urllc(sc, 2))
-        assert assignment.clusters == [[0, 2], [1, 3]]
+        clusters = cluster_mmtc(sc, cluster_urllc(sc, 2))
+        assert clusters == [[0, 2], [1, 3]]
 
     def test_minimal_noma_pair(self):
         sc = make_scenario([gains_row(2.0), gains_row(1.0)], "um", num_clusters=1)
-        assignment = cluster_mmtc(sc, cluster_urllc(sc, 1))
-        assert assignment.clusters == [[0, 1]]
+        clusters = cluster_mmtc(sc, cluster_urllc(sc, 1))
+        assert clusters == [[0, 1]]
 
     def test_singleton_repair_moves_weakest_mmtc(self):
         # three URLLCs land [[u0, u2], [u1]]; the only mMTC first joins
@@ -103,9 +103,9 @@ class TestMmtcClustering:
             [gains_row(9.0), gains_row(8.0), gains_row(7.0), gains_row(1.0)],
             "uuum", num_clusters=2, max_rank=3,
         )
-        assignment = cluster_mmtc(sc, cluster_urllc(sc, 2))
-        assert assignment.clusters == [[0, 2], [1, 3]]
-        assert structural_violations(sc, assignment) == []
+        clusters = cluster_mmtc(sc, cluster_urllc(sc, 2))
+        assert clusters == [[0, 2], [1, 3]]
+        assert structural_violations(sc, clusters) == []
 
     def test_unrepairable_singleton(self):
         sc = make_scenario(
@@ -147,16 +147,16 @@ class TestStructureProperties:
             rng_seed=seed,
         )
         sc = generate_scenario(cfg)
-        assignment = build_clusters(sc)
-        assert structural_violations(sc, assignment) == []
+        clusters = build_clusters(sc)
+        assert structural_violations(sc, clusters) == []
 
     def test_urllc_all_rank_one_when_u_le_c(self):
         cfg = dataclasses.replace(
             ScenarioConfig(), num_urllc=3, num_mmtc=9, num_clusters=4, max_rank=3
         )
         sc = generate_scenario(cfg)
-        assignment = build_clusters(sc)
-        for members in assignment.clusters:
+        clusters = build_clusters(sc)
+        for members in clusters:
             for rank, dev in enumerate(members):
                 if sc.is_urllc[dev]:
                     assert rank == 0
@@ -166,9 +166,9 @@ class TestStructureProperties:
             ScenarioConfig(), num_urllc=8, num_mmtc=24, num_clusters=8, rng_seed=3
         )
         sc = generate_scenario(cfg)
-        assignment = build_clusters(sc)
+        clusters = build_clusters(sc)
         gains = sc.gain_matrix.mean(axis=1)
-        for members in assignment.clusters:
+        for members in clusters:
             for kind in (True, False):
                 ranked = [d for d in members if sc.is_urllc[d] == kind]
                 assert all(
@@ -186,10 +186,10 @@ class TestStructureProperties:
             num_clusters=3, max_rank=3,
         )
         def placement_multiset(scenario):
-            assignment = build_clusters(scenario)
+            clusters = build_clusters(scenario)
             gains = average_gains(scenario)
             out = []
-            for c, members in enumerate(assignment.clusters):
+            for c, members in enumerate(clusters):
                 for rank, dev in enumerate(members):
                     out.append((c, rank, round(float(gains[dev]), 12)))
             return sorted(out)

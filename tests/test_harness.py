@@ -73,6 +73,32 @@ class TestRunExperiment:
         parallel = run_experiment(spec, workers=2, measure_runtime=False)
         assert serial == parallel
 
+    @pytest.mark.parametrize("workers, trials, pool_size", [(512, 1, 1), (2, 3, 2)])
+    def test_pool_size_capped_by_job_count(self, monkeypatch, workers, trials, pool_size):
+        # Under fork a pool starts all of its processes at the first submit,
+        # so it must hold no more than one per trial.  The fake pool records
+        # its size and maps serially; no process starts.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+        spec = small_spec(trials=trials, schemes=("ofdma",))
+        results = run_experiment(spec, workers=workers, measure_runtime=False)
+        assert sizes == [pool_size]
+        assert results == run_experiment(spec, measure_runtime=False)
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_worker_count_below_one_rejected_before_any_trial(self, monkeypatch, workers):
         def no_trial(*args, **kwargs):

@@ -32,7 +32,7 @@ from nbiot_noma.baselines import (
 )
 from nbiot_noma.errors import GridResolutionError
 from nbiot_noma.power_opt import find_feasible_tail, maximize_rates, threshold_coefficients
-from nbiot_noma.rate_model import ClusterAssignment, rate_report
+from nbiot_noma.rate_model import rate_report
 from nbiot_noma.scenario import ScenarioConfig, generate_scenario
 from nbiot_noma.selfcheck import random_feasible_cluster, tiny_config
 
@@ -166,18 +166,18 @@ def test_mckp_matches_reference_on_every_tiny_assignment():
     assignments = 0
     for sc in tiny_scenarios(TINY_INSTANCES, seed=5):
         cfg = sc.config
-        for assignment in _valid_assignments(sc, cfg.num_clusters, cfg.max_rank):
+        for clusters in _valid_assignments(sc, cfg.num_clusters, cfg.max_rank):
             assignments += 1
             assert np.array_equal(
-                _tone_values_equal_split(sc, assignment),
-                reference_tone_values_equal_split(sc, assignment),
+                _tone_values_equal_split(sc, clusters),
+                reference_tone_values_equal_split(sc, clusters),
             )
-            owner, watts, report = mckp_oracle(sc, assignment)
-            ref_owner = reference_mckp_oracle(sc, assignment)
+            owner, watts, report = mckp_oracle(sc, clusters)
+            ref_owner = reference_mckp_oracle(sc, clusters)
             assert np.array_equal(owner, ref_owner)
             tone_sets = [np.flatnonzero(ref_owner == c) for c in range(cfg.num_clusters)]
-            ref_watts = reference_equal_split_powers(sc, assignment.clusters, tone_sets)
-            ref_report = rate_report(sc, assignment, ref_owner, ref_watts)
+            ref_watts = reference_equal_split_powers(sc, clusters, tone_sets)
+            ref_report = rate_report(sc, clusters, ref_owner, ref_watts)
             assert np.array_equal(watts, ref_watts)
             assert np.array_equal(report.rates, ref_report.rates)
             assert report.sum_rate == ref_report.sum_rate
@@ -187,9 +187,9 @@ def test_mckp_matches_reference_on_every_tiny_assignment():
 
 def test_exhaustive_clustering_matches_reference():
     for sc in tiny_scenarios(40, seed=9):
-        assignment, owner, report = exhaustive_clustering(sc)
-        ref_assignment, ref_owner, ref_report = reference_exhaustive_clustering(sc)
-        assert assignment.clusters == ref_assignment.clusters
+        clusters, owner, report = exhaustive_clustering(sc)
+        ref_clusters, ref_owner, ref_report = reference_exhaustive_clustering(sc)
+        assert clusters == ref_clusters
         assert np.array_equal(owner, ref_owner)
         assert np.array_equal(report.rates, ref_report.rates)
         assert report.sum_rate == ref_report.sum_rate
@@ -227,9 +227,9 @@ def tie_scenarios():
 
 def test_exhaustive_clustering_ties_match_reference():
     for sc in tie_scenarios():
-        assignment, owner, report = exhaustive_clustering(sc)
-        ref_assignment, ref_owner, ref_report = reference_exhaustive_clustering(sc)
-        assert assignment.clusters == ref_assignment.clusters
+        clusters, owner, report = exhaustive_clustering(sc)
+        ref_clusters, ref_owner, ref_report = reference_exhaustive_clustering(sc)
+        assert clusters == ref_clusters
         assert np.array_equal(owner, ref_owner)
         assert np.array_equal(report.rates, ref_report.rates)
         assert report.sum_rate == ref_report.sum_rate
@@ -247,7 +247,7 @@ def test_canonical_pass_values_each_partition_once(monkeypatch):
     for sc in [*tie_scenarios(), *tiny_scenarios(20, seed=11)]:
         cfg = sc.config
         partitions = {
-            frozenset(frozenset(members) for members in a.clusters if members)
+            frozenset(frozenset(members) for members in a if members)
             for a in _valid_assignments(sc, cfg.num_clusters, cfg.max_rank)
         }
         labellings = list(_labellings(sc.num_devices, cfg.num_clusters, cfg.max_rank))
@@ -260,7 +260,7 @@ def paired_clusters(gains):
     """Two-member clusters over consecutive device pairs of ``gains``."""
     num_c = len(gains) // 2
     sc = make_scenario(gains, "m" * (2 * num_c), num_clusters=num_c)
-    return sc, ClusterAssignment(clusters=[[2 * c, 2 * c + 1] for c in range(num_c)])
+    return sc, [[2 * c, 2 * c + 1] for c in range(num_c)]
 
 
 @pytest.mark.parametrize("num_c, num_s", [(4, 9), (3, 11)])
@@ -268,9 +268,9 @@ def test_multi_chunk_instances_match_reference(num_c, num_s):
     # C^S above one 65,536-map chunk: the winner is carried across chunks.
     assert num_c**num_s > 1 << 16
     rng = np.random.default_rng(num_c * 100 + num_s)
-    sc, assignment = paired_clusters(rng.exponential(1.0, size=(2 * num_c, num_s)))
+    sc, clusters = paired_clusters(rng.exponential(1.0, size=(2 * num_c, num_s)))
     assert np.array_equal(
-        mckp_oracle(sc, assignment)[0], reference_mckp_oracle(sc, assignment)
+        mckp_oracle(sc, clusters)[0], reference_mckp_oracle(sc, clusters)
     )
 
 
@@ -280,9 +280,9 @@ def test_exact_ties_go_to_the_smallest_map(num_c, num_s):
     # With four clusters on nine tones the first tone's owner picks the
     # chunk, so the tied relabellings sit in different chunks.
     pair = np.random.default_rng(num_s).exponential(1.0, size=(2, num_s))
-    sc, assignment = paired_clusters(np.tile(pair, (num_c, 1)))
-    owner = mckp_oracle(sc, assignment)[0]
-    assert np.array_equal(owner, reference_mckp_oracle(sc, assignment))
+    sc, clusters = paired_clusters(np.tile(pair, (num_c, 1)))
+    owner = mckp_oracle(sc, clusters)[0]
+    assert np.array_equal(owner, reference_mckp_oracle(sc, clusters))
     labels = np.unique(owner)
     first_use = [int(np.flatnonzero(owner == c)[0]) for c in labels]
     assert np.array_equal(labels, np.arange(labels.size))

@@ -17,7 +17,6 @@ from nbiot_noma.errors import (
 )
 from nbiot_noma.power_opt import OrderedCluster, ordered_user_rates
 from nbiot_noma.rate_model import (
-    ClusterAssignment,
     Violation,
     jain_fairness,
     rate_report,
@@ -37,46 +36,46 @@ LOG2_3 = 1.5849625007211562  # log2(3), checked against mpmath
 def two_device_cluster():
     """One tone, N0*W = 1: rank 1 has h=4, rank 2 has h=1, both at p=1."""
     scenario = make_scenario([[4.0], [1.0]], "mm")
-    assignment = ClusterAssignment(clusters=[[0, 1]])
+    clusters = [[0, 1]]
     owner = np.array([0])
     watts = np.array([[1.0], [1.0]])
-    return scenario, assignment, owner, watts
+    return scenario, clusters, owner, watts
 
 
 class TestDeviceRate:
     def test_unit_snr(self):
         # sole highest-rank device, h^2 = 1, p = N0*W: rate = W * log2(2) = W
         scenario = make_scenario([[1.0], [1.0]], "mm", tone_bandwidth=7.5)
-        assignment = ClusterAssignment(clusters=[[0, 1]])
+        clusters = [[0, 1]]
         owner = np.array([0])
         watts = np.array([[0.0], [7.5]])  # noise N0*W = 7.5
-        rates = rate_report(scenario, assignment, owner, watts).rates
+        rates = rate_report(scenario, clusters, owner, watts).rates
         assert rates[1] == pytest.approx(7.5, rel=1e-12)
 
     def test_two_device_sinr(self):
-        scenario, assignment, owner, watts = two_device_cluster()
-        r1, r2 = rate_report(scenario, assignment, owner, watts).rates
+        scenario, clusters, owner, watts = two_device_cluster()
+        r1, r2 = rate_report(scenario, clusters, owner, watts).rates
         assert r1 == pytest.approx(LOG2_3, rel=1e-12)
         assert r2 == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_power_zero_rate(self):
-        scenario, assignment, owner, watts = two_device_cluster()
+        scenario, clusters, owner, watts = two_device_cluster()
         watts = np.zeros((2, 1))
-        assert rate_report(scenario, assignment, owner, watts).rates[0] == 0.0
+        assert rate_report(scenario, clusters, owner, watts).rates[0] == 0.0
 
     def test_unassigned_device(self):
         scenario, _, owner, watts = two_device_cluster()
-        assignment = ClusterAssignment(clusters=[[0]])
+        clusters = [[0]]
         with pytest.raises(UnassignedDeviceError):
-            rate_report(scenario, assignment, owner, watts)
+            rate_report(scenario, clusters, owner, watts)
 
     def test_empty_cluster_rate_zero(self):
         # a cluster with no subcarriers yields zero rate, not an error
         scenario = make_scenario([[2.0], [1.0]], "mm")
-        assignment = ClusterAssignment(clusters=[[0, 1]])
+        clusters = [[0, 1]]
         owner = np.array([-1])
         watts = np.zeros((2, 1))
-        assert rate_report(scenario, assignment, owner, watts).rates[0] == 0.0
+        assert rate_report(scenario, clusters, owner, watts).rates[0] == 0.0
 
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e6)
@@ -98,10 +97,10 @@ class TestSicProperties:
         gains, powers = gains_powers
         n = gains.size
         scenario = make_scenario(gains.reshape(n, 1), "m" * n)
-        assignment = ClusterAssignment(clusters=[list(range(n))])
+        clusters = [list(range(n))]
         owner = np.array([0])
         pm = powers.reshape(n, 1)
-        mismatch = sic_chain_mismatch(scenario, assignment, owner, pm)
+        mismatch = sic_chain_mismatch(scenario, clusters, owner, pm)
         assert mismatch <= 1e-9
 
     @given(
@@ -135,23 +134,23 @@ class TestSicProperties:
     def test_chain_check_keeps_nan(self):
         # a negative power on an owned tone takes the SINR below -1; the
         # mismatch must come out NaN, not be skipped as a small value
-        scenario, assignment, owner, watts = two_device_cluster()
+        scenario, clusters, owner, watts = two_device_cluster()
         watts[0, 0] = -5.0
-        assert math.isnan(sic_chain_mismatch(scenario, assignment, owner, watts))
+        assert math.isnan(sic_chain_mismatch(scenario, clusters, owner, watts))
 
     def test_highest_rank_power_monotonicity(self):
-        scenario, assignment, owner, watts = two_device_cluster()
-        base_low, base_high = rate_report(scenario, assignment, owner, watts).rates
+        scenario, clusters, owner, watts = two_device_cluster()
+        base_low, base_high = rate_report(scenario, clusters, owner, watts).rates
         boosted = np.array([[1.0], [2.0]])
-        low, high = rate_report(scenario, assignment, owner, boosted).rates
+        low, high = rate_report(scenario, clusters, owner, boosted).rates
         assert high > base_high
         assert low < base_low
 
     def test_rank_invariant_to_lower_rank_power(self):
-        scenario, assignment, owner, watts = two_device_cluster()
-        base = rate_report(scenario, assignment, owner, watts).rates[1]
+        scenario, clusters, owner, watts = two_device_cluster()
+        base = rate_report(scenario, clusters, owner, watts).rates[1]
         boosted = np.array([[9.0], [1.0]])
-        assert rate_report(scenario, assignment, owner, boosted).rates[1] == base
+        assert rate_report(scenario, clusters, owner, boosted).rates[1] == base
 
     def test_matches_ordered_user_formula_on_equal_gain_tone(self):
         # With one shared gain the per-interferer SINR and the
@@ -159,7 +158,7 @@ class TestSicProperties:
         # match the ordered-user closed form rank by rank.
         h, noise_w = 3.0, 1.0
         scenario = make_scenario([[h]] * 3, "mmm")
-        assignment = ClusterAssignment(clusters=[[0, 1, 2]])
+        clusters = [[0, 1, 2]]
         owner = np.array([0])
         p = np.array([0.5, 0.3, 0.2])
         pm = p.reshape(3, 1)
@@ -170,7 +169,7 @@ class TestSicProperties:
             bandwidth_hz=1.0,
         )
         expected = ordered_user_rates(p, cluster)
-        rates = rate_report(scenario, assignment, owner, pm).rates
+        rates = rate_report(scenario, clusters, owner, pm).rates
         for rank in range(3):
             assert rates[rank] == pytest.approx(expected[rank], rel=1e-12)
 
@@ -199,30 +198,30 @@ class TestJain:
 class TestRateReport:
     def test_two_device_thresholds(self):
         scenario = make_scenario([[4.0], [1.0]], "mm", thresholds=[1.0, 1.0])
-        assignment = ClusterAssignment(clusters=[[0, 1]])
+        clusters = [[0, 1]]
         owner = np.array([0])
         watts = np.ones((2, 1))
-        report = rate_report(scenario, assignment, owner, watts)
+        report = rate_report(scenario, clusters, owner, watts)
         assert report.satisfied_count == 2
         assert report.sum_rate == pytest.approx(LOG2_3 + 1.0, rel=1e-12)
         assert report.sum_rate == pytest.approx(report.rates.sum(), rel=1e-9)
 
     def test_all_zero_rates(self):
         scenario = make_scenario([[4.0], [1.0]], "mm", thresholds=[1.0, 1.0])
-        assignment = ClusterAssignment(clusters=[[0, 1]])
+        clusters = [[0, 1]]
         owner = np.array([-1])
         watts = np.zeros((2, 1))
-        report = rate_report(scenario, assignment, owner, watts)
+        report = rate_report(scenario, clusters, owner, watts)
         assert report.satisfied_count == 0
         assert math.isnan(report.fairness)
 
     def test_symmetric_fairness_one(self):
         # symmetric devices with symmetric allocations achieve equal rates
         scenario = make_scenario([[2.0, 2.0], [2.0, 2.0]], "mm", num_clusters=2)
-        assignment = ClusterAssignment(clusters=[[0], [1]])
+        clusters = [[0], [1]]
         owner = np.array([0, 1])
         watts = np.array([[1.0, 0.0], [0.0, 1.0]])
-        report = rate_report(scenario, assignment, owner, watts)
+        report = rate_report(scenario, clusters, owner, watts)
         assert report.fairness == pytest.approx(1.0, rel=1e-12)
 
 
@@ -232,57 +231,57 @@ class TestValidate:
             [[2.0, 1.0], [1.0, 2.0], [1.5, 1.0], [1.0, 1.5]], "uumm",
             num_clusters=2, budgets=[1.0] * 4,
         )
-        assignment = ClusterAssignment(clusters=[[0, 2], [1, 3]])
+        clusters = [[0, 2], [1, 3]]
         owner = np.array([0, 1])
         watts = np.zeros((4, 2))
         watts[[0, 2], 0] = 1.0
         watts[[1, 3], 1] = 1.0
-        return scenario, assignment, owner, watts
+        return scenario, clusters, owner, watts
 
     def test_valid(self):
-        scenario, assignment, owner, watts = self.valid_triple()
-        assert validate(scenario, assignment, owner, watts) == []
+        scenario, clusters, owner, watts = self.valid_triple()
+        assert validate(scenario, clusters, owner, watts) == []
 
     def test_singleton_cluster(self):
         scenario, _, owner, watts = self.valid_triple()
-        assignment = ClusterAssignment(clusters=[[0, 2, 3], [1]])
-        tags = {v.constraint for v in validate(scenario, assignment, owner, watts)}
+        clusters = [[0, 2, 3], [1]]
+        tags = {v.constraint for v in validate(scenario, clusters, owner, watts)}
         assert "C11" in tags
 
     def test_rank_order_rule(self):
         scenario, _, owner, watts = self.valid_triple()
-        assignment = ClusterAssignment(clusters=[[2, 0], [1, 3]])  # mMTC above URLLC
-        tags = {v.constraint for v in validate(scenario, assignment, owner, watts)}
+        clusters = [[2, 0], [1, 3]]  # mMTC above URLLC
+        tags = {v.constraint for v in validate(scenario, clusters, owner, watts)}
         assert "C5" in tags
 
     def test_power_outside_cluster(self):
-        scenario, assignment, owner, watts = self.valid_triple()
+        scenario, clusters, owner, watts = self.valid_triple()
         watts[0, 1] = 0.5  # cluster 0 does not own tone 1
-        tags = {v.constraint for v in validate(scenario, assignment, owner, watts)}
+        tags = {v.constraint for v in validate(scenario, clusters, owner, watts)}
         assert "POWER_OWNERSHIP" in tags
 
     def test_mmtc_budget_cap(self):
-        scenario, assignment, owner, watts = self.valid_triple()
+        scenario, clusters, owner, watts = self.valid_triple()
         watts[2, 0] = 2.0  # budget is 1.0
-        tags = {v.constraint for v in validate(scenario, assignment, owner, watts)}
+        tags = {v.constraint for v in validate(scenario, clusters, owner, watts)}
         assert "C2" in tags
 
     def test_urllc_budget_equality(self):
-        scenario, assignment, owner, watts = self.valid_triple()
+        scenario, clusters, owner, watts = self.valid_triple()
         watts[0, 0] = 0.25  # URLLC must spend the full budget
-        tags = {v.constraint for v in validate(scenario, assignment, owner, watts)}
+        tags = {v.constraint for v in validate(scenario, clusters, owner, watts)}
         assert "C4" in tags
 
     def test_negative_power(self):
-        scenario, assignment, owner, watts = self.valid_triple()
+        scenario, clusters, owner, watts = self.valid_triple()
         watts[3, 1] = -0.1
-        tags = {v.constraint for v in validate(scenario, assignment, owner, watts)}
+        tags = {v.constraint for v in validate(scenario, clusters, owner, watts)}
         assert "C14" in tags
 
     def test_duplicate_device(self):
         scenario, _, owner, watts = self.valid_triple()
-        assignment = ClusterAssignment(clusters=[[0, 2], [1, 3, 2]])
-        tags = {v.constraint for v in validate(scenario, assignment, owner, watts)}
+        clusters = [[0, 2], [1, 3, 2]]
+        tags = {v.constraint for v in validate(scenario, clusters, owner, watts)}
         assert "C8/C9" in tags
 
 
@@ -295,16 +294,16 @@ class TestAllocationShape:
     @pytest.fixture(scope="class")
     def allocation(self):
         scenario = generate_scenario(read_config_file(CELL_SMALL))
-        assignment = build_clusters(scenario)
-        owner, watts, _ = allocate(scenario, assignment)
+        clusters = build_clusters(scenario)
+        owner, watts, _ = allocate(scenario, clusters)
         assert watts.shape == (12, 12)
-        return scenario, assignment, owner, watts
+        return scenario, clusters, owner, watts
 
     @pytest.mark.parametrize("reader", READERS, ids=lambda f: f.__name__)
     def test_first_row_of_watts(self, allocation, reader):
-        scenario, assignment, owner, watts = allocation
+        scenario, clusters, owner, watts = allocation
         with pytest.raises(InvalidPowerError, match=r"watts has shape \(1, 12\), not \(12, 12\)"):
-            reader(scenario, assignment, owner, watts[:1])
+            reader(scenario, clusters, owner, watts[:1])
 
     @pytest.mark.parametrize("reader", READERS, ids=lambda f: f.__name__)
     @pytest.mark.parametrize(
@@ -313,9 +312,9 @@ class TestAllocationShape:
         ids=["one-tone-short", "float"],
     )
     def test_owner_not_an_integer_vector(self, allocation, reader, bad_owner, named):
-        scenario, assignment, owner, watts = allocation
+        scenario, clusters, owner, watts = allocation
         with pytest.raises(InvalidAssignmentError) as err:
-            reader(scenario, assignment, bad_owner(owner), watts)
+            reader(scenario, clusters, bad_owner(owner), watts)
         [violation] = err.value.violations
         assert isinstance(violation, Violation)
         assert violation.constraint == "C12"
@@ -323,6 +322,6 @@ class TestAllocationShape:
 
     def test_unsigned_owner_gives_the_same_rates(self, allocation):
         # the "u" dtypes pass the shape check, uint64 included
-        scenario, assignment, owner, watts = allocation
-        report = rate_report(scenario, assignment, owner.astype(np.uint64), watts)
-        assert np.array_equal(report.rates, rate_report(scenario, assignment, owner, watts).rates)
+        scenario, clusters, owner, watts = allocation
+        report = rate_report(scenario, clusters, owner.astype(np.uint64), watts)
+        assert np.array_equal(report.rates, rate_report(scenario, clusters, owner, watts).rates)

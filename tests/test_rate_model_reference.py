@@ -27,7 +27,7 @@ from nbiot_noma.baselines import half_tone_scenario, ofdma_allocate
 from nbiot_noma.clustering import build_clusters
 from nbiot_noma.errors import InvalidAssignmentError, InvalidPowerError
 from nbiot_noma.rate_model import (
-    ClusterAssignment,
+    cluster_of,
     equal_split_powers,
     rate_report,
     sic_chain_mismatch,
@@ -52,23 +52,23 @@ def same(a: float, b: float) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
-def assert_same_validate(scenario, assignment, owner, watts):
-    violations = validate(scenario, assignment, owner, watts)
-    assert violations == reference_validate(scenario, assignment, owner, watts)
+def assert_same_validate(scenario, clusters, owner, watts):
+    violations = validate(scenario, clusters, owner, watts)
+    assert violations == reference_validate(scenario, clusters, owner, watts)
     assert not any("np.float64(" in v.message for v in violations)
 
 
-def assert_unknown_id_rejected(scenario, assignment, owner, watts, unknown):
+def assert_unknown_id_rejected(scenario, clusters, owner, watts, unknown):
     """Violation lists still match; ``rate_report`` names the first unknown id."""
-    assert_same_validate(scenario, assignment, owner, watts)
+    assert_same_validate(scenario, clusters, owner, watts)
     with pytest.raises(InvalidAssignmentError) as err:
-        rate_report(scenario, assignment, owner, watts)
+        rate_report(scenario, clusters, owner, watts)
     message = f"assignment fails structural checks: C8/C9: unknown device id {unknown}"
     assert str(err.value) == message
 
 
-def assert_same_rates(scenario, assignment, owner, watts):
-    args = (scenario, assignment, owner, watts)
+def assert_same_rates(scenario, clusters, owner, watts):
+    args = (scenario, clusters, owner, watts)
     assert_same_validate(*args)
     bad = np.argwhere(~((watts >= 0) & (watts < np.inf)))
     if bad.size:
@@ -92,7 +92,7 @@ def assert_same_rates(scenario, assignment, owner, watts):
     assert chain <= 1e-9 and ref_chain <= 1e-9
 
 
-def injected(scenario, assignment, owner, watts, rng):
+def injected(scenario, clusters, owner, watts, rng):
     """Copies of the allocation with off-cluster and over-budget powers,
     with a negative power, and with invalid owner ids."""
     num_d, num_s = watts.shape
@@ -104,34 +104,33 @@ def injected(scenario, assignment, owner, watts, rng):
     bad_watts[rng.integers(num_d), rng.integers(num_s)] = -1e-3
     yield owner, bad_watts
     bad_owner = owner.copy()
-    bad_owner[rng.integers(num_s)] = assignment.num_clusters
+    bad_owner[rng.integers(num_s)] = len(clusters)
     bad_owner[rng.integers(num_s)] = -2
     yield bad_owner, watts
 
 
-def edge_cases(scenario, assignment, owner, watts):
-    """(check, assignment, owner, watts): a device listed in two clusters, ids
+def edge_cases(scenario, clusters, owner, watts):
+    """(check, clusters, owner, watts): a device listed in two clusters, ids
     -1, n and both inside a cluster, a URLLC row holding inf, and an mMTC row
     and a URLLC row holding NaN.  ``rate_report`` rejects the out-of-range
     ids by name, so they have no rates to compare."""
-    clusters, w = assignment.clusters, watts
     first = int(owner[0])
     dev = clusters[first][0]
     twice = [*clusters]
     twice[first - 1] = clusters[first - 1] + [dev]
-    yield assert_same_rates, ClusterAssignment(clusters=twice), owner, watts
+    yield assert_same_rates, twice, owner, watts
     for ids in ([-1], [scenario.num_devices], [-1, scenario.num_devices]):
         odd_ids = [*clusters]
         odd_ids[first] = clusters[first] + ids
         check = partial(assert_unknown_id_rejected, unknown=ids[0])
-        yield check, ClusterAssignment(clusters=odd_ids), owner, watts
-    urllc = next(d for d in np.flatnonzero(scenario.is_urllc).tolist() if w[d].any())
-    mmtc = next(d for d in np.flatnonzero(~scenario.is_urllc).tolist() if w[d].any())
+        yield check, odd_ids, owner, watts
+    urllc = next(d for d in np.flatnonzero(scenario.is_urllc).tolist() if watts[d].any())
+    mmtc = next(d for d in np.flatnonzero(~scenario.is_urllc).tolist() if watts[d].any())
     for value, devs in ((math.inf, [urllc]), (math.nan, [mmtc, urllc])):
-        bad_watts = w.copy()
+        bad_watts = watts.copy()
         for d in devs:
-            bad_watts[d, np.flatnonzero(w[d])[0]] = value
-        yield assert_same_rates, assignment, owner, bad_watts
+            bad_watts[d, np.flatnonzero(watts[d])[0]] = value
+        yield assert_same_rates, clusters, owner, bad_watts
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
@@ -139,20 +138,20 @@ def test_bench_cells_match_reference(cell):
     rng = np.random.default_rng(0)
     for seed in range(SEEDS_PER_CELL):
         sc = cell_scenario(cell, seed)
-        assignment = build_clusters(sc)
-        owner, watts, _ = allocate(sc, assignment)
-        assert_same_rates(sc, assignment, owner, watts)
-        for bad_owner, bad_watts in injected(sc, assignment, owner, watts, rng):
-            assert_same_rates(sc, assignment, bad_owner, bad_watts)
+        clusters = build_clusters(sc)
+        owner, watts, _ = allocate(sc, clusters)
+        assert_same_rates(sc, clusters, owner, watts)
+        for bad_owner, bad_watts in injected(sc, clusters, owner, watts, rng):
+            assert_same_rates(sc, clusters, bad_owner, bad_watts)
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_edge_cases_match_reference(cell):
     for seed in range(SEEDS_PER_CELL):
         sc = cell_scenario(cell, seed)
-        assignment = build_clusters(sc)
-        owner, watts, _ = allocate(sc, assignment)
-        for check, *args in edge_cases(sc, assignment, owner, watts):
+        clusters = build_clusters(sc)
+        owner, watts, _ = allocate(sc, clusters)
+        for check, *args in edge_cases(sc, clusters, owner, watts):
             check(sc, *args)
 
 
@@ -179,13 +178,12 @@ def broken_clusterings(scenario, clusters):
 def test_structural_violations_match_reference(cell):
     for seed in range(SEEDS_PER_CELL):
         sc = cell_scenario(cell, seed)
-        clusters = build_clusters(sc).clusters
-        assert structural_violations(sc, ClusterAssignment(clusters)) == []
+        clusters = build_clusters(sc)
+        assert structural_violations(sc, clusters) == []
         messages = []
         for broken in broken_clusterings(sc, clusters):
-            assignment = ClusterAssignment(clusters=broken)
-            violations = structural_violations(sc, assignment)
-            assert violations == reference_structural_violations(sc, assignment)
+            violations = structural_violations(sc, broken)
+            assert violations == reference_structural_violations(sc, broken)
             messages += [v.message for v in violations]
         for phrase in ("appears in clusters", "unknown device id", "single member",
                        "max_rank is", "ranks below an mMTC", "is in no cluster"):
@@ -201,11 +199,11 @@ def test_equal_split_matches_reference(cell):
     """NOMA clusters, OFDMA singletons and OFDMA on the half-tone cell."""
     for seed in range(SEEDS_PER_CELL):
         sc = cell_scenario(cell, seed)
-        assignment = build_clusters(sc)
-        owner, _, _ = allocate(sc, assignment)
-        new = equal_split_powers(sc, assignment.cluster_of(sc.num_devices), owner)
+        clusters = build_clusters(sc)
+        owner, _, _ = allocate(sc, clusters)
+        new = equal_split_powers(sc, cluster_of(clusters, sc.num_devices), owner)
         ref = reference_equal_split_powers(
-            sc, assignment.clusters, owned_tones(owner, assignment.num_clusters)
+            sc, clusters, owned_tones(owner, len(clusters))
         )
         assert np.array_equal(new, ref)
         for cell_sc in (sc, half_tone_scenario(sc)):
@@ -252,7 +250,7 @@ def extreme_allocations(draw):
                        max_rank=max(max(sizes), 2))
     return (
         sc,
-        ClusterAssignment(clusters=clusters),
+        clusters,
         np.array(owner),
         np.array(watts, dtype=float).reshape(n, num_s),
     )

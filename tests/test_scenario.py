@@ -160,6 +160,27 @@ class TestHandBuiltScenario:
         with pytest.raises(ConfigError, match=rf"^{name}\b"):
             Scenario(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            ("noise_psd", 0.0, "noise_per_subcarrier"),
+            ("noise_psd", -1.0, "noise_per_subcarrier"),
+            ("noise_psd", math.nan, "noise_per_subcarrier"),
+            ("noise_psd", math.inf, "noise_per_subcarrier"),
+            ("subcarrier_bandwidth", 0.0, "subcarrier_bandwidth"),
+            ("subcarrier_bandwidth", -1.0, "subcarrier_bandwidth"),
+            ("subcarrier_bandwidth", math.nan, "subcarrier_bandwidth"),
+        ],
+        ids=["zero_noise", "negative_noise", "nan_noise", "inf_noise",
+             "zero_bandwidth", "negative_bandwidth", "nan_bandwidth"],
+    )
+    def test_bad_noise_or_tone_bandwidth_names_the_value(self, field, value, name):
+        # the rate path divides by the noise and scales by the bandwidth, so
+        # either one bad gives NaN or inf rates instead of an error
+        config = dataclasses.replace(self.arrays()["config"], **{field: value})
+        with pytest.raises(ConfigError, match=rf"^{name} must be positive and finite"):
+            Scenario(**{**self.arrays(), "config": config})
+
     def test_lists_accepted(self):
         sc = Scenario(
             config=self.arrays()["config"],
