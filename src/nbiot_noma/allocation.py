@@ -7,28 +7,29 @@ met the remaining subcarriers are distributed by the same argmax over all
 clusters.  After each assignment every member of the receiving cluster
 spreads its full power budget evenly over the cluster's owned tones, so
 row sums stay exactly on budget instead of leaking a fraction per update.
-Rates and satisfaction flags are recomputed from the current powers after
-every assignment, never extrapolated.
+Satisfaction is judged on rates recomputed after every assignment, never
+extrapolated; final rates come from ``rate_model.rate_report``.
 
 Under equal split a tone's rates in a cluster depend only on the cluster,
 the tone and how many tones the cluster owns.  So each cluster keeps a
 candidate row: every member's rate if the cluster took each remaining
 tone next, at the split that one more tone would bring.  A step is one
-masked argmax over the clusters' row sums at the current tone, with no
-SIC evaluation.  A commit changes only the receiving cluster's split, so
-one SIC call on that cluster's (rank, tone) slab rebuilds its row.  With
-C clusters of at most K members and S tones, a step costs O(C) and a
-commit O(K*S).  A commit that leaves its cluster with no unsatisfied
-member skips the rebuild, since that cluster cannot be picked again in
-phase 1.  The loop and phase 2 each open with one SIC call on the (rank,
-cluster, tone) stack, which builds every cluster's rows at the split its
-owned tones give it; ``rate_model.owned_sums`` sums the owned tones as a
-rebuild does.  Final rates come from ``rate_model.rate_report``.
+masked argmax over the row sums at the current tone; a commit rebuilds
+the receiving cluster's row in place from one SIC call on its (rank,
+tone) slab, and skips that when the commit closes the cluster in phase 1.
+A step costs O(C) and a commit O(K*S) for C clusters of at most K members
+and S tones, but on the standard cell numpy's per-call overhead dominates,
+so owned tones, thresholds and the close test stay in Python lists and
+per-device rates are kept only for an ``on_step`` hook.  Each phase opens
+with one SIC call on the (rank, cluster, tone) stack that builds every
+cluster's rows; ``rate_model.owned_sums`` sums the owned tones as a
+rebuild does.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable
 
 import numpy as np
@@ -93,7 +94,9 @@ def allocate(
     cand = np.empty((num_c, num_s, depth))
     cand_sum = np.empty((num_s, num_c))
     cluster_sum = np.zeros(num_c)  # current sum rate of each cluster, bps
-    rates = np.zeros(scenario.num_devices)
+    tones_of = [[] for _ in range(num_c)]  # each cluster's tones, ascending
+    member_thresholds = slot_thresholds.tolist()
+    rates = np.zeros(scenario.num_devices)  # kept for on_step only
     total = 0.0
 
     def build_rows(start: int) -> None:
@@ -111,57 +114,57 @@ def allocate(
         cand_sum[start:] = cand[:, start:].sum(axis=2).T
 
     def rebuild(c: int, start: int) -> None:
-        """Cluster c's candidate rows for tones ``start`` on, after a commit."""
-        tones = np.flatnonzero(owner == c)
+        """Cluster c's candidate rows for tones ``start`` on, rebuilt in place."""
+        tones = tones_of[c]
         terms = sic_log_terms(slabs[c] * (slot_budgets[c] / (len(tones) + 1)), noise)
+        row = cand[c, start:]
         # grown[k]: member k's sum of ln(1 + SINR) over c's owned tones.
-        grown = terms.take(tones, axis=1).sum(axis=1)
-        cand[c, start:] = tone_bw * (grown + terms[:, start:].T) / log2
-        cand_sum[start:, c] = cand[c, start:].sum(axis=1)
-
-    def commit(s: int, candidates: np.ndarray, phase: int) -> int:
-        """Give tone s to the candidate cluster that maximizes the total sum rate."""
-        nonlocal total
-        cand_total = np.where(candidates, total - cluster_sum + cand_sum[s], -math.inf)
-        # argmax keeps the first maximum, and returns the first NaN if any.
-        c = int(cand_total.argmax())
-        if not math.isfinite(cand_total[c]):
-            raise NonFiniteRateError(
-                f"subcarrier {s}: cluster {c} would reach a sum rate of "
-                f"{cand_total[c]} bps"
-            )
-        members = clusters[c]
-        new_rates = cand[c, s, : len(members)]
-        owner[s] = c
-        rates[members] = new_rates
-        cluster_sum[c] = new_rates.sum()
-        total = float(cand_total[c])
-        if on_step is not None:
-            on_step(s, c, rates >= thresholds, phase)
-        return c
+        grown = np.add.reduce(terms.take(tones, axis=1), axis=1)
+        np.add(grown, terms[:, start:].T, out=row)
+        row *= tone_bw
+        row /= log2
+        np.add.reduce(row, axis=1, out=cand_sum[start:, c])
 
     # open_[c]: cluster c holds an unsatisfied device.  Only a cluster's own
     # tones move its rates, so a commit changes only its own flag.
     open_ = (slot_thresholds > 0.0).any(axis=1)
-    next_s = 0
+    num_open = int(open_.sum())
+    candidates, phase = open_, 1
     build_rows(0)
-
-    # Phase 1: serve clusters that still contain an unsatisfied device.  A
-    # cluster that its commit closes cannot be picked again in this phase,
-    # so its rows wait for phase 2.
-    while next_s < num_s and open_.any():
-        c = commit(next_s, open_, phase=1)
-        open_[c] = (cand[c, next_s] < slot_thresholds[c]).any()
-        next_s += 1
-        if open_[c]:
-            rebuild(c, next_s)
-
-    # Phase 2: spend leftover spectrum on whichever cluster gains the most.
-    if next_s < num_s:
-        build_rows(next_s)
-    nonempty = slot_dev[:, 0] < scenario.num_devices
-    for s in range(next_s, num_s):
-        rebuild(commit(s, nonempty, phase=2), s + 1)
+    for s in range(num_s):
+        if phase == 1 and not num_open:
+            # Phase 2: spend leftover spectrum on whichever cluster gains the
+            # most.  Clusters closed in phase 1 rebuild their rows here.
+            candidates, phase = slot_dev[:, 0] < scenario.num_devices, 2
+            build_rows(s)
+        # Give tone s to the candidate cluster that maximizes the total sum rate.
+        cand_total = total - cluster_sum
+        cand_total += cand_sum[s]
+        cand_total = np.where(candidates, cand_total, -math.inf)
+        # argmax keeps the first maximum, and returns the first NaN if any.
+        c = int(cand_total.argmax())
+        best = cand_total[c]
+        if not math.isfinite(best):
+            raise NonFiniteRateError(
+                f"subcarrier {s}: cluster {c} would reach a sum rate of {best} bps"
+            )
+        members = clusters[c]
+        new_rates = cand[c, s, : len(members)]
+        owner[s] = c
+        tones_of[c].append(s)
+        cluster_sum[c] = np.add.reduce(new_rates)
+        total = float(best)
+        if on_step is not None:
+            rates[members] = new_rates
+            on_step(s, c, rates >= thresholds, phase)
+        # Phase 1 serves clusters that still contain an unsatisfied device.  A
+        # cluster that its commit closes cannot be picked again in this phase,
+        # so its rows wait for phase 2.
+        if phase == 1 and not any(map(operator.lt, new_rates.tolist(), member_thresholds[c])):
+            open_[c] = False
+            num_open -= 1
+        elif s + 1 < num_s:
+            rebuild(c, s + 1)
 
     watts = equal_split_powers(scenario, cluster_of(clusters, scenario.num_devices), owner)
     return owner, watts, rate_report(scenario, clusters, owner, watts)

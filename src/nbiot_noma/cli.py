@@ -10,6 +10,7 @@ oracle gap).  Exit codes: 0 success, 1 usage error, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 from dataclasses import replace
@@ -116,6 +117,8 @@ def _cmd_sweep(args) -> int:
         spec.validate()
         if args.workers < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ValueError(f"the directory of --out {args.out} does not exist")
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     results = run_experiment(spec, workers=args.workers)

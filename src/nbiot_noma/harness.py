@@ -206,8 +206,8 @@ def run_experiment(
     being dropped; any other exception is a bug and propagates.
     ``measure_runtime=False`` zeroes the wall-clock field so two runs of
     the same spec produce byte-identical CSV output.  ``workers`` below 1
-    raises ``ValueError`` before any trial runs; above 1, the trials run
-    in a process pool of at most one process per trial.
+    raises ``ValueError`` before any trial runs.  Trials run in this
+    process unless ``workers`` and the trial count both exceed 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -217,10 +217,11 @@ def run_experiment(
         for i, value in enumerate(spec.sweep_values)
         for t in range(spec.trials)
     ]
-    if workers > 1:
+    pool_size = min(workers, len(jobs))
+    if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             nested = list(pool.map(_run_trial, jobs, chunksize=1))
     else:
         nested = [_run_trial(job) for job in jobs]

@@ -82,23 +82,10 @@ def slot_table(clusters: list[list[int]], num_devices: int) -> np.ndarray:
     """(cluster, rank) -> device id.  Short clusters are padded with the
     sentinel id ``num_devices``, which callers give zero gain and power,
     so a padding slot adds nothing to any rate or interference sum."""
-    depth = max((len(m) for m in clusters), default=0)
-    table = np.full((len(clusters), depth), num_devices)
-    for c, members in enumerate(clusters):
-        table[c, : len(members)] = members
-    return table
-
-
-def interference_below(received: np.ndarray) -> np.ndarray:
-    """Exclusive suffix sums along axis 0: row k gets the sum of rows > k.
-
-    Summed bottom-up rather than as total-minus-own, which would cancel
-    catastrophically when a weak interferer sits under a strong signal.
-    """
-    below = np.zeros(received.shape)
-    if received.shape[0] > 1:
-        below[:-1] = received[:0:-1].cumsum(axis=0)[::-1]
-    return below
+    depth = max(map(len, clusters), default=0)
+    pad = [num_devices] * depth
+    rows = [[*members, *pad[len(members) :]] for members in clusters]
+    return np.array(rows, dtype=int).reshape(len(clusters), depth)
 
 
 def sic_log_terms(received: np.ndarray, noise_watts: float) -> np.ndarray:
@@ -106,9 +93,15 @@ def sic_log_terms(received: np.ndarray, noise_watts: float) -> np.ndarray:
 
     Each row is interfered by the received power of all rows below it
     (the lower-ranked members, decoded later).  Multiply by W / ln 2 for
-    bps.
+    bps.  The interference is summed bottom-up, as a running sum of the
+    reversed rows, rather than as total-minus-own, which would cancel
+    catastrophically when a weak interferer sits under a strong signal.
     """
-    return np.log1p(received / (noise_watts + interference_below(received)))
+    out = np.zeros(received.shape)
+    np.add.accumulate(received[:0:-1], axis=0, out=out[-2::-1])
+    out += noise_watts
+    np.divide(received, out, out=out)
+    return np.log1p(out, out=out)
 
 
 def owned_sums(terms: np.ndarray, owners: np.ndarray, num_groups: int) -> np.ndarray:
@@ -155,15 +148,14 @@ def _check_allocation(scenario: Scenario, owner: np.ndarray, watts: np.ndarray) 
         )
 
 
-def _sic_table(scenario, clusters, owner, watts):
+def _sic_table(scenario, table, owner, watts):
     """(owners (T,), received power (K, T), ln(1 + SINR) (K, T)) over the T
     tones with a valid owner: a column holds its tone's owning cluster's
-    members in rank order, padded by :func:`slot_table`."""
-    tones = np.flatnonzero((owner >= 0) & (owner < len(clusters)))
+    members in rank order, read from the :func:`slot_table` ``table``."""
+    tones = np.flatnonzero((owner >= 0) & (owner < len(table)))
     owners = owner[tones]
-    rows = slot_table(clusters, scenario.num_devices)[owners].T
     pad = np.zeros((1, scenario.config.num_subcarriers))
-    received = np.vstack([scenario.gain_matrix * watts, pad])[rows, tones]
+    received = np.vstack([scenario.gain_matrix * watts, pad])[table[owners].T, tones]
     return owners, received, sic_log_terms(received, scenario.config.noise_per_subcarrier)
 
 
@@ -213,7 +205,8 @@ def rate_report(
     raises ``InvalidAssignmentError``, the first device in no cluster
     ``UnassignedDeviceError`` and the first negative or non-finite power
     ``InvalidPowerError``.  Member rates come from one :func:`owned_sums`
-    call; a device listed in two clusters gets its last cluster's rate."""
+    call, scattered through the slot table (padding onto a dropped entry);
+    a device listed in two clusters gets its last cluster's rate."""
     _check_allocation(scenario, owner, watts)
     n = scenario.num_devices
     unknown = next((d for m in clusters for d in m if not 0 <= d < n), None)
@@ -226,12 +219,11 @@ def rate_report(
     if not ok.all():
         d, s = np.argwhere(~ok)[0]
         raise InvalidPowerError(f"device {d} has power {float(watts[d, s])!r} W on subcarrier {s}")
-    owners, _, terms = _sic_table(scenario, clusters, owner, watts)
-    sums = owned_sums(terms, owners, len(clusters))
-    rates = np.zeros(n)
-    for c, members in enumerate(clusters):
-        rates[members] = sums[c, : len(members)]
-    return build_report(scenario, scenario.config.subcarrier_bandwidth * rates / math.log(2.0))
+    table = slot_table(clusters, n)
+    owners, _, terms = _sic_table(scenario, table, owner, watts)
+    rates = np.zeros(n + 1)
+    rates[table.ravel()] = owned_sums(terms, owners, len(clusters)).ravel()
+    return build_report(scenario, scenario.config.subcarrier_bandwidth * rates[:n] / math.log(2.0))
 
 
 def sic_chain_mismatch(
@@ -248,7 +240,8 @@ def sic_chain_mismatch(
     nothing is allocated).  Misshapen arrays raise as in :func:`rate_report`.
     """
     _check_allocation(scenario, owner, watts)
-    _, received, terms = _sic_table(scenario, clusters, owner, watts)
+    table = slot_table(clusters, scenario.num_devices)
+    _, received, terms = _sic_table(scenario, table, owner, watts)
     chain = terms.sum(axis=0)
     direct = np.log1p(received.sum(axis=0) / scenario.config.noise_per_subcarrier)
     mismatch = np.abs(chain - direct) / np.maximum(np.abs(direct), 1e-300)

@@ -49,8 +49,8 @@ MUTANTS = (
     Mutant(
         "pad-slots-with-device-0",
         "src/nbiot_noma/rate_model.py",
-        "table = np.full((len(clusters), depth), num_devices)",
-        "table = np.full((len(clusters), depth), 0)",
+        "pad = [num_devices] * depth",
+        "pad = [0] * depth",
         ("tests/test_rate_model_reference.py", "tests/test_allocation_reference.py"),
     ),
     Mutant(
@@ -70,8 +70,8 @@ MUTANTS = (
     Mutant(
         "pool-ignores-job-count",
         "src/nbiot_noma/harness.py",
-        "max_workers=min(workers, len(jobs))",
-        "max_workers=workers",
+        "pool_size = min(workers, len(jobs))",
+        "pool_size = workers",
         ("tests/test_harness.py::TestRunExperiment::test_pool_size_capped_by_job_count",),
     ),
     Mutant(
@@ -163,16 +163,40 @@ MUTANTS = (
     Mutant(
         "greedy-stale-candidate-row",
         "src/nbiot_noma/allocation.py",
-        "        if open_[c]:\n            rebuild(c, next_s)\n",
-        "        if open_[c]:\n            pass\n",
+        "        elif s + 1 < num_s:\n",
+        "        elif phase == 2 and s + 1 < num_s:\n",
         ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
     ),
     Mutant(
         "greedy-skips-deferred-rebuild",
         "src/nbiot_noma/allocation.py",
-        "    if next_s < num_s:\n        build_rows(next_s)\n",
-        "    if next_s < num_s:\n        pass\n",
+        "            build_rows(s)\n",
+        "            pass\n",
         ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
+    ),
+    Mutant(
+        "close-test-counts-equal-as-short",
+        "src/nbiot_noma/allocation.py",
+        "map(operator.lt, new_rates.tolist(), member_thresholds[c])",
+        "map(operator.le, new_rates.tolist(), member_thresholds[c])",
+        (
+            "tests/test_allocation_reference.py::"
+            "test_rate_exactly_on_threshold_closes_the_cluster",
+        ),
+    ),
+    Mutant(
+        "sic-own-power-interferes",
+        "src/nbiot_noma/rate_model.py",
+        "np.add.accumulate(received[:0:-1], axis=0, out=out[-2::-1])",
+        "np.add.accumulate(received[::-1], axis=0, out=out[::-1])",
+        ("tests/test_rate_model_reference.py::test_sic_log_terms_match_frozen_copy",),
+    ),
+    Mutant(
+        "rate-report-pads-onto-device-0",
+        "src/nbiot_noma/rate_model.py",
+        "rates[table.ravel()] = ",
+        "rates[table.ravel() % n] = ",
+        ("tests/test_rate_model_reference.py::test_edge_cases_match_reference",),
     ),
     Mutant(
         "phase2-grown-strided-sum",

@@ -55,14 +55,10 @@ from nbiot_noma.power_opt import (
     powers_from_tail,
     threshold_coefficients,
 )
-from nbiot_noma.rate_model import (
-    RateReport,
-    rate_report,
-    sic_log_terms,
-)
+from nbiot_noma.rate_model import RateReport, rate_report
 from nbiot_noma.scenario import Scenario
 
-from reference_rate_model import reference_equal_split_powers
+from reference_rate_model import reference_equal_split_powers, sic_log_terms
 
 _LOG2 = math.log(2.0)
 

@@ -1,8 +1,10 @@
 """Slow reference copies of the per-cluster SIC rate path.
 
-These are ``sic_member_rates``, ``_cluster_rates``, ``rate_report``,
-``sic_chain_mismatch`` and ``validate`` as they stood before the rate
-model read every SIC term from one padded (rank, tone) table,
+These are ``interference_below`` and ``sic_log_terms`` as they stood
+before the SIC terms were built in one buffer; ``sic_member_rates``,
+``_cluster_rates``, ``rate_report``, ``sic_chain_mismatch`` and
+``validate`` as they stood before the rate model read every SIC term
+from one padded (rank, tone) table;
 ``structural_violations`` as it stood before it hoisted its per-device
 lookups, and ``equal_split_powers`` as it stood before it took a
 device-to-group array.  Each cluster gathers its own (members, owned tones) block with
@@ -26,7 +28,6 @@ from nbiot_noma.rate_model import (
     RateReport,
     Violation,
     build_report,
-    sic_log_terms,
 )
 from nbiot_noma.scenario import Scenario
 
@@ -42,6 +43,28 @@ def _slots(clusters: list[list[int]]) -> dict[int, tuple[int, int]]:
 
 def _owned_by(owner: np.ndarray, cluster: int) -> np.ndarray:
     return np.flatnonzero(owner == cluster)
+
+
+def interference_below(received: np.ndarray) -> np.ndarray:
+    """Exclusive suffix sums along axis 0: row k gets the sum of rows > k.
+
+    Summed bottom-up rather than as total-minus-own, which would cancel
+    catastrophically when a weak interferer sits under a strong signal.
+    """
+    below = np.zeros(received.shape)
+    if received.shape[0] > 1:
+        below[:-1] = received[:0:-1].cumsum(axis=0)[::-1]
+    return below
+
+
+def sic_log_terms(received: np.ndarray, noise_watts: float) -> np.ndarray:
+    """ln(1 + SINR) of every entry, rows in rank order along axis 0.
+
+    Each row is interfered by the received power of all rows below it
+    (the lower-ranked members, decoded later).  Multiply by W / ln 2 for
+    bps.
+    """
+    return np.log1p(received / (noise_watts + interference_below(received)))
 
 
 def reference_equal_split_powers(scenario: Scenario, groups, tone_sets) -> np.ndarray:

@@ -87,6 +87,23 @@ def test_bench_cells_match_reference(cell):
         assert_same_oma(fast_ofdm_allocate(sc), reference_fast_ofdm_allocate(sc))
 
 
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_result_does_not_depend_on_the_hook(cell):
+    # Only a hooked run keeps the per-device rates that the satisfied mask
+    # reads; the map, powers and report must not depend on it.
+    for seed in range(SEEDS_PER_CELL):
+        sc = cell_scenario(cell, seed)
+        clusters = build_clusters(sc)
+        steps = []
+        bare = allocate(sc, clusters)
+        hooked = allocate(sc, clusters, on_step=lambda *a: steps.append(a))
+        assert len(steps) == sc.config.num_subcarriers
+        assert np.array_equal(bare[0], hooked[0])
+        assert np.array_equal(bare[1], hooked[1])
+        for field in ("rates", "sum_rate", "fairness", "satisfied", "satisfied_count"):
+            assert np.array_equal(getattr(bare[2], field), getattr(hooked[2], field))
+
+
 @st.composite
 def small_instances(draw):
     """A hand-built cell with some zero gains, a valid rank-ordered
@@ -161,6 +178,20 @@ def test_cluster_deep_in_phase_one_matches_reference():
     allocate(sc, clusters, on_step=lambda *a: steps.append(a))
     assert [phase for _, _, _, phase in steps] == [1] * 9 + [2]
     assert list(steps[-1][2]) == [True, False]
+
+
+def test_rate_exactly_on_threshold_closes_the_cluster():
+    # Both members reach exactly their thresholds on the first tone, so that
+    # commit closes the cluster and the second tone goes out in phase 2.
+    gains = np.array([[3.0, 1.0], [2.0, 1.0]])
+    thresholds = sic_member_rates(gains[:, :1], np.ones((2, 1)), 1.0, 1.0)
+    sc = make_scenario(gains, "mm", thresholds=thresholds)
+    clusters = [[0, 1]]
+    assert_same_allocation(sc, clusters)
+    steps = []
+    allocate(sc, clusters, on_step=lambda *a: steps.append(a))
+    assert [phase for _, _, _, phase in steps] == [1, 2]
+    assert list(steps[0][2]) == [True, True]
 
 
 @st.composite

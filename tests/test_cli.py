@@ -227,6 +227,24 @@ def test_bad_argument_value_is_usage_error(tmp_path, config_file, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--var", "k_max", "--values", "2"]])
+def test_out_in_missing_directory_is_usage_error(
+    tmp_path, config_file, monkeypatch, capsys, command
+):
+    # The output path is checked before the first trial, not after the last.
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("nbiot_noma.harness.generate_scenario", no_trial)
+    out = tmp_path / "missing" / "results.csv"
+    code = main([*command, "--config", str(config_file), "--out", str(out), "--trials", "20"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and str(out.parent) in err
+    assert "Traceback" not in err
+    assert not out.parent.exists()
+
+
 def test_validate_negative_seed_is_usage_error(config_file, capsys):
     code = main(["validate", "--config", str(config_file), "--seed", "-1"])
     assert code == EXIT_USAGE

@@ -31,6 +31,7 @@ from nbiot_noma.rate_model import (
     equal_split_powers,
     rate_report,
     sic_chain_mismatch,
+    sic_log_terms,
     structural_violations,
     validate,
 )
@@ -43,6 +44,7 @@ from reference_rate_model import (
     reference_structural_violations,
     reference_validate,
 )
+from reference_rate_model import sic_log_terms as reference_sic_log_terms
 from test_allocation_reference import CELLS, cell_scenario
 
 SEEDS_PER_CELL = 20
@@ -131,6 +133,30 @@ def edge_cases(scenario, clusters, owner, watts):
         for d in devs:
             bad_watts[d, np.flatnonzero(watts[d])[0]] = value
         yield assert_same_rates, clusters, owner, bad_watts
+
+
+def received_powers(rng, shape):
+    """Received powers over 24 decades, with some exact zeros and ties."""
+    power = 10.0 ** rng.uniform(-20, 4, shape)
+    power[rng.random(shape) < 0.1] = 0.0
+    power[rng.random(shape) < 0.1] = 1.0
+    return power
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_sic_log_terms_match_frozen_copy(depth):
+    # The one-buffer running sum must give the cumsum-based terms bit for
+    # bit: on (K, S) rows, on the transposed (K, C, S) view that the
+    # greedy's build_rows passes, and on zero-width input.
+    rng = np.random.default_rng(depth)
+    for noise in (1e-20, 1.4e-15, 1.0):
+        flat = received_powers(rng, (depth, 17))
+        stacked = received_powers(rng, (5, depth, 13)).transpose(1, 0, 2)
+        for received in (flat, stacked, np.zeros((depth, 0))):
+            new = sic_log_terms(received, noise)
+            ref = reference_sic_log_terms(received, noise)
+            assert new.shape == ref.shape
+            assert np.array_equal(new, ref)
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
