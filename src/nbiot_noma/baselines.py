@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import GridResolutionError, InstanceTooLargeError
+from .errors import GridResolutionError, InstanceTooLargeError, InvalidAssignmentError
 from .power_opt import (
     OrderedCluster,
     cluster_objective,
@@ -27,6 +27,7 @@ from .rate_model import (
     equal_split_powers,
     rate_report,
     sic_log_terms,
+    structural_violations,
 )
 from .scenario import Scenario
 
@@ -182,11 +183,15 @@ def mckp_oracle(
     """Best subcarrier-to-cluster map by full enumeration of all C^S maps.
 
     The exact counterpart of :func:`nbiot_noma.allocation.allocate`: the
-    same arguments and the same (owner, watts, report) triple.  Every
-    candidate map is scored under the greedy's equal-split rule (budget
-    divided by the cluster's owned-tone count).  Ties go to the
+    same arguments, the same (owner, watts, report) triple, and the same
+    ``InvalidAssignmentError`` for a structurally invalid clustering.
+    Every candidate map is scored under the greedy's equal-split rule
+    (budget divided by the cluster's owned-tone count).  Ties go to the
     lexicographically smallest map.
     """
+    violations = structural_violations(scenario, clusters)
+    if violations:
+        raise InvalidAssignmentError(violations)
     cfg = scenario.config
     num_s, num_c = cfg.num_subcarriers, len(clusters)
     if num_s > MCKP_MAX_SUBCARRIERS or num_c > MCKP_MAX_CLUSTERS:
@@ -198,20 +203,6 @@ def mckp_oracle(
     owner = _best_map(per_tone, _lex_maps(num_s, num_c))[1]
     watts = equal_split_powers(scenario, cluster_of(clusters, scenario.num_devices), owner)
     return owner, watts, rate_report(scenario, clusters, owner, watts)
-
-
-def _equal_split_rates(scenario, members, tones) -> np.ndarray:
-    """The members' rates on their owned ``tones`` under equal split.
-
-    The arithmetic of :func:`rate_report` on one cluster: the padding rows
-    of its SIC table add exact zeros, so the rates match it bit for bit.
-    """
-    cfg = scenario.config
-    share = scenario.power_budgets[members] / tones.size
-    received = scenario.gain_matrix[np.ix_(members, tones)] * share[:, None]
-    terms = sic_log_terms(received, cfg.noise_per_subcarrier)
-    # terms is C-contiguous, so each member's sum has rate_report's pairwise order.
-    return cfg.subcarrier_bandwidth * terms.sum(axis=1) / _LOG2
 
 
 def _rank_orderings(urllc_members, mmtc_members):
@@ -251,8 +242,7 @@ class _ClusteringScorer:
     """Equal-split scores of one scenario's ordered, labelled clusterings.
 
     Its caches last as long as the scorer: the maps, each ordered
-    cluster's tone values, each clustering's best map and each (ordered
-    cluster, owned tones) pair's member rates.
+    cluster's tone values and each clustering's best map.
     """
 
     def __init__(self, scenario: Scenario):
@@ -261,7 +251,6 @@ class _ClusteringScorer:
         self._maps = list(_lex_maps(cfg.num_subcarriers, cfg.num_clusters))
         self._slices: dict = {}
         self._best: dict = {}
-        self._rates: dict = {}
 
     def best_map(self, clusters) -> tuple[float, np.ndarray]:
         """The map :func:`mckp_oracle` would choose, and its value."""
@@ -273,20 +262,6 @@ class _ClusteringScorer:
             per_tone = np.stack([self._slices[key] for key in keys], axis=1)
             self._best[keys] = _best_map(per_tone, self._maps)
         return self._best[keys]
-
-    def sum_rate(self, clusters) -> tuple[float, np.ndarray]:
-        """The best map's sum rate, equal to its ``rate_report``'s exactly
-        (``math.fsum`` is correctly rounded), and the map."""
-        owner = self.best_map(clusters)[1]
-        rates = np.zeros(self.scenario.num_devices)
-        for c, members in enumerate(clusters):
-            tones = np.flatnonzero(owner == c)
-            if members and tones.size:
-                rate_key = (tuple(members), tones.tobytes())
-                if rate_key not in self._rates:
-                    self._rates[rate_key] = _equal_split_rates(self.scenario, members, tones)
-                rates[members] = self._rates[rate_key]
-        return math.fsum(rates), owner
 
 
 def _partition_values(scorer: _ClusteringScorer, labellings) -> dict:
@@ -317,9 +292,10 @@ def exhaustive_clustering(
     """Global optimum over all valid clusterings and subcarrier maps.
 
     Every structurally valid assignment is paired with its best map under
-    equal-split powers, as :func:`mckp_oracle` would choose it; the overall
-    best sum rate wins, the first on a tie.  Only tractable for a handful
-    of devices and tones.
+    equal-split powers, as :func:`mckp_oracle` would choose it, and scored
+    by :func:`rate_report` on those powers; the highest sum rate wins, the
+    first on a tie, and is returned as it was scored.  Only tractable for
+    a handful of devices and tones.
 
     Rank orders and cluster labels change a score by rounding only, so
     each unordered partition is valued once, by its best map in canonical
@@ -352,13 +328,12 @@ def exhaustive_clustering(
         if values[_first_use_labels(labels)] < floor:
             continue
         for clusters in _orderings(scenario, labels):
-            value, owner = scorer.sum_rate(clusters)
-            if best is None or value > best[0]:
-                best = (value, clusters, owner)
-    _, ordered, owner = best
-    clusters = [list(order) for order in ordered]
-    watts = equal_split_powers(scenario, cluster_of(clusters, scenario.num_devices), owner)
-    return clusters, owner, rate_report(scenario, clusters, owner, watts)
+            owner = scorer.best_map(clusters)[1]
+            watts = equal_split_powers(scenario, cluster_of(clusters, scenario.num_devices), owner)
+            report = rate_report(scenario, clusters, owner, watts)
+            if best is None or report.sum_rate > best[2].sum_rate:
+                best = ([list(members) for members in clusters], owner, report)
+    return best
 
 
 def _grid_box(axis, p_max, delta, rho, theta) -> tuple[int, int, int]:

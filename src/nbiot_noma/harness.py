@@ -11,6 +11,7 @@ trials.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -56,8 +57,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown sweep variable {self.sweep_variable!r}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be nonempty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not self.schemes or any(s not in SCHEMES for s in self.schemes):
             raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}")
         if not self.mmtc_to_urllc_ratio > 0:

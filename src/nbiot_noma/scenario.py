@@ -163,6 +163,8 @@ class Scenario:
             if value.shape != shape:
                 raise ConfigError(f"{name} has shape {value.shape}, expected {shape}")
             setattr(self, name, value)
+        if n == 0:
+            raise ConfigError("at least one device is required")
         g, b, t = self.gain_matrix, self.power_budgets, self.rate_thresholds
         for what, ok in (
             ("gains must be finite and >= 0", ((0 <= g) & (g < np.inf)).all(axis=1)),

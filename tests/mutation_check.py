@@ -279,6 +279,20 @@ MUTANTS = (
         ("tests/test_oracle_reference.py::test_exhaustive_clustering_ties_match_reference",),
     ),
     Mutant(
+        "exhaustive-last-tie-wins",
+        "src/nbiot_noma/baselines.py",
+        "if best is None or report.sum_rate > best[2].sum_rate:",
+        "if best is None or report.sum_rate >= best[2].sum_rate:",
+        ("tests/test_oracle_reference.py::test_exhaustive_clustering_ties_match_reference",),
+    ),
+    Mutant(
+        "mckp-scores-invalid-clusterings",
+        "src/nbiot_noma/baselines.py",
+        "    if violations:\n        raise InvalidAssignmentError(violations)\n",
+        "    if False:\n        raise InvalidAssignmentError(violations)\n",
+        ("tests/test_baselines.py::TestMckpOracle::test_rejects_what_allocate_rejects",),
+    ),
+    Mutant(
         "grid-bisection-one-column-late",
         "src/nbiot_noma/baselines.py",
         "        lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)\n    return lo\n",

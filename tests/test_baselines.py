@@ -15,7 +15,11 @@ from nbiot_noma.baselines import (
     ofdma_allocate,
 )
 from nbiot_noma.clustering import build_clusters
-from nbiot_noma.errors import GridResolutionError, InstanceTooLargeError
+from nbiot_noma.errors import (
+    GridResolutionError,
+    InstanceTooLargeError,
+    InvalidAssignmentError,
+)
 from nbiot_noma.power_opt import OrderedCluster, find_feasible_tail, maximize_rates
 from nbiot_noma.rate_model import RateReport, rate_report
 from nbiot_noma.scenario import ScenarioConfig, generate_scenario, read_config_file
@@ -133,6 +137,20 @@ class TestMckpOracle:
         clusters = [[0, 1]]
         with pytest.raises(InstanceTooLargeError):
             mckp_oracle(sc, clusters)
+
+    @pytest.mark.parametrize(
+        "clusters",
+        [[[0], [1, 2, 3]], [[0, 1], [1, 2, 3]], [[2, 0], [1, 3]], [[0, 1, 2, 3]], []],
+        ids=["singleton", "duplicate", "urllc_below_mmtc", "over_k_max", "empty"],
+    )
+    def test_rejects_what_allocate_rejects(self, clusters):
+        sc = make_scenario(np.ones((4, 3)), "uumm", num_clusters=2, max_rank=2)
+        with pytest.raises(InvalidAssignmentError) as expected:
+            allocate(sc, clusters)
+        with pytest.raises(InvalidAssignmentError) as got:
+            mckp_oracle(sc, clusters)
+        assert expected.value.violations
+        assert got.value.violations == expected.value.violations  # tags and texts
 
     def test_dominates_greedy(self):
         base = ScenarioConfig()

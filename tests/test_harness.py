@@ -201,6 +201,11 @@ class TestTrialConfig:
         with pytest.raises(ValueError, match=rf"{variable} value {value!r} must be"):
             spec.validate()
 
+    @pytest.mark.parametrize("trials", [0, -1, 2.5, 2.0, "3", None])
+    def test_spec_rejects_trials_that_are_not_a_positive_integer(self, trials):
+        with pytest.raises(ValueError, match=rf"^trials must be an integer >= 1, got {trials!r}$"):
+            small_spec(trials=trials).validate()
+
     def test_spec_rejects_negative_seed(self):
         base = dataclasses.replace(small_spec().base_config, rng_seed=-1)
         with pytest.raises(ValueError, match="rng_seed must be nonnegative"):
@@ -209,6 +214,7 @@ class TestTrialConfig:
     def test_spec_accepts_integral_floats_and_zero_scale(self):
         small_spec(sweep_variable="k_max", sweep_values=(2.0, 4)).validate()
         small_spec(sweep_variable="threshold_scale", sweep_values=(0.0, 2.5)).validate()
+        small_spec(trials=np.int64(2)).validate()
 
 
 class TestEmitCsv:

@@ -181,6 +181,13 @@ class TestHandBuiltScenario:
         with pytest.raises(ConfigError, match=rf"^{name} must be positive and finite"):
             Scenario(**{**self.arrays(), "config": config})
 
+    def test_zero_devices_rejected(self):
+        # every array is empty but well shaped; allocators index device 0 or
+        # take an argmax over devices, so the cell must be refused here
+        config = self.arrays()["config"]
+        with pytest.raises(ConfigError, match="^at least one device is required$"):
+            Scenario(config, np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros(0, bool))
+
     def test_lists_accepted(self):
         sc = Scenario(
             config=self.arrays()["config"],
