@@ -1,15 +1,13 @@
 """Average-gain user clustering.
 
-URLLC devices are sorted by descending average channel gain and placed at
-the lowest ranks, round-robin across clusters; mMTC devices follow into
-the remaining slots.  Ties in average gain break toward the lower device
-id so the result is deterministic.  A clustering is a list of lists:
-``clusters[c]`` holds cluster c's device ids in rank order.
+Each device class is ordered once, by descending average channel gain
+with ties broken toward the lower device id, and dealt into ranks from
+that order.  URLLC devices take the lowest ranks, round-robin across
+clusters; mMTC devices follow into the remaining slots.  A clustering is a
+list of lists: ``clusters[c]`` holds cluster c's device ids in rank order.
 """
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 
@@ -23,17 +21,15 @@ __all__ = [
     "build_clusters",
 ]
 
-log = logging.getLogger(__name__)
-
 
 def average_gains(scenario: Scenario) -> np.ndarray:
     """Mean linear power gain of every device across all subcarriers."""
     return scenario.gain_matrix.mean(axis=1)
 
 
-def _sorted_by_gain(scenario: Scenario, ids) -> list[int]:
-    gains = average_gains(scenario)
-    return sorted(ids, key=lambda d: (-gains[d], d))
+def _sorted_by_gain(gains: np.ndarray, ids: np.ndarray) -> list[int]:
+    """``ids`` by descending gain, ties to the lower id."""
+    return ids[np.lexsort((ids, -gains[ids]))].tolist()
 
 
 def cluster_urllc(scenario: Scenario, num_clusters: int) -> list[list[int]]:
@@ -45,16 +41,14 @@ def cluster_urllc(scenario: Scenario, num_clusters: int) -> list[list[int]]:
     if num_clusters < 1:
         raise CapacityExceededError("need at least one cluster")
     k_max = scenario.config.max_rank
-    clusters: list[list[int]] = [[] for _ in range(num_clusters)]
-    urllc = np.flatnonzero(scenario.is_urllc).tolist()
-    for i, dev in enumerate(_sorted_by_gain(scenario, urllc)):
-        if i // num_clusters >= k_max:
-            raise CapacityExceededError(
-                f"{i + 1} URLLC devices exceed {num_clusters} clusters "
-                f"x {k_max} ranks"
-            )
-        clusters[i % num_clusters].append(dev)
-    return clusters
+    urllc = np.flatnonzero(scenario.is_urllc)
+    if len(urllc) > num_clusters * k_max:
+        raise CapacityExceededError(
+            f"{num_clusters * k_max + 1} URLLC devices exceed {num_clusters} clusters "
+            f"x {k_max} ranks"
+        )
+    order = _sorted_by_gain(average_gains(scenario), urllc)
+    return [order[c::num_clusters] for c in range(num_clusters)]
 
 
 def cluster_mmtc(scenario: Scenario, partial: list[list[int]]) -> list[list[int]]:
@@ -67,43 +61,35 @@ def cluster_mmtc(scenario: Scenario, partial: list[list[int]]) -> list[list[int]
     """
     k_max = scenario.config.max_rank
     clusters = [list(members) for members in partial]
-    queue = _sorted_by_gain(scenario, np.flatnonzero(~scenario.is_urllc).tolist())
-
-    for members in clusters:
-        if not queue:
-            break
-        if not members:
-            members.append(queue.pop(0))
-
-    while queue:
-        placed = False
-        for members in clusters:
-            if not queue:
-                break
-            if len(members) < k_max:
-                members.append(queue.pop(0))
-                placed = True
-        if not placed:
+    gains = average_gains(scenario)
+    mmtc = _sorted_by_gain(gains, np.flatnonzero(~scenario.is_urllc))
+    queue = iter(mmtc)
+    # zip takes a cluster before a device, so it stops without losing one.
+    empty = [members for members in clusters if not members]
+    for members, dev in zip(empty, queue):
+        members.append(dev)
+    left = max(len(mmtc) - len(empty), 0)
+    while left:
+        open_clusters = [members for members in clusters if len(members) < k_max]
+        if not open_clusters:
             raise CapacityExceededError(
-                f"{len(queue)} mMTC devices left but every cluster is full"
+                f"{left} mMTC devices left but every cluster is full"
             )
+        for members, dev in zip(open_clusters, queue):
+            members.append(dev)
+        left = max(left - len(open_clusters), 0)
 
-    _repair_singletons(clusters, scenario, k_max)
-
-    for c, members in enumerate(clusters):
-        if members and all(scenario.is_urllc[d] for d in members):
-            log.debug("cluster %d contains only URLLC devices", c)
+    _repair_singletons(clusters, scenario.is_urllc.tolist(), gains)
     return clusters
 
 
-def _repair_singletons(clusters, scenario: Scenario, k_max: int) -> None:
+def _repair_singletons(clusters, is_urllc: list[bool], gains: np.ndarray) -> None:
     """Move the weakest mMTC of the largest donor into each singleton cluster.
 
     A donor must keep at least two members, so it needs three or more and
     at least one mMTC.  The moved device lands at the singleton's rank 2,
     which keeps the URLLC-before-mMTC order intact.
     """
-    gains = average_gains(scenario)
     while True:
         singles = [c for c, members in enumerate(clusters) if len(members) == 1]
         if not singles:
@@ -112,14 +98,14 @@ def _repair_singletons(clusters, scenario: Scenario, k_max: int) -> None:
         donors = [
             c
             for c, members in enumerate(clusters)
-            if len(members) >= 3 and any(not scenario.is_urllc[d] for d in members)
+            if len(members) >= 3 and any(not is_urllc[d] for d in members)
         ]
         if not donors:
             raise SingletonClusterError(
                 f"cluster {target} has one member and no cluster can donate an mMTC"
             )
         donor = max(donors, key=lambda c: (len(clusters[c]), -c))
-        movable = [d for d in clusters[donor] if not scenario.is_urllc[d]]
+        movable = [d for d in clusters[donor] if not is_urllc[d]]
         dev = min(movable, key=lambda d: (gains[d], -d))
         clusters[donor].remove(dev)
         clusters[target].append(dev)

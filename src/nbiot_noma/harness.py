@@ -63,8 +63,11 @@ class ExperimentSpec:
             raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}")
         if not self.mmtc_to_urllc_ratio > 0:
             raise ValueError("mmtc_to_urllc_ratio must be positive")
-        if self.base_config.rng_seed < 0:
-            raise ValueError(f"rng_seed must be nonnegative, got {self.base_config.rng_seed}")
+        seed = self.base_config.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ValueError(f"rng_seed must be an integer, got {seed!r}")
+        if seed < 0:
+            raise ValueError(f"rng_seed must be nonnegative, got {seed}")
         low = {"k_max": 2, "total_devices": 1}.get(self.sweep_variable, 0)
         need = f"an integer >= {low}" if low else "finite and >= 0"
         for value in self.sweep_values:

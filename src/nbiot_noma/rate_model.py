@@ -66,15 +66,41 @@ class Violation:
         return f"{self.constraint}: {self.message}"
 
 
+def _is_device_id(dev, num_devices: int) -> bool:
+    """Whether a cluster member names a device: a Python or numpy integer,
+    not a bool, in [0, num_devices)."""
+    return (type(dev) is int or isinstance(dev, np.integer)) and 0 <= dev < num_devices
+
+
+def _unknown_ids(clusters: list[list[int]], num_devices: int) -> list:
+    """The members that are not device ids, in listing order.  A Python int
+    takes the fast path: its range test, without the predicate's call."""
+    return [
+        dev
+        for members in clusters
+        for dev in members
+        if not (0 <= dev < num_devices if type(dev) is int else _is_device_id(dev, num_devices))
+    ]
+
+
+def _check_ids(clusters: list[list[int]], num_devices: int) -> None:
+    """Raise ``InvalidAssignmentError`` (C8/C9) naming the first member
+    that is not a device id."""
+    unknown = _unknown_ids(clusters, num_devices)
+    if unknown:
+        raise InvalidAssignmentError([Violation("C8/C9", f"unknown device id {unknown[0]!r}")])
+
+
 def cluster_of(clusters: list[list[int]], num_devices: int) -> np.ndarray:
     """device id -> the cluster listing it, else -1.  A device listed twice
-    maps to its last cluster and ids outside [0, num_devices) are skipped;
-    :func:`structural_violations` reports both."""
+    maps to its last cluster and members that are not device ids are
+    skipped; :func:`structural_violations` reports both."""
+    if _unknown_ids(clusters, num_devices):
+        clusters = [[d for d in members if _is_device_id(d, num_devices)] for members in clusters]
     out = [-1] * num_devices
     for c, members in enumerate(clusters):
         for dev in members:
-            if 0 <= dev < num_devices:
-                out[dev] = c
+            out[dev] = c
     return np.array(out)
 
 
@@ -201,17 +227,16 @@ def rate_report(
     ``owner[s]`` is tone s's cluster, -1 for none, and ``watts[d, s]``
     device d's power on it.  A misshapen ``owner`` or a non-integer one
     raises ``InvalidAssignmentError``, misshapen ``watts``
-    ``InvalidPowerError``.  Then the first cluster member outside [0, n)
-    raises ``InvalidAssignmentError``, the first device in no cluster
+    ``InvalidPowerError``.  Then the first cluster member that is not a
+    device id (an integer, not a bool, in [0, n)) raises
+    ``InvalidAssignmentError``, the first device in no cluster
     ``UnassignedDeviceError`` and the first negative or non-finite power
     ``InvalidPowerError``.  Member rates come from one :func:`owned_sums`
     call, scattered through the slot table (padding onto a dropped entry);
     a device listed in two clusters gets its last cluster's rate."""
     _check_allocation(scenario, owner, watts)
     n = scenario.num_devices
-    unknown = next((d for m in clusters for d in m if not 0 <= d < n), None)
-    if unknown is not None:
-        raise InvalidAssignmentError([Violation("C8/C9", f"unknown device id {unknown}")])
+    _check_ids(clusters, n)
     unplaced = np.flatnonzero(cluster_of(clusters, n) < 0)
     if unplaced.size:
         raise UnassignedDeviceError(f"device {unplaced[0]} is in no cluster")
@@ -237,9 +262,11 @@ def sic_chain_mismatch(
     On any single tone the decode-and-subtract chain conserves capacity:
     the member rates sum to log2(1 + total received power / noise).
     Returns the largest relative mismatch over all owned tones (0.0 when
-    nothing is allocated).  Misshapen arrays raise as in :func:`rate_report`.
+    nothing is allocated).  Misshapen arrays and members that are not
+    device ids raise as in :func:`rate_report`.
     """
     _check_allocation(scenario, owner, watts)
+    _check_ids(clusters, scenario.num_devices)
     table = slot_table(clusters, scenario.num_devices)
     _, received, terms = _sic_table(scenario, table, owner, watts)
     chain = terms.sum(axis=0)
@@ -249,46 +276,37 @@ def sic_chain_mismatch(
 
 
 def structural_violations(scenario: Scenario, clusters: list[list[int]]) -> list[Violation]:
-    """Clustering constraints C5-C11 plus the rank capacity bound."""
+    """Clustering constraints C5-C11 plus the rank capacity bound.  A member
+    that is not a device id is reported as unknown where it is listed and
+    places no device."""
     out = []
     n = scenario.num_devices
     is_urllc = scenario.is_urllc.tolist()
     k_max = scenario.config.max_rank
     seen: dict[int, int] = {}
     for c, members in enumerate(clusters):
+        misranked = []  # C5, reported after the cluster's size checks
+        seen_mmtc = False
         for dev in members:
+            # the fast path of _unknown_ids, inline: this loop runs every trial
+            if not (0 <= dev < n if type(dev) is int else _is_device_id(dev, n)):
+                out.append(Violation("C8/C9", f"unknown device id {dev!r}"))
+                continue
             if dev in seen:
-                out.append(
-                    Violation(
-                        "C8/C9",
-                        f"device {dev} appears in clusters {seen[dev]} and {c}",
-                    )
-                )
+                msg = f"device {dev} appears in clusters {seen[dev]} and {c}"
+                out.append(Violation("C8/C9", msg))
             seen[dev] = c
-            if dev < 0 or dev >= n:
-                out.append(Violation("C8/C9", f"unknown device id {dev}"))
+            if not is_urllc[dev]:
+                seen_mmtc = True
+            elif seen_mmtc:
+                msg = f"URLLC device {dev} ranks below an mMTC in cluster {c}"
+                misranked.append(Violation("C5", msg))
         if len(members) == 1:
             out.append(Violation("C11", f"cluster {c} has a single member"))
         if len(members) > k_max:
-            out.append(
-                Violation(
-                    "C8/C9",
-                    f"cluster {c} has {len(members)} members but max_rank is {k_max}",
-                )
-            )
-        seen_mmtc = False
-        for dev in members:
-            if 0 <= dev < n:
-                if is_urllc[dev]:
-                    if seen_mmtc:
-                        out.append(
-                            Violation(
-                                "C5",
-                                f"URLLC device {dev} ranks below an mMTC in cluster {c}",
-                            )
-                        )
-                else:
-                    seen_mmtc = True
+            msg = f"cluster {c} has {len(members)} members but max_rank is {k_max}"
+            out.append(Violation("C8/C9", msg))
+        out += misranked
     for dev in sorted(set(range(n)).difference(seen)):
         out.append(Violation("C8/C9", f"device {dev} is in no cluster"))
     return out

@@ -17,6 +17,7 @@ then mMTC thresholds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -77,6 +78,13 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` naming the first violated invariant."""
+        for name in ("num_urllc", "num_mmtc", "num_subcarriers", "num_clusters", "max_rank",
+                     "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be nonnegative, got {self.rng_seed}")
         if self.num_urllc < 0 or self.num_mmtc < 0:
             raise ConfigError("device counts must be nonnegative")
         if self.num_devices < 1:
@@ -117,8 +125,6 @@ class ScenarioConfig:
             lo, hi = getattr(self, name)
             if not (0 <= lo <= hi and math.isfinite(hi)):
                 raise ConfigError(f"{name} must satisfy 0 <= min <= max < inf")
-        if self.rng_seed < 0:
-            raise ConfigError(f"rng_seed must be nonnegative, got {self.rng_seed}")
 
 
 def _as_array(name: str, value, dtype) -> np.ndarray:

@@ -218,9 +218,43 @@ MUTANTS = (
     Mutant(
         "rate-report-accepts-unknown-ids",
         "src/nbiot_noma/rate_model.py",
-        "if not 0 <= d < n), None)",
-        "if False), None)",
+        "    if unknown:\n        raise InvalidAssignmentError(",
+        "    if False:\n        raise InvalidAssignmentError(",
         ("tests/test_rate_model_reference.py::test_edge_cases_match_reference",),
+    ),
+    Mutant(
+        "device-id-accepts-bool",
+        "src/nbiot_noma/rate_model.py",
+        "(type(dev) is int or isinstance(dev, np.integer))",
+        "isinstance(dev, (int, np.integer))",
+        (
+            "tests/test_rate_model.py::TestAllocationShape::"
+            "test_member_that_is_not_a_device_id",
+        ),
+    ),
+    Mutant(
+        "gain-ties-go-to-higher-id",
+        "src/nbiot_noma/clustering.py",
+        "np.lexsort((ids, -gains[ids]))",
+        "np.lexsort((-ids, -gains[ids]))",
+        ("tests/test_clustering_reference.py",),
+    ),
+    Mutant(
+        "mmtc-skips-empty-cluster-fill",
+        "src/nbiot_noma/clustering.py",
+        "empty = [members for members in clusters if not members]",
+        "empty = []",
+        ("tests/test_clustering.py::TestMmtcClustering::test_empty_clusters_take_rank_one_first",),
+    ),
+    Mutant(
+        "repair-picks-smallest-donor",
+        "src/nbiot_noma/clustering.py",
+        "donor = max(donors, key=lambda c: (len(clusters[c]), -c))",
+        "donor = min(donors, key=lambda c: (len(clusters[c]), -c))",
+        (
+            "tests/test_clustering.py::TestMmtcClustering::"
+            "test_singleton_repair_takes_from_the_largest_donor",
+        ),
     ),
     Mutant(
         "ofdma-power-up-1e-9",

@@ -107,6 +107,23 @@ class TestMmtcClustering:
         assert clusters == [[0, 2], [1, 3]]
         assert structural_violations(sc, clusters) == []
 
+    def test_empty_clusters_take_rank_one_first(self):
+        # URLLCs open clusters 0 and 1; the two strongest mMTCs go to the
+        # empty clusters 2 and 3 before any cluster gets a second member
+        sc = descending_scenario("uu" + "mmmmmm")
+        clusters = cluster_mmtc(sc, cluster_urllc(sc, 4))
+        assert clusters == [[0, 4], [1, 5], [2, 6], [3, 7]]
+
+    def test_singleton_repair_takes_from_the_largest_donor(self):
+        # the fill leaves [[0, 1, 2, 6], [3, 4, 7], [5]]; both full-enough
+        # clusters could donate, and the four-member one does
+        sc = make_scenario(
+            [gains_row(float(9 - i)) for i in range(8)], "uuuuuumm",
+            num_clusters=3, max_rank=4,
+        )
+        clusters = cluster_mmtc(sc, [[0, 1, 2], [3, 4], [5]])
+        assert clusters == [[0, 1, 2], [3, 4, 7], [5, 6]]
+
     def test_unrepairable_singleton(self):
         sc = make_scenario(
             [gains_row(2.0), gains_row(1.0)], "mm", num_clusters=2, max_rank=2

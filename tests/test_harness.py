@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,13 @@ class TestTrialConfig:
     def test_spec_rejects_negative_seed(self):
         base = dataclasses.replace(small_spec().base_config, rng_seed=-1)
         with pytest.raises(ValueError, match="rng_seed must be nonnegative"):
+            small_spec(base_config=base).validate()
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"])
+    def test_spec_rejects_seed_that_is_not_an_integer(self, seed):
+        base = dataclasses.replace(small_spec().base_config, rng_seed=seed)
+        message = rf"^rng_seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
             small_spec(base_config=base).validate()
 
     def test_spec_accepts_integral_floats_and_zero_scale(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nbiot_noma.allocation import allocate
+from nbiot_noma.baselines import mckp_oracle
 from nbiot_noma.clustering import build_clusters
 from nbiot_noma.errors import (
     DegenerateRatesError,
@@ -286,10 +287,23 @@ class TestValidate:
 
 
 class TestAllocationShape:
-    """Every reader rejects misshapen allocation arrays with a named error;
-    a (1, S) watts matrix used to broadcast into a plausible sum rate."""
+    """Every reader rejects misshapen allocation arrays and cluster members
+    that are not device ids with a named error."""
 
     READERS = [rate_report, sic_chain_mismatch, validate]
+    # Not device ids of the 12-device cell: floats, which the slot table
+    # would truncate (2.7 to device 2), a numpy float, a string, a bool
+    # (True would read as device 1), the padding id n and n + 1.
+    BAD_IDS = [2.0, 2.5, 2.7, np.float64(2.0), "2", True, 12, 13]
+
+    @staticmethod
+    def with_member(clusters, bad):
+        """``clusters`` with ``bad`` in place of the device it reads as, or
+        appended to cluster 0 when it reads as none."""
+        dev = int(float(bad))
+        if dev < 12:
+            return [[bad if d == dev else d for d in members] for members in clusters]
+        return [clusters[0] + [bad], *clusters[1:]]
 
     @pytest.fixture(scope="class")
     def allocation(self):
@@ -319,6 +333,37 @@ class TestAllocationShape:
         assert isinstance(violation, Violation)
         assert violation.constraint == "C12"
         assert named in violation.message
+
+    @pytest.mark.parametrize("reader", READERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", BAD_IDS, ids=repr)
+    def test_member_that_is_not_a_device_id(self, allocation, reader, bad):
+        scenario, clusters, owner, watts = allocation
+        named = Violation("C8/C9", f"unknown device id {bad!r}")
+        args = (scenario, self.with_member(clusters, bad), owner, watts)
+        if reader is validate:
+            assert named in validate(*args)
+            return
+        with pytest.raises(InvalidAssignmentError) as err:
+            reader(*args)
+        assert err.value.violations == [named]
+
+    @pytest.mark.parametrize("entry", [allocate, mckp_oracle], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", BAD_IDS, ids=repr)
+    def test_checked_entry_rejects_a_member_that_is_not_a_device_id(self, allocation, entry, bad):
+        scenario, clusters, _, _ = allocation
+        with pytest.raises(InvalidAssignmentError) as err:
+            entry(scenario, self.with_member(clusters, bad))
+        assert Violation("C8/C9", f"unknown device id {bad!r}") in err.value.violations
+
+    def test_numpy_integer_members_give_the_same_rates(self, allocation):
+        scenario, clusters, owner, watts = allocation
+        as_numpy = [list(np.array(members)) for members in clusters]
+        assert validate(scenario, as_numpy, owner, watts) == []
+        report = rate_report(scenario, as_numpy, owner, watts)
+        assert np.array_equal(report.rates, rate_report(scenario, clusters, owner, watts).rates)
+        assert sic_chain_mismatch(scenario, as_numpy, owner, watts) == sic_chain_mismatch(
+            scenario, clusters, owner, watts
+        )
 
     def test_unsigned_owner_gives_the_same_rates(self, allocation):
         # the "u" dtypes pass the shape check, uint64 included

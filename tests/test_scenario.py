@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,24 @@ class TestConfig:
         )
         with pytest.raises(ConfigError, match="max_rank"):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("num_clusters", 24.5), ("num_urllc", 24.0), ("num_subcarriers", 48.0),
+         ("num_mmtc", True), ("max_rank", np.float64(4.0)), ("rng_seed", 1.5),
+         ("rng_seed", "1")],
+    )
+    def test_count_or_seed_that_is_not_an_integer(self, name, value):
+        cfg = dataclasses.replace(ScenarioConfig(), **{name: value})
+        with pytest.raises(ConfigError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            cfg.validate()
+
+    def test_numpy_integer_counts_and_seed_accepted(self):
+        dataclasses.replace(ScenarioConfig(), num_urllc=np.int64(24), rng_seed=np.uint64(7)).validate()
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="^rng_seed must be nonnegative, got -1$"):
+            dataclasses.replace(ScenarioConfig(), rng_seed=-1).validate()
 
 
 class TestHandBuiltScenario:
