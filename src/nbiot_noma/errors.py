@@ -53,9 +53,9 @@ class InfeasibleClusterError(DomainError, ValueError):
 
 
 class ConvergenceError(DomainError, RuntimeError):
-    """The solver missed its tolerances within the iteration cap.
+    """The solver's point failed its optimality certificate.
 
-    Carries the best iterate found so callers can still inspect it.
+    Carries that point so callers can still inspect it.
     """
 
     def __init__(self, message, best_powers=None, best_objective=None):

@@ -57,8 +57,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown sweep variable {self.sweep_variable!r}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be nonempty")
-        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        trials = self.trials
+        if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
         if not self.schemes or any(s not in SCHEMES for s in self.schemes):
             raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}")
         if not self.mmtc_to_urllc_ratio > 0:
@@ -71,7 +72,9 @@ class ExperimentSpec:
         low = {"k_max": 2, "total_devices": 1}.get(self.sweep_variable, 0)
         need = f"an integer >= {low}" if low else "finite and >= 0"
         for value in self.sweep_values:
-            if not (value >= low and (float(value).is_integer() if low else math.isfinite(value))):
+            if isinstance(value, (bool, np.bool_)) or not (
+                value >= low and (float(value).is_integer() if low else math.isfinite(value))
+            ):
                 raise ValueError(f"{self.sweep_variable} value {value!r} must be {need}")
 
 

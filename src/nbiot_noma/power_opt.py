@@ -16,9 +16,10 @@ each concave when the gains are ascending, under purely linear
 constraints: per-user rate thresholds linearize to a chain
 ``T[j+1] <= delta[j] * T[j] - rho[j]``, the budget pins ``T[1] = P_max``,
 and the power ordering becomes nonincreasing consecutive differences.
-The maximizer here is certified by a linear-programming optimality gap:
-for a concave objective, max over feasible y of grad(x) . (y - x) bounds
-the true suboptimality of x from above.
+The feasible tails have a greatest element, and it maximizes the sum
+of rates: :func:`maximize_rates` finds it with one linear program and
+certifies it by the LP optimality gap, which for a concave objective
+bounds the true suboptimality from above.
 """
 
 from __future__ import annotations
@@ -51,12 +52,11 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 
-# maximize_rates stops once the LP optimality gap is within GAP_RTOL of the
-# objective, accepts an SLSQP point whose constraint violation is within
-# FEASIBILITY_ATOL watts, and raises ConvergenceError after MAX_ITERATIONS.
+# maximize_rates raises ConvergenceError unless the LP optimality gap of
+# its point is within GAP_RTOL of the objective, and clips power
+# differences within FEASIBILITY_ATOL watts below zero to zero.
 GAP_RTOL = 1e-6
 FEASIBILITY_ATOL = 1e-9
-MAX_ITERATIONS = 10_000
 # probe_concavity counts a sample as mismatched beyond this relative error.
 CONCAVITY_RTOL = 1e-4
 
@@ -111,7 +111,7 @@ class PowerSolution:
     objective: float  # bps
     tail: np.ndarray  # W, the tail-power vector behind `powers`
     optimality_gap: float  # bps, LP bound on remaining improvement
-    iterations: int
+    iterations: int  # always 0: one LP solves the problem, nothing iterates
 
 
 def tail_powers(powers) -> np.ndarray:
@@ -182,13 +182,13 @@ def threshold_coefficients(cluster: OrderedCluster):
     return delta, rho, theta
 
 
-def _constraint_system(cluster: OrderedCluster):
-    """Inequalities ``A @ x <= b`` over x = (T[2], ..., T[n]); T[1] = P_max.
+def _tail_rows(cluster: OrderedCluster):
+    """Inequalities ``A @ T <= b`` over the whole tail (T[1], ..., T[n]).
 
     Rows: the threshold chain T[j+1] <= delta[j]*T[j] - rho[j]; the
     difference ordering (T[j] - T[j+1]) nonincreasing with the last
-    difference at least T[n]; and T[n] >= theta[n].  They are filled over
-    (T[1], ..., T[n]) and T[1] is then moved to the right-hand side.
+    difference at least T[n]; and T[n] >= theta[n].  Each row has at most
+    one positive coefficient, which :func:`maximize_rates` relies on.
     """
     n = cluster.size
     delta, rho, theta = threshold_coefficients(cluster)
@@ -203,8 +203,16 @@ def _constraint_system(cluster: OrderedCluster):
     a[-2, -2:] = (-1.0, 2.0)  # last difference: -T[n-1] + 2*T[n] <= 0
     a[-1, -1] = -1.0  # minimum tail for the last user: -T[n] <= -theta[n]
     b[-1] = -theta[-1]
+    return a, b
+
+
+def _constraint_system(cluster: OrderedCluster):
+    """:func:`_tail_rows` over x = (T[2], ..., T[n]), with T[1] = P_max moved right."""
+    a, b = _tail_rows(cluster)
     return np.ascontiguousarray(a[:, 1:]), b - a[:, 0] * cluster.total_power
 
+
+_UNREACHABLE = "rate thresholds are unreachable within the power budget"
 
 # Constraint slack allowed to a vertex of a small LP, in units of the
 # budget: far above the rounding of a 2x2 solve, and below HiGHS's 1e-7
@@ -225,7 +233,9 @@ def _lp_argmin(c, a_ub, b_ub, p_max) -> np.ndarray | None:
     """
     m = c.size
     if m > 2:
-        from scipy import optimize  # imported on first use: see maximize_rates
+        # Imported here, not at the top: it takes most of the package's
+        # start-up time, and only clusters of four or more users need it.
+        from scipy import optimize
 
         res = optimize.linprog(
             c=c, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, p_max)] * m, method="highs"
@@ -274,109 +284,82 @@ def find_feasible_tail(cluster: OrderedCluster) -> np.ndarray | None:
     return None if x is None else np.concatenate([[p_max], x])
 
 
-def _certified_gap(x, grad, a_ub, b_ub, p_max):
+def _certified_gap(x, grad, a_ub, b_ub, p_max) -> float:
     """LP bound on how much any feasible point can improve on x."""
     vertex = _lp_argmin(-grad, a_ub, b_ub, p_max)
     if vertex is None:
         raise ConvergenceError("optimality-gap LP failed on a feasible instance")
-    return float(grad @ (vertex - x)), vertex
+    return float(grad @ (vertex - x))
 
 
 def maximize_rates(cluster: OrderedCluster) -> PowerSolution:
-    """Maximize the cluster sum rate over the linear feasible set.
+    """Maximize the cluster sum rate: the greatest feasible tail vector.
 
-    A smooth constrained step (SLSQP) does the bulk of the work; the
-    result is then certified by the LP optimality gap and, if the
-    certificate is not yet met, refined with conditional-gradient steps
-    that stay inside the polytope.  Raises :class:`InfeasibleClusterError`
-    when no tail vector meets the thresholds and
-    :class:`ConvergenceError` (carrying the best iterate) if tolerances
-    are unmet after ``MAX_ITERATIONS``.
+    Every row of :func:`_tail_rows`, and every box bound, has at most
+    one positive coefficient, so if x and y are feasible, so is their
+    componentwise max: for a row whose positive coefficient sits on T[i],
+    let z be whichever of x and y has the larger T[i]; every other term
+    of the row at the max is at most its value at z, so the row holds.
+    The feasible set is closed and bounded, so it has a greatest element,
+    and the LP that maximizes the sum of tails returns it.  With
+    ascending gains
+
+        dF/dT[j] = B/ln2 * (g[j] - g[j-1])
+                   / ((1 + g[j] T[j]) * (1 + g[j-1] T[j])) >= 0,
+
+    so no feasible point beats the greatest one.  Where two consecutive
+    gains are equal the objective is flat in that tail; a second LP
+    pushes those tails down to their least values while every other tail
+    stays at its greatest.  The point is certified by the LP optimality
+    gap.  Raises :class:`InfeasibleClusterError` when no tail vector meets
+    the thresholds and :class:`ConvergenceError`, carrying the point,
+    when the gap exceeds ``GAP_RTOL`` of the objective.
     """
-    start = find_feasible_tail(cluster)
-    if start is None:
-        raise InfeasibleClusterError(
-            "rate thresholds are unreachable within the power budget"
-        )
     n = cluster.size
     p_max = cluster.total_power
     if n == 1:
+        if find_feasible_tail(cluster) is None:
+            raise InfeasibleClusterError(_UNREACHABLE)
         tail = np.array([p_max])
-        return PowerSolution(
-            powers=np.array([p_max]),
-            objective=cluster_objective(tail, cluster),
-            tail=tail,
-            optimality_gap=0.0,
-            iterations=0,
+        objective = cluster_objective(tail, cluster)
+        return PowerSolution(tail.copy(), objective, tail, optimality_gap=0.0, iterations=0)
+    with np.errstate(over="ignore"):  # an overflowing theta: see find_feasible_tail
+        _, _, theta = threshold_coefficients(cluster)
+    x = None
+    if np.isfinite(theta).all():
+        a_ub, b_ub = _constraint_system(cluster)
+        x = _lp_argmin(-np.ones(n - 1), a_ub, b_ub, p_max)
+    if x is None:
+        raise InfeasibleClusterError(_UNREACHABLE)
+    gains = cluster.normalized_gains
+    flat = gains[1:] == gains[:-1]
+    if flat.any():
+        held = np.flatnonzero(~flat)  # extra rows -x[k] <= -greatest[k]
+        x = _lp_argmin(
+            flat.astype(float),
+            np.vstack([a_ub, -np.eye(n - 1)[held]]),
+            np.concatenate([b_ub, -x[held]]),
+            p_max,
         )
-
-    # Imported here, not at the top: a Monte Carlo run never solves for
-    # power, and this import takes most of the package's start-up time.
-    from scipy import optimize
-
-    a_ub, b_ub = _constraint_system(cluster)
-
-    def full(x):
-        return np.concatenate([[p_max], x])
-
-    def neg_obj(x):
-        return -cluster_objective(full(x), cluster)
-
-    def neg_grad(x):
-        return -_objective_gradient(full(x), cluster)[1:]
-
-    x = start[1:].copy()
-    iterations = 0
-    res = optimize.minimize(
-        neg_obj,
-        x,
-        jac=neg_grad,
-        method="SLSQP",
-        bounds=[(0.0, p_max)] * (n - 1),
-        constraints=[
-            {"type": "ineq", "fun": lambda v: b_ub - a_ub @ v, "jac": lambda v: -a_ub}
-        ],
-        options={"maxiter": 500, "ftol": 1e-14},
-    )
-    iterations += int(res.nit)
-    candidate = res.x
-    violation = max(
-        float(np.max(a_ub @ candidate - b_ub, initial=0.0)),
-        float(np.max(-candidate, initial=0.0)),
-        float(np.max(candidate - p_max, initial=0.0)),
-    )
-    if violation <= FEASIBILITY_ATOL:
-        x = candidate
-
-    best_x, best_obj = x, -neg_obj(x)
-    while iterations < MAX_ITERATIONS:
-        grad = -neg_grad(x)
-        obj = -neg_obj(x)
-        if obj > best_obj:
-            best_x, best_obj = x, obj
-        gap, vertex = _certified_gap(x, grad, a_ub, b_ub, p_max)
-        if gap <= GAP_RTOL * max(abs(obj), 1e-300):
-            tail = full(x)
-            return PowerSolution(
-                powers=powers_from_tail(tail, tol=FEASIBILITY_ATOL),
-                objective=obj,
-                tail=tail,
-                optimality_gap=gap,
-                iterations=iterations,
-            )
-        direction = vertex - x
-        line = optimize.minimize_scalar(
-            lambda t: neg_obj(x + t * direction),
-            bounds=(0.0, 1.0),
-            method="bounded",
-            options={"xatol": 1e-12},
+        if x is None:
+            raise ConvergenceError("flat-tail LP failed on a feasible instance")
+    tail = np.concatenate([[p_max], x])
+    objective = cluster_objective(tail, cluster)
+    grad = _objective_gradient(tail, cluster)[1:]
+    gap = _certified_gap(x, grad, a_ub, b_ub, p_max)
+    powers = powers_from_tail(tail, tol=FEASIBILITY_ATOL)
+    if not gap <= GAP_RTOL * max(abs(objective), 1e-300):
+        raise ConvergenceError(
+            f"optimality gap {gap:.3e} above tolerance",
+            best_powers=powers,
+            best_objective=objective,
         )
-        x = x + float(line.x) * direction
-        iterations += 1
-    raise ConvergenceError(
-        f"optimality gap above tolerance after {MAX_ITERATIONS} iterations",
-        best_powers=powers_from_tail(full(best_x), tol=FEASIBILITY_ATOL),
-        best_objective=best_obj,
+    return PowerSolution(
+        powers=powers,
+        objective=objective,
+        tail=tail,
+        optimality_gap=gap,
+        iterations=0,
     )
 
 

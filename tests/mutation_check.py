@@ -292,6 +292,20 @@ MUTANTS = (
         ("tests/test_oracle_reference.py::test_solver_matches_highs_reference",),
     ),
     Mutant(
+        "greatest-tail-takes-least",
+        "src/nbiot_noma/power_opt.py",
+        "x = _lp_argmin(-np.ones(n - 1), a_ub, b_ub, p_max)",
+        "x = _lp_argmin(np.ones(n - 1), a_ub, b_ub, p_max)",
+        ("tests/test_power_opt.py::TestGreatestTail",),
+    ),
+    Mutant(
+        "solver-skips-certificate",
+        "src/nbiot_noma/power_opt.py",
+        "    if not gap <= GAP_RTOL * max(abs(objective), 1e-300):\n",
+        "    if False:\n",
+        ("tests/test_power_opt.py::TestSolve::test_failed_certificate_reports_the_point",),
+    ),
+    Mutant(
         "ordered-cluster-accepts-nan",
         "src/nbiot_noma/power_opt.py",
         '("normalized_gains", all(map(math.isfinite, gains))),',

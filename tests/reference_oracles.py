@@ -46,7 +46,6 @@ from nbiot_noma.errors import (
     InstanceTooLargeError,
 )
 from nbiot_noma.power_opt import (
-    MAX_ITERATIONS,
     OrderedCluster,
     PowerSolution,
     _constraint_system,
@@ -61,6 +60,8 @@ from nbiot_noma.scenario import Scenario
 from reference_rate_model import reference_equal_split_powers, sic_log_terms
 
 _LOG2 = math.log(2.0)
+# The iteration cap the SLSQP solver had as power_opt.MAX_ITERATIONS.
+MAX_ITERATIONS = 10_000
 
 
 def _tone_values_equal_split(scenario, clusters) -> np.ndarray:
@@ -247,10 +248,15 @@ def reference_grid_power_oracle(
 
 
 def reference_mesh_feasible(cluster: OrderedCluster, step: float) -> np.ndarray:
-    """The full-mesh feasible mask of ``reference_grid_power_oracle`` (3 users)."""
+    """The full-mesh feasible mask of ``reference_grid_power_oracle``.
+
+    Over T2 for two users; over (T2, T3), indexed ``[i, j]``, for three.
+    """
     p_max = cluster.total_power
     delta, rho, theta = threshold_coefficients(cluster)
     axis = np.arange(0.0, p_max + step / 2.0, step)
+    if cluster.size == 2:
+        return (axis <= delta[0] * p_max - rho[0]) & (axis >= theta[1]) & (p_max - axis >= axis)
     t2, t3 = np.meshgrid(axis, axis, indexing="ij")
     return (
         (t2 <= delta[0] * p_max - rho[0])

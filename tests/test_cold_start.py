@@ -1,9 +1,11 @@
-"""A Monte Carlo run loads numpy only.
+"""A Monte Carlo run, and the power solver up to three users, load numpy only.
 
-SciPy's optimizer is imported by the first power solve and the process
-pool by the first run with ``workers > 1``, so importing the package and
-running trials serially pay for neither.  The check starts a fresh
-interpreter, since this test session has long since loaded both.
+SciPy's optimizer is imported by the first linear program of three or
+more variables (a power solve on four or more users) and the process
+pool by the first run with ``workers > 1``, so importing the package,
+running trials serially, solving small clusters and running the self
+checks pay for neither.  The check starts a fresh interpreter, since
+this test session has long since loaded both.
 """
 
 import json
@@ -25,6 +27,7 @@ from nbiot_noma import cli
 from nbiot_noma.harness import ExperimentSpec, emit_csv, run_experiment
 from nbiot_noma.power_opt import OrderedCluster, maximize_rates
 from nbiot_noma.scenario import read_config_file
+from nbiot_noma.selfcheck import run_self_checks
 
 
 def deferred():
@@ -35,7 +38,12 @@ def deferred():
     )
 
 
-config_path, api_csv, cli_csv = sys.argv[1:]
+def solve(gains):
+    n = len(gains)
+    maximize_rates(OrderedCluster(np.array(gains), np.full(n, 0.1), 3.0, 1.0))
+
+
+config_path, small_path, api_csv, cli_csv = sys.argv[1:]
 state = {"after_import": deferred()}
 config = read_config_file(config_path)
 spec = ExperimentSpec(
@@ -54,14 +62,13 @@ state["cli_exit"] = cli.main(
      "--schemes", "noma,ofdma,fast_ofdm"]
 )
 state["after_cli"] = deferred()
-cluster = OrderedCluster(
-    normalized_gains=np.array([1.0, 2.0]),
-    rate_thresholds=np.array([0.1, 0.1]),
-    total_power=3.0,
-    bandwidth_hz=1.0,
-)
-maximize_rates(cluster)
-state["optimize_after_solve"] = "scipy.optimize" in sys.modules
+solve([1.0, 2.0])
+solve([1.0, 2.0, 3.0])
+state["after_small_solves"] = deferred()
+state["checks_passed"] = all(c.passed for c in run_self_checks(read_config_file(small_path)))
+state["after_checks"] = deferred()
+solve([1.0, 2.0, 3.0, 4.0])
+state["optimize_after_four_users"] = "scipy.optimize" in sys.modules
 print(json.dumps(state))
 """
 
@@ -69,9 +76,10 @@ print(json.dumps(state))
 def test_monte_carlo_run_loads_neither_scipy_nor_the_process_pool(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     config = ROOT / "configs" / "cell_default.cfg"
+    small = ROOT / "configs" / "cell_small.cfg"
     api_csv, cli_csv = tmp_path / "api.csv", tmp_path / "cli.csv"
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(config), str(api_csv), str(cli_csv)],
+        [sys.executable, "-c", SCRIPT, str(config), str(small), str(api_csv), str(cli_csv)],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -83,4 +91,7 @@ def test_monte_carlo_run_loads_neither_scipy_nor_the_process_pool(tmp_path):
     assert state["after_cli"] == []
     assert api_csv.read_text().count("\n") == 1 + 3
     assert cli_csv.read_text().count("\n") == 1 + 3
-    assert state["optimize_after_solve"] is True
+    assert state["after_small_solves"] == []
+    assert state["checks_passed"] is True
+    assert state["after_checks"] == []
+    assert state["optimize_after_four_users"] is True

@@ -194,15 +194,16 @@ class TestTrialConfig:
         "variable, value",
         [("k_max", 0), ("k_max", 1), ("k_max", -1), ("k_max", 2.5),
          ("total_devices", 0), ("total_devices", 2.7), ("total_devices", math.inf),
-         ("threshold_scale", -0.5), ("threshold_scale", math.inf),
-         ("threshold_scale", math.nan)],
+         ("total_devices", True), ("k_max", True), ("threshold_scale", -0.5),
+         ("threshold_scale", math.inf), ("threshold_scale", math.nan),
+         ("threshold_scale", False), ("total_devices", np.True_)],
     )
     def test_spec_rejects_sweep_value_that_cannot_make_a_cell(self, variable, value):
         spec = small_spec(sweep_variable=variable, sweep_values=(4, value))
         with pytest.raises(ValueError, match=rf"{variable} value {value!r} must be"):
             spec.validate()
 
-    @pytest.mark.parametrize("trials", [0, -1, 2.5, 2.0, "3", None])
+    @pytest.mark.parametrize("trials", [0, -1, 2.5, 2.0, "3", None, True])
     def test_spec_rejects_trials_that_are_not_a_positive_integer(self, trials):
         with pytest.raises(ValueError, match=rf"^trials must be an integer >= 1, got {trials!r}$"):
             small_spec(trials=trials).validate()

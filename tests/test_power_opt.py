@@ -27,7 +27,7 @@ from nbiot_noma.power_opt import (
 )
 from nbiot_noma.selfcheck import random_feasible_cluster
 
-from reference_oracles import ReferenceOrderedCluster
+from reference_oracles import ReferenceOrderedCluster, reference_mesh_feasible
 
 
 def simple_cluster(gains, thresholds=None, p_max=1.0, bandwidth=1.0):
@@ -241,13 +241,14 @@ class TestSolve:
         with pytest.raises(InfeasibleClusterError):
             maximize_rates(cluster)
 
-    def test_iteration_cap_reports_best_iterate(self, monkeypatch):
+    def test_failed_certificate_reports_the_point(self, monkeypatch):
         cluster = simple_cluster([0.7, 1.9, 3.1], p_max=2.0)
-        monkeypatch.setattr(power_opt, "MAX_ITERATIONS", 0)
+        solution = maximize_rates(cluster)
+        monkeypatch.setattr(power_opt, "GAP_RTOL", -1.0)
         with pytest.raises(ConvergenceError) as info:
             maximize_rates(cluster)
-        assert info.value.best_powers is not None
-        assert info.value.best_objective is not None
+        assert np.array_equal(info.value.best_powers, solution.powers)
+        assert info.value.best_objective == solution.objective
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
@@ -261,6 +262,51 @@ class TestSolve:
         assert solution.optimality_gap <= 1e-6 * abs(solution.objective) + 1e-12
         rates = ordered_user_rates(p, cluster)
         assert np.all(rates >= cluster.rate_thresholds - 1e-6 * (1 + cluster.rate_thresholds))
+
+
+def random_cluster_of_size(rng, n):
+    while True:
+        cluster = random_feasible_cluster(rng, max_users=n)
+        if cluster.size == n:
+            return cluster
+
+
+class TestGreatestTail:
+    """The premises of the greatest-tail argument behind ``maximize_rates``."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_each_row_has_at_most_one_positive_coefficient(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            a, _ = power_opt._tail_rows(random_cluster_of_size(rng, n))
+            assert a.shape == (2 * n - 1, n)
+            assert ((a > 0).sum(axis=1) <= 1).all()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_gradient_is_nonnegative_on_feasible_tails(self, n):
+        # The feasible set is convex, so the segment between its least-sum
+        # and greatest tails stays inside it.
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            cluster = random_cluster_of_size(rng, n)
+            least = find_feasible_tail(cluster)
+            greatest = maximize_rates(cluster).tail
+            for u in rng.uniform(0.0, 1.0, size=10):
+                tail = least + u * (greatest - least)
+                assert (power_opt._objective_gradient(tail, cluster) >= 0).all()
+
+    @pytest.mark.parametrize("n, division", [(2, 1000), (3, 300)])
+    def test_solution_dominates_every_feasible_mesh_point(self, n, division):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(40):
+            cluster = random_cluster_of_size(rng, n)
+            p_max = cluster.total_power
+            step = p_max / division
+            mesh = np.nonzero(reference_mesh_feasible(cluster, step))
+            points = np.stack(mesh, axis=1) * step  # (points, n - 1) tails T2..Tn
+            assert points.size > 0
+            tail = maximize_rates(cluster).tail
+            assert (tail[1:] >= points - 1e-9 * p_max).all(), cluster
 
 
 class TestConcavity:
