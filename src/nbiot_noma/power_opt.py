@@ -115,11 +115,11 @@ class PowerSolution:
 
 
 def tail_powers(powers) -> np.ndarray:
-    """Suffix sums T[j] = P[j] + ... + P[n]; linear and invertible."""
+    """Suffix sums T[j] = P[j] + ... + P[n] along the last axis; linear and invertible."""
     p = np.asarray(powers, dtype=float)
     if (p < 0).any():
         raise ValueError("powers must be nonnegative")
-    return p[::-1].cumsum()[::-1]
+    return p[..., ::-1].cumsum(axis=-1)[..., ::-1]
 
 
 def powers_from_tail(tail, *, tol: float = 0.0) -> np.ndarray:
@@ -140,14 +140,37 @@ def powers_from_tail(tail, *, tol: float = 0.0) -> np.ndarray:
     return np.maximum(p, 0.0)
 
 
+def _rates(p, g, bandwidth) -> np.ndarray:
+    """SIC rates of clusters stacked along the leading axes.
+
+    ``p`` and ``g`` hold powers and normalized gains with users on the
+    last axis in decoding order; ``bandwidth`` has the leading shape.
+    A cluster shorter than the last axis is front-padded with zero gain
+    and zero power: a pad's SINR is exactly 0, and it is decoded before
+    every real user, so it adds exactly zero to their interference.
+    """
+    later = np.zeros(p.shape)
+    later[..., :-1] = p[..., :0:-1].cumsum(axis=-1)[..., ::-1]
+    sinr = g * p / (1.0 + g * later)
+    return np.expand_dims(bandwidth, -1) * np.log1p(sinr) / _LOG2
+
+
+def _objective(t, g, bandwidth) -> np.ndarray:
+    """Sum-rate objective of tail vectors stacked along the leading axes.
+
+    Laid out as in :func:`_rates`.  A front pad of zero gain adds
+    log1p(0) = 0 as the first term and log1p(0) - log1p(0) = 0 after it,
+    and turns the first real user's difference term into
+    log1p(g * T) - log1p(0), its own first term, exactly.
+    """
+    first = np.log1p(g[..., 0] * t[..., 0])
+    rest = np.log1p(g[..., 1:] * t[..., 1:]) - np.log1p(g[..., :-1] * t[..., 1:])
+    return bandwidth / _LOG2 * (first + rest.sum(axis=-1))
+
+
 def cluster_objective(tail, cluster: OrderedCluster) -> float:
     t = np.asarray(tail, dtype=float)
-    g = cluster.normalized_gains
-    scale = cluster.bandwidth_hz / _LOG2
-    total = math.log1p(g[0] * t[0])
-    if t.size > 1:
-        total += float((np.log1p(g[1:] * t[1:]) - np.log1p(g[:-1] * t[1:])).sum())
-    return scale * total
+    return float(_objective(t, cluster.normalized_gains, cluster.bandwidth_hz))
 
 
 def _objective_gradient(tail, cluster: OrderedCluster) -> np.ndarray:
@@ -164,12 +187,8 @@ def _objective_gradient(tail, cluster: OrderedCluster) -> np.ndarray:
 def ordered_user_rates(powers, cluster: OrderedCluster) -> np.ndarray:
     """Per-user SIC rates straight from the SINR definition (no transform)."""
     p = np.asarray(powers, dtype=float)
-    g = cluster.normalized_gains
     # Not sic_log_terms: interference is g[j] * (sum of later powers), the subproblem's model.
-    later = np.zeros(p.shape)
-    later[:-1] = p[:0:-1].cumsum()[::-1]
-    sinr = g * p / (1.0 + g * later)
-    return cluster.bandwidth_hz * np.log1p(sinr) / _LOG2
+    return _rates(p, cluster.normalized_gains, cluster.bandwidth_hz)
 
 
 def threshold_coefficients(cluster: OrderedCluster):
@@ -368,7 +387,8 @@ def second_derivative_core(gain_low: float, gain_high: float, tail_value: float)
 
     The full objective term is bandwidth/ln(2) times this core, so the
     sign analysis carries over unchanged.  Nonpositive whenever
-    gain_low <= gain_high; exactly zero when they are equal.
+    gain_low <= gain_high; exactly zero when they are equal.  Broadcasts
+    elementwise over arrays.
     """
     num = (
         gain_low**2
@@ -405,8 +425,12 @@ def probe_concavity(
 
     Each sample picks a consecutive gain pair and a random positive tail
     value, then compares the closed-form second derivative against a
-    central finite difference.
+    central finite difference.  All pair indices come from one draw and
+    all log-tails from a second.  A sample whose relative mismatch is
+    NaN counts as mismatched and makes the worst mismatch NaN.
     """
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
     if cluster.size < 2:
         raise ValueError("need at least two users to probe curvature")
     g = cluster.normalized_gains
@@ -414,33 +438,22 @@ def probe_concavity(
         raise ValueError("gains must be strictly ascending for the probe")
     rng = np.random.default_rng(0) if rng is None else rng
 
-    # Per consecutive pair: its gains and the log-range its tail values span.
-    pairs = [(lo, hi, np.log(1e-2 / hi), np.log(1e2 / lo)) for lo, hi in zip(g[:-1], g[1:])]
-    pos_closed = pos_fd = mismatched = 0
-    worst = 0.0
-    for _ in range(samples):
-        lo, hi, log_z_min, log_z_max = pairs[int(rng.integers(1, cluster.size)) - 1]
-        z = float(np.exp(rng.uniform(log_z_min, log_z_max)))
-        closed = second_derivative_core(lo, hi, z)
+    pair = rng.integers(1, cluster.size, size=samples) - 1
+    lo, hi = g[pair], g[pair + 1]
+    # Each pair's tail values span this log-range.
+    z = np.exp(rng.uniform(np.log(1e-2 / hi), np.log(1e2 / lo)))
+    closed = second_derivative_core(lo, hi, z)
 
-        def core(t):
-            return math.log1p(hi * t) - math.log1p(lo * t)
+    def core(t):
+        return np.log1p(hi * t) - np.log1p(lo * t)
 
-        h = 2.2e-4 * (z + 1.0 / hi)
-        fd = (core(z + h) - 2.0 * core(z) + core(z - h)) / (h * h)
-
-        if closed > 0:
-            pos_closed += 1
-        if fd > 0:
-            pos_fd += 1
-        rel = abs(closed - fd) / max(abs(closed), 1e-300)
-        worst = max(worst, rel)
-        if rel > CONCAVITY_RTOL:
-            mismatched += 1
+    h = 2.2e-4 * (z + 1.0 / hi)
+    fd = (core(z + h) - 2.0 * core(z) + core(z - h)) / (h * h)
+    rel = np.abs(closed - fd) / np.maximum(np.abs(closed), 1e-300)
     return ConcavityReport(
         samples=samples,
-        positive_closed_form=pos_closed,
-        positive_finite_difference=pos_fd,
-        max_relative_mismatch=worst,
-        mismatched=mismatched,
+        positive_closed_form=int(np.count_nonzero(closed > 0)),
+        positive_finite_difference=int(np.count_nonzero(fd > 0)),
+        max_relative_mismatch=float(rel.max()),
+        mismatched=int(np.count_nonzero(~(rel <= CONCAVITY_RTOL))),
     )

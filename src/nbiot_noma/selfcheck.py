@@ -20,7 +20,8 @@ from .clustering import build_clusters
 from .errors import GridResolutionError
 from .power_opt import (
     OrderedCluster,
-    cluster_objective,
+    _objective,
+    _rates,
     maximize_rates,
     ordered_user_rates,
     probe_concavity,
@@ -68,22 +69,47 @@ def tiny_config(base: ScenarioConfig, rng: np.random.Generator) -> ScenarioConfi
     )
 
 
+def _draw_subproblems(rng: np.random.Generator, count: int, max_users: int):
+    """``count`` random power subproblems, front-padded to ``max_users`` users.
+
+    Returns ``(n, p_max, gains, bandwidth)``: user counts, budgets, a
+    ``(count, max_users)`` gain array whose rows ascend with zero pads in
+    front (the layout of the ``power_opt`` array cores), and bandwidths.
+    Draws n, then p_max, then exactly n gains per row, then bandwidth.
+    Normalized gains are kept within a few orders of magnitude of
+    1/p_max so a 1000-point grid resolves the optimum; a row whose
+    consecutive gains are not 5% apart is redrawn whole.
+    """
+    n = rng.integers(1, max_users + 1, size=count)
+    p_max = rng.uniform(0.5, 4.0, size=count)
+    real = np.arange(max_users) >= max_users - n[:, None]
+    gains = np.zeros((count, max_users))
+    redraw = np.ones(count, dtype=bool)
+    while redraw.any():
+        drawn = np.exp(rng.uniform(np.log(0.5), np.log(50.0), size=int(n[redraw].sum())))
+        gains[real & redraw[:, None]] = drawn
+        gains[redraw] = np.sort(gains[redraw], axis=1) / p_max[redraw, None]
+        lower = gains[:, :-1]
+        spacing = np.divide(
+            gains[:, 1:] - lower, lower, out=np.full(lower.shape, np.inf), where=lower > 0
+        )
+        redraw = (spacing < 0.05).any(axis=1)
+    bandwidth = rng.uniform(0.5, 2.0, size=count)
+    return n, p_max, gains, bandwidth
+
+
 def random_feasible_cluster(
     rng: np.random.Generator, max_users: int = 3
 ) -> OrderedCluster:
     """A random threshold-feasible power subproblem with moderate gains.
 
-    Normalized gains are kept within a few orders of magnitude of
-    1/total_power so a 1000-point grid resolves the optimum; thresholds
-    are drawn as a fraction of the equal-power rates, which keeps the
+    The instance is one draw of :func:`_draw_subproblems`; thresholds are
+    then drawn as a fraction of the equal-power rates, which keeps the
     feasible set nonempty by construction.
     """
-    n = int(rng.integers(1, max_users + 1))
-    p_max = float(rng.uniform(0.5, 4.0))
-    gains = np.sort(np.exp(rng.uniform(np.log(0.5), np.log(50.0), size=n))) / p_max
-    while n > 1 and ((gains[1:] - gains[:-1]) / gains[:-1] < 0.05).any():
-        gains = np.sort(np.exp(rng.uniform(np.log(0.5), np.log(50.0), size=n))) / p_max
-    bandwidth = float(rng.uniform(0.5, 2.0))
+    n, p_max, gains, bandwidth = _draw_subproblems(rng, 1, max_users)
+    n, p_max, bandwidth = int(n[0]), float(p_max[0]), float(bandwidth[0])
+    gains = gains[0, -n:]
     cluster = OrderedCluster(
         normalized_gains=gains,
         rate_thresholds=np.zeros(n),
@@ -101,13 +127,13 @@ def random_feasible_cluster(
 
 
 def _check_transform_identity(rng, trials=200) -> CheckResult:
-    worst = 0.0
-    for _ in range(trials):
-        cluster = random_feasible_cluster(rng)
-        powers = rng.uniform(0.0, cluster.total_power, size=cluster.size)
-        direct = math.fsum(ordered_user_rates(powers, cluster))
-        via_tail = cluster_objective(tail_powers(powers), cluster)
-        worst = max(worst, abs(direct - via_tail) / max(abs(direct), 1e-300))
+    n, p_max, gains, bandwidth = _draw_subproblems(rng, trials, max_users=3)
+    powers = np.zeros_like(gains)
+    powers[gains > 0] = rng.uniform(0.0, np.repeat(p_max, n))
+    rates = _rates(powers, gains, bandwidth)
+    direct = np.array([math.fsum(row) for row in rates.tolist()])
+    via_tail = _objective(tail_powers(powers), gains, bandwidth)
+    worst = float((np.abs(direct - via_tail) / np.maximum(np.abs(direct), 1e-300)).max())
     return CheckResult(
         "transform-identity", worst <= 1e-9, f"max relative mismatch {worst:.2e}"
     )
@@ -127,7 +153,7 @@ def _check_concavity(rng) -> CheckResult:
 
 
 def _check_solver_vs_grid(rng, trials=10) -> CheckResult:
-    worst = 0.0
+    shortfalls = []
     for _ in range(trials):
         cluster = random_feasible_cluster(rng)
         solution = maximize_rates(cluster)
@@ -135,7 +161,8 @@ def _check_solver_vs_grid(rng, trials=10) -> CheckResult:
             _, grid_obj = grid_power_oracle(cluster, cluster.total_power / 1000.0)
         except GridResolutionError:
             continue
-        worst = max(worst, (grid_obj - solution.objective) / max(abs(grid_obj), 1e-300))
+        shortfalls.append((grid_obj - solution.objective) / max(abs(grid_obj), 1e-300))
+    worst = float(np.max(shortfalls, initial=0.0))  # NaN propagates
     return CheckResult(
         "solver-vs-grid", worst <= 1e-3, f"worst relative shortfall {worst:.2e}"
     )
@@ -149,7 +176,7 @@ def _check_dominance(name, oracle, base, rng, trials) -> CheckResult:
         clusters = build_clusters(scenario)
         _, _, report = allocate(scenario, clusters)
         _, _, best = oracle(scenario, clusters)
-        if best.sum_rate < report.sum_rate * (1 - 1e-9):
+        if not best.sum_rate >= report.sum_rate * (1 - 1e-9):  # NaN fails
             failures += 1
     return CheckResult(name, failures == 0, f"{trials} instances, {failures} failures")
 

@@ -384,6 +384,27 @@ MUTANTS = (
         ("tests/test_rate_model.py::TestAllocationShape",),
     ),
     Mutant(
+        "probe-counts-nan-as-match",
+        "src/nbiot_noma/power_opt.py",
+        "mismatched=int(np.count_nonzero(~(rel <= CONCAVITY_RTOL))),",
+        "mismatched=int(np.count_nonzero(rel > CONCAVITY_RTOL)),",
+        ("tests/test_selfcheck.py::test_checks_fail_on_nan",),
+    ),
+    Mutant(
+        "batched-draw-skips-spacing-redraw",
+        "src/nbiot_noma/selfcheck.py",
+        "redraw = (spacing < 0.05).any(axis=1)",
+        "redraw = np.zeros(count, dtype=bool)",
+        ("tests/test_selfcheck.py::test_random_feasible_cluster_matches_reference",),
+    ),
+    Mutant(
+        "tail-powers-sums-flattened",
+        "src/nbiot_noma/power_opt.py",
+        "return p[..., ::-1].cumsum(axis=-1)[..., ::-1]",
+        "return p[..., ::-1].cumsum()[::-1]",
+        ("tests/test_power_opt.py::TestArrayCores",),
+    ),
+    Mutant(
         "ordering-stencil-loses-a-tail",
         "src/nbiot_noma/power_opt.py",
         "= (-1.0, 2.0, -1.0)",

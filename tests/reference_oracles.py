@@ -18,6 +18,10 @@ every labelled and rank-ordered assignment, which
 ``reference_exhaustive_clustering`` scores one by one.
 ``ReferenceOrderedCluster`` keeps ``OrderedCluster``'s validation as it
 stood with numpy reductions, to pin the order and text of its errors.
+
+``reference_random_feasible_cluster`` is the self-check's instance draw
+as it stood before the batched draw, one scalar draw at a time, with the
+per-cluster SIC rate formula inlined.
 """
 
 from __future__ import annotations
@@ -439,3 +443,26 @@ class ReferenceOrderedCluster:
             raise ValueError("total_power must be positive")
         if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth_hz must be positive")
+
+
+def reference_random_feasible_cluster(
+    rng: np.random.Generator, max_users: int = 3
+) -> OrderedCluster:
+    n = int(rng.integers(1, max_users + 1))
+    p_max = float(rng.uniform(0.5, 4.0))
+    gains = np.sort(np.exp(rng.uniform(np.log(0.5), np.log(50.0), size=n))) / p_max
+    while n > 1 and ((gains[1:] - gains[:-1]) / gains[:-1] < 0.05).any():
+        gains = np.sort(np.exp(rng.uniform(np.log(0.5), np.log(50.0), size=n))) / p_max
+    bandwidth = float(rng.uniform(0.5, 2.0))
+    powers = np.full(n, p_max / n)
+    later = np.zeros(powers.shape)
+    later[:-1] = powers[:0:-1].cumsum()[::-1]
+    sinr = gains * powers / (1.0 + gains * later)
+    equal_rates = bandwidth * np.log1p(sinr) / _LOG2
+    thresholds = equal_rates * rng.uniform(0.0, 0.8, size=n)
+    return OrderedCluster(
+        normalized_gains=gains,
+        rate_thresholds=thresholds,
+        total_power=p_max,
+        bandwidth_hz=bandwidth,
+    )

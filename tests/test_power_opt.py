@@ -336,3 +336,38 @@ class TestConcavity:
     def test_probe_requires_strict_sorting(self):
         with pytest.raises(ValueError):
             probe_concavity(simple_cluster([1.0, 1.0]), samples=10)
+
+    @pytest.mark.parametrize("samples", [0, -3, True, False, 2.5, 3.0, "5", None])
+    def test_probe_rejects_bad_sample_counts(self, samples):
+        with pytest.raises(ValueError, match="samples must be a positive integer"):
+            probe_concavity(simple_cluster([0.5, 1.7]), samples=samples)
+
+    @pytest.mark.parametrize("samples", [1, np.int64(7)])
+    def test_probe_accepts_integer_sample_counts(self, samples):
+        report = probe_concavity(simple_cluster([0.5, 1.7]), samples=samples)
+        assert report.ok and report.samples == samples
+
+
+class TestArrayCores:
+    """The batched SIC rate and objective cores against their one-cluster calls."""
+
+    def test_front_padded_batch_matches_single_clusters(self):
+        rng = np.random.default_rng(11)
+        clusters = [random_feasible_cluster(rng, max_users=3) for _ in range(300)]
+        powers = [rng.uniform(0.0, c.total_power, size=c.size) for c in clusters]
+        batch_p = np.zeros((len(clusters), 3))
+        batch_g = np.zeros((len(clusters), 3))
+        for row, (c, p) in enumerate(zip(clusters, powers)):
+            batch_p[row, 3 - c.size :] = p
+            batch_g[row, 3 - c.size :] = c.normalized_gains
+        bandwidth = np.array([c.bandwidth_hz for c in clusters])
+        batch_t = tail_powers(batch_p)
+        rates = power_opt._rates(batch_p, batch_g, bandwidth)
+        objective = power_opt._objective(batch_t, batch_g, bandwidth)
+        assert rates.shape == batch_t.shape == (len(clusters), 3)
+        for row, (c, p) in enumerate(zip(clusters, powers)):
+            assert np.array_equal(batch_t[row], tail_powers(batch_p[row]))
+            assert np.array_equal(rates[row, 3 - c.size :], ordered_user_rates(p, c))
+            assert not rates[row, : 3 - c.size].any()
+            expected = cluster_objective(tail_powers(p), c)
+            assert abs(objective[row] - expected) <= 1e-15 * abs(expected), row
