@@ -1,8 +1,9 @@
 """Uplink power-domain NOMA with user clustering for an NB-IoT cell.
 
 Deterministic scenario generation, SIC rate computation, average-gain
-clustering, greedy subcarrier allocation, a certified concave power
-solver, orthogonal-access baselines, and exhaustive oracles that check
+clustering, greedy subcarrier allocation, a per-cluster power solver
+that finds the greatest feasible tail by one backward pass and Newton's
+method, orthogonal-access baselines, and exhaustive oracles that check
 the heuristics on tiny instances.
 """
 

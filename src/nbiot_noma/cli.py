@@ -167,7 +167,6 @@ def _cmd_solve_power(args) -> int:
     solution = maximize_rates(cluster)
     print("powers_w:", ",".join(f"{p:.9e}" for p in solution.powers))
     print(f"objective_bps: {solution.objective:.9e}")
-    print(f"optimality_gap_bps: {solution.optimality_gap:.3e}")
     if cluster.size <= 3:
         try:
             _, grid_obj = grid_power_oracle(cluster, cluster.total_power / 1000.0)

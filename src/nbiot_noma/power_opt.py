@@ -17,9 +17,9 @@ constraints: per-user rate thresholds linearize to a chain
 ``T[j+1] <= delta[j] * T[j] - rho[j]``, the budget pins ``T[1] = P_max``,
 and the power ordering becomes nonincreasing consecutive differences.
 The feasible tails have a greatest element, and it maximizes the sum
-of rates: :func:`maximize_rates` finds it with one linear program and
-certifies it by the LP optimality gap, which for a concave objective
-bounds the true suboptimality from above.
+of rates: :func:`maximize_rates` finds it with one backward pass over
+the users and Newton's method on the last user's power, then checks
+the point against every threshold and the power ordering.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 
-# maximize_rates raises ConvergenceError unless the LP optimality gap of
-# its point is within GAP_RTOL of the objective, and clips power
-# differences within FEASIBILITY_ATOL watts below zero to zero.
-GAP_RTOL = 1e-6
+# maximize_rates raises ConvergenceError when its point misses a
+# threshold or the power ordering by more than FEASIBILITY_ATOL watts
+# per watt of budget above 1 W: a budget above about 1e7 W rounds its
+# tails by more than 1e-9 W.
 FEASIBILITY_ATOL = 1e-9
 # probe_concavity counts a sample as mismatched beyond this relative error.
 CONCAVITY_RTOL = 1e-4
@@ -110,8 +110,7 @@ class PowerSolution:
     powers: np.ndarray  # W, nonincreasing
     objective: float  # bps
     tail: np.ndarray  # W, the tail-power vector behind `powers`
-    optimality_gap: float  # bps, LP bound on remaining improvement
-    iterations: int  # always 0: one LP solves the problem, nothing iterates
+    iterations: int  # always 0; bench/tracing.py sums it as a counter
 
 
 def tail_powers(powers) -> np.ndarray:
@@ -173,17 +172,6 @@ def cluster_objective(tail, cluster: OrderedCluster) -> float:
     return float(_objective(t, cluster.normalized_gains, cluster.bandwidth_hz))
 
 
-def _objective_gradient(tail, cluster: OrderedCluster) -> np.ndarray:
-    """d(objective)/d(tail[j]); tail[0] is fixed by the budget elsewhere."""
-    t = np.asarray(tail, dtype=float)
-    g = cluster.normalized_gains
-    grad = np.empty_like(t)
-    grad[0] = g[0] / (1.0 + g[0] * t[0])
-    if t.size > 1:
-        grad[1:] = g[1:] / (1.0 + g[1:] * t[1:]) - g[:-1] / (1.0 + g[:-1] * t[1:])
-    return cluster.bandwidth_hz / _LOG2 * grad
-
-
 def ordered_user_rates(powers, cluster: OrderedCluster) -> np.ndarray:
     """Per-user SIC rates straight from the SINR definition (no transform)."""
     p = np.asarray(powers, dtype=float)
@@ -201,185 +189,135 @@ def threshold_coefficients(cluster: OrderedCluster):
     return delta, rho, theta
 
 
-def _tail_rows(cluster: OrderedCluster):
-    """Inequalities ``A @ T <= b`` over the whole tail (T[1], ..., T[n]).
-
-    Rows: the threshold chain T[j+1] <= delta[j]*T[j] - rho[j]; the
-    difference ordering (T[j] - T[j+1]) nonincreasing with the last
-    difference at least T[n]; and T[n] >= theta[n].  Each row has at most
-    one positive coefficient, which :func:`maximize_rates` relies on.
-    """
-    n = cluster.size
-    delta, rho, theta = threshold_coefficients(cluster)
-    a = np.zeros((2 * n - 1, n))
-    b = np.zeros(2 * n - 1)
-    j = np.arange(n - 1)  # threshold chain: -delta[j]*T[j] + T[j+1] <= -rho[j]
-    a[j, j] = -delta[:-1]
-    a[j, j + 1] = 1.0
-    b[j] = -rho[:-1]
-    j = np.arange(n - 2)  # difference ordering: -T[j] + 2*T[j+1] - T[j+2] <= 0
-    a[n - 1 + j[:, None], j[:, None] + np.arange(3)] = (-1.0, 2.0, -1.0)
-    a[-2, -2:] = (-1.0, 2.0)  # last difference: -T[n-1] + 2*T[n] <= 0
-    a[-1, -1] = -1.0  # minimum tail for the last user: -T[n] <= -theta[n]
-    b[-1] = -theta[-1]
-    return a, b
-
-
-def _constraint_system(cluster: OrderedCluster):
-    """:func:`_tail_rows` over x = (T[2], ..., T[n]), with T[1] = P_max moved right."""
-    a, b = _tail_rows(cluster)
-    return np.ascontiguousarray(a[:, 1:]), b - a[:, 0] * cluster.total_power
-
-
 _UNREACHABLE = "rate thresholds are unreachable within the power budget"
 
-# Constraint slack allowed to a vertex of a small LP, in units of the
-# budget: far above the rounding of a 2x2 solve, and below HiGHS's 1e-7
-# primal tolerance, so the two disagree on feasibility only for thresholds
-# within well under 1e-6 relative of the boundary.
-_VERTEX_RTOL = 1e-9
 
+def _least_tail(x, c, theta):
+    """The least tail (T[1], ..., T[n]) whose last power is x, and dT/dx.
 
-def _lp_argmin(c, a_ub, b_ub, p_max) -> np.ndarray | None:
-    """argmin of ``c @ x`` over ``A x <= b, 0 <= x <= p_max``, None if empty.
-
-    With at most two variables the optimum sits on a vertex, so every
-    vertex is enumerated: the bound ratios of one variable, or the
-    intersection of every nonparallel pair of constraints, the box rows
-    included.  Vertices within ``_VERTEX_RTOL * p_max`` of every
-    constraint count as feasible and the first minimizer wins.  Larger
-    programs go to HiGHS.
+    User j needs P[j] >= theta[j] + c[j] * T[j+1], with c = 2**(r/B) - 1,
+    and no less than P[j+1].  Going backward, each user takes the least
+    power both allow, so every T[j] is convex, piecewise linear and
+    increasing in x, with slope at least 1.  No feasible tail whose last
+    power is at least x lies below this one anywhere.
     """
-    m = c.size
-    if m > 2:
-        # Imported here, not at the top: it takes most of the package's
-        # start-up time, and only clusters of four or more users need it.
-        from scipy import optimize
+    n = len(c)
+    tail, slope = [x] * n, [1.0] * n
+    power = total = x
+    d_power = d_total = 1.0
+    for j in range(n - 2, -1, -1):
+        bound = theta[j] + c[j] * total  # not c * (1/g + T): 1/g overflows
+        if bound > power:
+            power, d_power = bound, c[j] * d_total
+        total += power
+        d_total += d_power
+        tail[j], slope[j] = total, d_total
+    return tail, slope
 
-        res = optimize.linprog(
-            c=c, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, p_max)] * m, method="highs"
-        )
-        return res.x if res.success else None
-    eye = np.eye(m)
-    a = np.vstack([a_ub, -eye, eye])
-    b = np.concatenate([b_ub, np.zeros(m), np.full(m, p_max)])
-    if m == 1:
-        col = a[:, 0]
-        nonzero = col != 0
-        vertices = (b[nonzero] / col[nonzero])[:, None]
-    else:
-        i, j = np.triu_indices(b.size, k=1)
-        pairs = np.stack([a[i], a[j]], axis=1)  # (pairs, 2, 2)
-        det = pairs[:, 0, 0] * pairs[:, 1, 1] - pairs[:, 0, 1] * pairs[:, 1, 0]
-        keep = det != 0
-        rhs = np.stack([b[i], b[j]], axis=1)[keep, :, None]
-        vertices = np.linalg.solve(pairs[keep], rhs)[:, :, 0]
-    feasible = np.all(vertices @ a.T <= b + _VERTEX_RTOL * p_max, axis=1)
-    if not feasible.any():
+
+def _greatest_last_power(c, theta, p_max):
+    """The greatest x with T[1](x) <= p_max, by Newton's method from x = p_max.
+
+    T[1] is convex and increasing, and T[1](p_max) >= p_max, so each
+    step stays at or above the root and solves one linear piece exactly.
+    The caller has checked that the root is at least theta[n].
+    """
+    x = p_max
+    while True:
+        tail, slope = _least_tail(x, c, theta)
+        step = max(x - (tail[0] - p_max) / slope[0], theta[-1])
+        if not step < x:
+            return x
+        x = step
+
+
+def _least_feasible_tail(cluster: OrderedCluster):
+    """``(c, theta, tail)``, tail being the pass at x = theta[n], or None.
+
+    None when the thresholds are unmeetable: a ``theta`` that is not
+    finite, as when ``2**(r/B)`` overflows or a gain is as small as
+    5e-324, needs more than any budget, and otherwise the least tail must
+    fit in it.
+    """
+    with np.errstate(over="ignore"):
+        c = np.exp2(cluster.rate_thresholds / cluster.bandwidth_hz) - 1.0
+        theta = c / cluster.normalized_gains
+    c, theta = c.tolist(), theta.tolist()
+    if not all(map(math.isfinite, theta)):
         return None
-    vertices = vertices[feasible]
-    return vertices[int(np.argmin(vertices @ c))]
+    tail, _ = _least_tail(theta[-1], c, theta)
+    if not tail[0] <= cluster.total_power:
+        return None
+    return c, theta, tail
 
 
 def find_feasible_tail(cluster: OrderedCluster) -> np.ndarray | None:
-    """A feasible tail-power vector, or None when the thresholds are unmeetable.
+    """The least feasible tail-power vector, or None when the thresholds are unmeetable.
 
-    Solved as a linear program; the witness minimizes the sum of tail
-    powers, which lands on the low-power corner of the feasible set.  A
-    user whose minimum power ``theta`` overflows, as when ``2**(r/B)``
-    does, needs more than any finite budget: that is infeasible before
-    any LP is built.
+    Every user but the first takes the least power the thresholds and the
+    power ordering allow, starting from the last user's minimum power
+    ``theta[n]``; the budget left over goes to user 1.
     """
-    n = cluster.size
-    p_max = cluster.total_power
-    with np.errstate(over="ignore"):
-        _, _, theta = threshold_coefficients(cluster)
-    if not np.isfinite(theta).all():
+    least = _least_feasible_tail(cluster)
+    if least is None:
         return None
-    if n == 1:
-        return np.array([p_max]) if p_max >= theta[0] else None
-    a_ub, b_ub = _constraint_system(cluster)
-    x = _lp_argmin(np.ones(n - 1), a_ub, b_ub, p_max)
-    return None if x is None else np.concatenate([[p_max], x])
-
-
-def _certified_gap(x, grad, a_ub, b_ub, p_max) -> float:
-    """LP bound on how much any feasible point can improve on x."""
-    vertex = _lp_argmin(-grad, a_ub, b_ub, p_max)
-    if vertex is None:
-        raise ConvergenceError("optimality-gap LP failed on a feasible instance")
-    return float(grad @ (vertex - x))
+    tail = least[2]
+    tail[0] = cluster.total_power
+    return np.array(tail)
 
 
 def maximize_rates(cluster: OrderedCluster) -> PowerSolution:
     """Maximize the cluster sum rate: the greatest feasible tail vector.
 
-    Every row of :func:`_tail_rows`, and every box bound, has at most
-    one positive coefficient, so if x and y are feasible, so is their
-    componentwise max: for a row whose positive coefficient sits on T[i],
-    let z be whichever of x and y has the larger T[i]; every other term
-    of the row at the max is at most its value at z, so the row holds.
-    The feasible set is closed and bounded, so it has a greatest element,
-    and the LP that maximizes the sum of tails returns it.  With
-    ascending gains
+    Every feasible tail lies at or above the backward pass of
+    :func:`_least_tail` at its own last power, so the feasible tails have
+    a greatest element: the pass at the greatest x with T[1](x) <=
+    P_max.  Newton's method from x = P_max finds that x.  With ascending
+    gains
 
         dF/dT[j] = B/ln2 * (g[j] - g[j-1])
                    / ((1 + g[j] T[j]) * (1 + g[j-1] T[j])) >= 0,
 
     so no feasible point beats the greatest one.  Where two consecutive
-    gains are equal the objective is flat in that tail; a second LP
-    pushes those tails down to their least values while every other tail
-    stays at its greatest.  The point is certified by the LP optimality
-    gap.  Raises :class:`InfeasibleClusterError` when no tail vector meets
-    the thresholds and :class:`ConvergenceError`, carrying the point,
-    when the gap exceeds ``GAP_RTOL`` of the objective.
+    gains are equal the objective is flat in the tail between them, and
+    that tail goes as low as it can while every other tail stays greatest.
+    Only a trailing run g[m-1] = ... = g[n] can move.  With T[1..m-1]
+    held, no P[j] with j >= m-1 may exceed P[m-2], and no tail may fall
+    below the least tail of :func:`find_feasible_tail`, so the flat tails
+    have a least element: T[k] = max(T[m-1] - (k-m+1) P[m-2], least
+    T[k]), with no P[m-2] bound when m = 2.  The point is checked against
+    every threshold and the power ordering within ``FEASIBILITY_ATOL``.
+    Raises :class:`InfeasibleClusterError` when no tail vector meets the
+    thresholds and :class:`ConvergenceError`, carrying the point, when the
+    check fails.
     """
-    n = cluster.size
-    p_max = cluster.total_power
-    if n == 1:
-        if find_feasible_tail(cluster) is None:
-            raise InfeasibleClusterError(_UNREACHABLE)
-        tail = np.array([p_max])
-        objective = cluster_objective(tail, cluster)
-        return PowerSolution(tail.copy(), objective, tail, optimality_gap=0.0, iterations=0)
-    with np.errstate(over="ignore"):  # an overflowing theta: see find_feasible_tail
-        _, _, theta = threshold_coefficients(cluster)
-    x = None
-    if np.isfinite(theta).all():
-        a_ub, b_ub = _constraint_system(cluster)
-        x = _lp_argmin(-np.ones(n - 1), a_ub, b_ub, p_max)
-    if x is None:
+    terms = _least_feasible_tail(cluster)
+    if terms is None:
         raise InfeasibleClusterError(_UNREACHABLE)
-    gains = cluster.normalized_gains
-    flat = gains[1:] == gains[:-1]
-    if flat.any():
-        held = np.flatnonzero(~flat)  # extra rows -x[k] <= -greatest[k]
-        x = _lp_argmin(
-            flat.astype(float),
-            np.vstack([a_ub, -np.eye(n - 1)[held]]),
-            np.concatenate([b_ub, -x[held]]),
-            p_max,
-        )
-        if x is None:
-            raise ConvergenceError("flat-tail LP failed on a feasible instance")
-    tail = np.concatenate([[p_max], x])
+    c, theta, least = terms
+    p_max = cluster.total_power
+    tail, _ = _least_tail(_greatest_last_power(c, theta, p_max), c, theta)
+    tail[0] = p_max
+    gains = cluster.normalized_gains.tolist()
+    m = len(gains)  # 0-indexed: the flat tails are tail[m:]
+    while m > 1 and gains[m - 2] == gains[-1]:
+        m -= 1
+    cap = tail[m - 2] - tail[m - 1] if m > 1 else math.inf
+    for k in range(m, len(gains)):
+        tail[k] = max(tail[m - 1] - (k - m + 1) * cap, least[k])
+    tail = np.array(tail)
+    powers = np.append(tail[:-1] - tail[1:], tail[-1])
+    need = np.array(theta) + np.array(c) * np.append(tail[1:], 0.0)
+    slack = np.concatenate([powers - need, powers[:-1] - powers[1:]])
+    powers = np.maximum(powers, 0.0)
     objective = cluster_objective(tail, cluster)
-    grad = _objective_gradient(tail, cluster)[1:]
-    gap = _certified_gap(x, grad, a_ub, b_ub, p_max)
-    powers = powers_from_tail(tail, tol=FEASIBILITY_ATOL)
-    if not gap <= GAP_RTOL * max(abs(objective), 1e-300):
+    if not slack.min() >= -FEASIBILITY_ATOL * max(1.0, p_max):
         raise ConvergenceError(
-            f"optimality gap {gap:.3e} above tolerance",
+            f"point misses a threshold or the ordering by {-slack.min():.3e} W",
             best_powers=powers,
             best_objective=objective,
         )
-    return PowerSolution(
-        powers=powers,
-        objective=objective,
-        tail=tail,
-        optimality_gap=gap,
-        iterations=0,
-    )
+    return PowerSolution(powers=powers, objective=objective, tail=tail, iterations=0)
 
 
 def second_derivative_core(gain_low: float, gain_high: float, tail_value: float) -> float:

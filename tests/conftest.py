@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nbiot_noma.scenario import Scenario, ScenarioConfig
+from nbiot_noma.selfcheck import random_feasible_cluster
 
 
 def make_scenario(
@@ -50,3 +51,11 @@ def make_scenario(
 @pytest.fixture
 def scenario_factory():
     return make_scenario
+
+
+def random_cluster_of_size(rng, n):
+    """A ``random_feasible_cluster`` draw of exactly n users."""
+    while True:
+        cluster = random_feasible_cluster(rng, max_users=n)
+        if cluster.size == n:
+            return cluster

@@ -285,25 +285,44 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "small-lp-takes-argmax",
-        "src/nbiot_noma/power_opt.py",
-        "return vertices[int(np.argmin(vertices @ c))]",
-        "return vertices[int(np.argmax(vertices @ c))]",
-        ("tests/test_oracle_reference.py::test_solver_matches_highs_reference",),
-    ),
-    Mutant(
         "greatest-tail-takes-least",
         "src/nbiot_noma/power_opt.py",
-        "x = _lp_argmin(-np.ones(n - 1), a_ub, b_ub, p_max)",
-        "x = _lp_argmin(np.ones(n - 1), a_ub, b_ub, p_max)",
+        "tail, _ = _least_tail(_greatest_last_power(c, theta, p_max), c, theta)",
+        "tail, _ = _least_tail(theta[-1], c, theta)",
         ("tests/test_power_opt.py::TestGreatestTail",),
     ),
     Mutant(
         "solver-skips-certificate",
         "src/nbiot_noma/power_opt.py",
-        "    if not gap <= GAP_RTOL * max(abs(objective), 1e-300):\n",
+        "    if not slack.min() >= -FEASIBILITY_ATOL * max(1.0, p_max):\n",
         "    if False:\n",
-        ("tests/test_power_opt.py::TestSolve::test_failed_certificate_reports_the_point",),
+        (
+            "tests/test_power_opt.py::TestSolve::"
+            "test_failed_feasibility_check_reports_the_point",
+        ),
+    ),
+    Mutant(
+        "pass-drops-ordering-term",
+        "src/nbiot_noma/power_opt.py",
+        "        if bound > power:\n            power, d_power = bound, c[j] * d_total\n",
+        "        power, d_power = bound, c[j] * d_total\n",
+        ("tests/test_power_opt.py::TestSolve::test_contract_on_random_instances",),
+    ),
+    Mutant(
+        "newton-stops-one-step-early",
+        "src/nbiot_noma/power_opt.py",
+        "        x = step\n",
+        "        if _least_tail(step, c, theta)[0][0] <= p_max:\n"
+        "            return x\n"
+        "        x = step\n",
+        ("tests/test_power_opt.py::TestSolve::test_contract_on_random_instances",),
+    ),
+    Mutant(
+        "trailing-flat-run-not-lowered",
+        "src/nbiot_noma/power_opt.py",
+        "    while m > 1 and gains[m - 2] == gains[-1]:\n        m -= 1\n",
+        "",
+        ("tests/test_oracle_reference.py::test_equal_gains_match_two_stage_highs",),
     ),
     Mutant(
         "ordered-cluster-accepts-nan",
@@ -406,10 +425,10 @@ MUTANTS = (
     ),
     Mutant(
         "ordering-stencil-loses-a-tail",
-        "src/nbiot_noma/power_opt.py",
+        "tests/reference_oracles.py",
         "= (-1.0, 2.0, -1.0)",
         "= (-1.0, 1.0, -1.0)",
-        ("tests/test_power_opt.py::TestSolve::test_contract_on_random_instances",),
+        ("tests/test_oracle_reference.py::test_four_to_eight_users_match_highs",),
     ),
 )
 

@@ -11,7 +11,13 @@ them for identical maps, tail vectors, objectives and errors.
 
 ``reference_find_feasible_tail``, ``reference_certified_gap`` and
 ``reference_maximize_rates`` are the power solver as it stood when every
-linear program went to SciPy's HiGHS, kept verbatim.
+linear program went to SciPy's HiGHS, kept verbatim but for the
+``optimality_gap`` field that ``PowerSolution`` no longer has.
+``reference_highs_tail`` is the solver as it stood before the backward
+pass: the greatest feasible tail from one HiGHS program, then the flat
+tails of equal gains pushed down by a second.  The constraint rows these
+programs use (``_tail_rows``, ``_constraint_system``) and the objective
+gradient are written here, apart from the solver they check.
 
 ``_valid_assignments`` is the clustering oracle's former search space,
 every labelled and rank-ordered assignment, which
@@ -52,8 +58,6 @@ from nbiot_noma.errors import (
 from nbiot_noma.power_opt import (
     OrderedCluster,
     PowerSolution,
-    _constraint_system,
-    _objective_gradient,
     cluster_objective,
     powers_from_tail,
     threshold_coefficients,
@@ -271,6 +275,83 @@ def reference_mesh_feasible(cluster: OrderedCluster, step: float) -> np.ndarray:
     )
 
 
+def _tail_rows(cluster: OrderedCluster):
+    """Inequalities ``A @ T <= b`` over the whole tail (T[1], ..., T[n]).
+
+    Rows: the threshold chain T[j+1] <= delta[j]*T[j] - rho[j]; the
+    difference ordering (T[j] - T[j+1]) nonincreasing with the last
+    difference at least T[n]; and T[n] >= theta[n].  Each row has at most
+    one positive coefficient, which the greatest-tail argument relies on.
+    """
+    n = cluster.size
+    delta, rho, theta = threshold_coefficients(cluster)
+    a = np.zeros((2 * n - 1, n))
+    b = np.zeros(2 * n - 1)
+    j = np.arange(n - 1)  # threshold chain: -delta[j]*T[j] + T[j+1] <= -rho[j]
+    a[j, j] = -delta[:-1]
+    a[j, j + 1] = 1.0
+    b[j] = -rho[:-1]
+    j = np.arange(n - 2)  # difference ordering: -T[j] + 2*T[j+1] - T[j+2] <= 0
+    a[n - 1 + j[:, None], j[:, None] + np.arange(3)] = (-1.0, 2.0, -1.0)
+    a[-2, -2:] = (-1.0, 2.0)  # last difference: -T[n-1] + 2*T[n] <= 0
+    a[-1, -1] = -1.0  # minimum tail for the last user: -T[n] <= -theta[n]
+    b[-1] = -theta[-1]
+    return a, b
+
+
+def _constraint_system(cluster: OrderedCluster):
+    """:func:`_tail_rows` over x = (T[2], ..., T[n]), with T[1] = P_max moved right."""
+    a, b = _tail_rows(cluster)
+    return np.ascontiguousarray(a[:, 1:]), b - a[:, 0] * cluster.total_power
+
+
+def _objective_gradient(tail, cluster: OrderedCluster) -> np.ndarray:
+    """d(objective)/d(tail[j]); tail[0] is fixed by the budget elsewhere."""
+    t = np.asarray(tail, dtype=float)
+    g = cluster.normalized_gains
+    grad = np.empty_like(t)
+    grad[0] = g[0] / (1.0 + g[0] * t[0])
+    if t.size > 1:
+        grad[1:] = g[1:] / (1.0 + g[1:] * t[1:]) - g[:-1] / (1.0 + g[:-1] * t[1:])
+    return cluster.bandwidth_hz / _LOG2 * grad
+
+
+def reference_highs_tail(cluster: OrderedCluster) -> np.ndarray | None:
+    """The tail ``maximize_rates`` returns, from HiGHS; None when infeasible.
+
+    Stage 1 maximizes the sum of tails, which gives the greatest feasible
+    tail.  Where two consecutive gains are equal the objective is flat in
+    the tail between them, and stage 2 minimizes the sum of those flat
+    tails with every other tail held at its stage-1 value.
+    """
+    n, p_max = cluster.size, cluster.total_power
+    if n == 1:
+        return None if reference_find_feasible_tail(cluster) is None else np.array([p_max])
+    a_ub, b_ub = _constraint_system(cluster)
+    bounds = [(0.0, p_max)] * (n - 1)
+    res = optimize.linprog(
+        c=-np.ones(n - 1), A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs"
+    )
+    if not res.success:
+        return None
+    x = res.x
+    gains = cluster.normalized_gains
+    flat = gains[1:] == gains[:-1]
+    if flat.any():
+        held = np.flatnonzero(~flat)  # extra rows -x[k] <= -greatest[k]
+        res = optimize.linprog(
+            c=flat.astype(float),
+            A_ub=np.vstack([a_ub, -np.eye(n - 1)[held]]),
+            b_ub=np.concatenate([b_ub, -x[held]]),
+            bounds=bounds,
+            method="highs",
+        )
+        if not res.success:
+            raise ConvergenceError("flat-tail LP failed on a feasible instance")
+        x = res.x
+    return np.concatenate([[p_max], x])
+
+
 def reference_find_feasible_tail(cluster: OrderedCluster) -> np.ndarray | None:
     """A feasible tail-power vector, or None when the thresholds are unmeetable.
 
@@ -339,7 +420,6 @@ def reference_maximize_rates(
             powers=np.array([p_max]),
             objective=cluster_objective(tail, cluster),
             tail=tail,
-            optimality_gap=0.0,
             iterations=0,
         )
 
@@ -390,7 +470,6 @@ def reference_maximize_rates(
                 powers=powers_from_tail(tail, tol=feasibility_atol),
                 objective=obj,
                 tail=tail,
-                optimality_gap=gap,
                 iterations=iterations,
             )
         direction = vertex - x

@@ -147,8 +147,8 @@ def test_solve_power_infeasible(capsys):
     "lambdas, thresholds", [("1,2,3", "0,0,1e6"), ("1,2,3,4", "0,0,0,1e6")]
 )
 def test_solve_power_overflowing_threshold_is_infeasible(lambdas, thresholds):
-    # 2**(r/B) overflows: infeasible before any LP, with no RuntimeWarning,
-    # on the vertex-enumeration path (three users) and on HiGHS (four).
+    # 2**(r/B) overflows: infeasible before the backward pass, with no
+    # RuntimeWarning, on three users and on four.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [

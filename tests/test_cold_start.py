@@ -1,11 +1,10 @@
-"""A Monte Carlo run, and the power solver up to three users, load numpy only.
+"""A Monte Carlo run, the self checks and the power solver load numpy only.
 
-SciPy's optimizer is imported by the first linear program of three or
-more variables (a power solve on four or more users) and the process
-pool by the first run with ``workers > 1``, so importing the package,
-running trials serially, solving small clusters and running the self
-checks pay for neither.  The check starts a fresh interpreter, since
-this test session has long since loaded both.
+No module of the package imports SciPy, and the process pool is
+imported by the first run with ``workers > 1``, so importing the
+package, running trials serially, solving clusters of any size and
+running the self checks pay for neither.  The check starts a fresh
+interpreter, since this test session has long since loaded both.
 """
 
 import json
@@ -68,7 +67,9 @@ state["after_small_solves"] = deferred()
 state["checks_passed"] = all(c.passed for c in run_self_checks(read_config_file(small_path)))
 state["after_checks"] = deferred()
 solve([1.0, 2.0, 3.0, 4.0])
+solve([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
 state["optimize_after_four_users"] = "scipy.optimize" in sys.modules
+state["after_large_solves"] = deferred()
 print(json.dumps(state))
 """
 
@@ -94,4 +95,5 @@ def test_monte_carlo_run_loads_neither_scipy_nor_the_process_pool(tmp_path):
     assert state["after_small_solves"] == []
     assert state["checks_passed"] is True
     assert state["after_checks"] == []
-    assert state["optimize_after_four_users"] is True
+    assert state["optimize_after_four_users"] is False
+    assert state["after_large_solves"] == []

@@ -6,12 +6,13 @@ tail powers and objective (or raise on the same instances), and the same
 subcarrier map, with exact equality.  The MCKP oracle's powers and report
 must equal the reference equal-split powers and their rate report.
 
-The power solver solves its linear programs of at most two variables by
-vertex enumeration; the all-HiGHS, SLSQP version it replaced is kept
-there too.  Both must find the same start tail and decide feasibility
-alike.  The new solver returns the greatest feasible tail: within 1e-9
-of the budget of the one HiGHS finds when it maximizes the sum of tails,
-and with an objective no lower than the reference's, up to 1e-12.
+The power solver runs no linear program.  The all-HiGHS, SLSQP version
+it replaced is kept there too, and so is the two-stage HiGHS program
+that gave the greatest feasible tail, with the flat tails of equal
+gains pushed down.  The solver must decide feasibility as they do, find
+their least tail within 1e-12 of the budget, return the HiGHS tail
+within 1e-9 of the budget, and score no lower than the SLSQP reference,
+up to 1e-12.
 """
 
 from dataclasses import replace
@@ -34,7 +35,6 @@ from nbiot_noma.baselines import (
 )
 from nbiot_noma.errors import GridResolutionError, InfeasibleClusterError
 from nbiot_noma.power_opt import (
-    _constraint_system,
     find_feasible_tail,
     maximize_rates,
     threshold_coefficients,
@@ -43,13 +43,15 @@ from nbiot_noma.rate_model import rate_report
 from nbiot_noma.scenario import ScenarioConfig, generate_scenario
 from nbiot_noma.selfcheck import random_feasible_cluster, tiny_config
 
-from conftest import make_scenario
+from conftest import make_scenario, random_cluster_of_size
 from reference_oracles import (
+    _tail_rows,
     _tone_values_equal_split as reference_tone_values_equal_split,
     _valid_assignments,
     reference_exhaustive_clustering,
     reference_find_feasible_tail,
     reference_grid_power_oracle,
+    reference_highs_tail,
     reference_maximize_rates,
     reference_mckp_oracle,
     reference_mesh_feasible,
@@ -296,23 +298,9 @@ def test_exact_ties_go_to_the_smallest_map(num_c, num_s):
     assert first_use == sorted(first_use)
 
 
-def highs_greatest_tail(cluster):
-    """The feasible tail with the greatest sum, from HiGHS directly."""
-    n, p_max = cluster.size, cluster.total_power
-    if n == 1:
-        return np.array([p_max])
-    a_ub, b_ub = _constraint_system(cluster)
-    res = optimize.linprog(
-        c=-np.ones(n - 1), A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, p_max)] * (n - 1),
-        method="highs",
-    )
-    assert res.success, cluster
-    return np.concatenate([[p_max], res.x])
-
-
 def assert_greatest_tail(cluster, solution):
     tol = 1e-9 * cluster.total_power
-    assert np.all(np.abs(solution.tail - highs_greatest_tail(cluster)) <= tol), cluster
+    assert np.all(np.abs(solution.tail - reference_highs_tail(cluster)) <= tol), cluster
     assert solution.iterations == 0
 
 
@@ -320,6 +308,7 @@ def assert_decides_like_reference(cluster):
     """``maximize_rates`` raises where the reference finds no feasible tail
     and otherwise returns HiGHS's greatest tail; True when feasible."""
     if reference_find_feasible_tail(cluster) is None:
+        assert reference_highs_tail(cluster) is None
         with pytest.raises(InfeasibleClusterError):
             maximize_rates(cluster)
         return False
@@ -336,13 +325,19 @@ def assert_no_worse_than_reference(cluster):
     assert new.objective >= reference_maximize_rates(cluster).objective * (1 - 1e-12), cluster
 
 
+def assert_least_tail(cluster):
+    """``find_feasible_tail`` is HiGHS's least-sum tail, and every row holds."""
+    tol = 1e-12 * cluster.total_power
+    start = find_feasible_tail(cluster)
+    assert np.all(np.abs(start - reference_find_feasible_tail(cluster)) <= tol), cluster
+    if cluster.size > 1:  # one user has no rows beyond the budget
+        a, b = _tail_rows(cluster)
+        assert np.all(a @ start <= b + tol), cluster
+
+
 @pytest.fixture
 def highs_calls(monkeypatch):
-    """Counts the LPs the package hands to SciPy's HiGHS.
-
-    ``power_opt`` imports ``scipy.optimize`` on first use, so the count
-    goes through the attribute that import resolves at call time.
-    """
+    """Counts the calls to SciPy's HiGHS made through ``scipy.optimize``."""
     calls = []
     linprog = optimize.linprog
 
@@ -363,18 +358,22 @@ def test_solver_matches_highs_reference():
     for _ in range(SOLVER_INSTANCES):
         cluster = random_feasible_cluster(rng)
         sizes.add(cluster.size)
-        start = find_feasible_tail(cluster)
-        assert np.array_equal(start, reference_find_feasible_tail(cluster)), cluster
+        assert_least_tail(cluster)
         assert_no_worse_than_reference(cluster)
         feasible += assert_decides_like_reference(infeasible(cluster, 4.0))
     assert sizes == {1, 2, 3}
     assert 0 < feasible < SOLVER_INSTANCES
 
 
-def test_small_lps_skip_highs(highs_calls):
+def test_solver_never_calls_highs(highs_calls):
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        maximize_rates(random_feasible_cluster(rng))
+    sizes = set()
+    for _ in range(100):
+        cluster = random_feasible_cluster(rng, max_users=8)
+        sizes.add(cluster.size)
+        maximize_rates(cluster)
+        find_feasible_tail(infeasible(cluster, 4.0))
+    assert sizes == set(range(1, 9))
     assert highs_calls == []
 
 
@@ -410,17 +409,50 @@ def test_feasibility_agrees_with_highs_off_the_boundary():
                 assert (find_feasible_tail(scaled) is not None) == feasible, (cluster, scale)
 
 
-def test_four_users_stay_on_highs(highs_calls):
+def test_four_to_eight_users_match_highs():
     rng = np.random.default_rng(4)
-    checked = 0
-    while checked < 20:
-        cluster = random_feasible_cluster(rng, max_users=4)
+    sizes = []
+    while len(sizes) < 40:
+        cluster = random_feasible_cluster(rng, max_users=8)
         if cluster.size < 4:
             continue
-        checked += 1
-        before = len(highs_calls)
-        maximize_rates(cluster)
-        assert len(highs_calls) > before
+        sizes.append(cluster.size)
+        assert_least_tail(cluster)
         assert_no_worse_than_reference(cluster)
         assert_decides_like_reference(infeasible(cluster, 4.0))
-    assert set(highs_calls) == {3}
+    assert set(sizes) == set(range(4, 9))
+
+
+def equal_gain_clusters():
+    """2-8 users with a run of 2..n equal gains: trailing, anywhere, or all."""
+    rng = np.random.default_rng(28)
+    for n in range(2, 9):
+        for length in range(2, n + 1):
+            for trailing in (True, False):
+                for _ in range(3):
+                    cluster = random_cluster_of_size(rng, n)
+                    start = n - length if trailing else int(rng.integers(0, n - length + 1))
+                    gains = cluster.normalized_gains.copy()
+                    gains[start : start + length] = gains[start]
+                    yield replace(cluster, normalized_gains=gains)
+
+
+def test_equal_gains_match_two_stage_highs():
+    feasible = infeasible_count = all_equal = 0
+    for cluster in equal_gain_clusters():
+        all_equal += bool((cluster.normalized_gains == cluster.normalized_gains[0]).all())
+        for factor in (0.25, 1.0, 4.0):
+            scaled = replace(cluster, rate_thresholds=cluster.rate_thresholds * factor)
+            reference = reference_highs_tail(scaled)
+            if reference is None:
+                infeasible_count += 1
+                assert find_feasible_tail(scaled) is None, scaled
+                with pytest.raises(InfeasibleClusterError):
+                    maximize_rates(scaled)
+                continue
+            feasible += 1
+            assert_least_tail(scaled)
+            tail = maximize_rates(scaled).tail
+            assert np.all(np.abs(tail - reference) <= 1e-9 * scaled.total_power), scaled
+    assert all_equal >= 7 * 3 * 2
+    assert feasible > 200 and infeasible_count > 200
