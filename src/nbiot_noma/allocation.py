@@ -8,7 +8,8 @@ clusters.  After each assignment every member of the receiving cluster
 spreads its full power budget evenly over the cluster's owned tones, so
 row sums stay exactly on budget instead of leaking a fraction per update.
 Satisfaction is judged on rates recomputed after every assignment, never
-extrapolated; final rates come from ``rate_model.rate_report``.
+extrapolated; the final report is the rate model's, read through the
+slot table that the loop's slabs were built from.
 
 Under equal split a tone's rates in a cluster depend only on the cluster,
 the tone and how many tones the cluster owns.  So each cluster keeps a
@@ -37,12 +38,11 @@ import numpy as np
 from .errors import InvalidAssignmentError, NonFiniteRateError
 from .rate_model import (
     RateReport,
-    cluster_of,
+    _layout,
+    _report,
     equal_split_powers,
     owned_sums,
-    rate_report,
     sic_log_terms,
-    slot_table,
     structural_violations,
 )
 from .scenario import Scenario
@@ -78,7 +78,7 @@ def allocate(
 
     # Padding slots point at the sentinel device, which has zero gain, budget
     # and threshold, so it adds nothing and always counts as satisfied.
-    slot_dev = slot_table(clusters, scenario.num_devices)
+    slot_dev, group_of = _layout(clusters, scenario.num_devices)
     gains_ext = np.vstack([scenario.gain_matrix, np.zeros(num_s)])
     slabs = gains_ext[slot_dev]  # (C, K, S): each cluster's gains in rank order
     slot_budgets = np.append(scenario.power_budgets, 0.0)[slot_dev][:, :, None]
@@ -166,5 +166,5 @@ def allocate(
         elif s + 1 < num_s:
             rebuild(c, s + 1)
 
-    watts = equal_split_powers(scenario, cluster_of(clusters, scenario.num_devices), owner)
-    return owner, watts, rate_report(scenario, clusters, owner, watts)
+    watts = equal_split_powers(scenario, group_of, owner)
+    return owner, watts, _report(scenario, slot_dev, owner, watts)

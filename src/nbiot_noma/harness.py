@@ -78,7 +78,7 @@ class ExperimentSpec:
                 raise ValueError(f"{self.sweep_variable} value {value!r} must be {need}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialResult:
     seed: int
     scheme: str
@@ -185,17 +185,8 @@ def _run_trial(args) -> list[TrialResult]:
             )
             continue
         elapsed = time.perf_counter() - start if measure_runtime else 0.0
-        out.append(
-            TrialResult(
-                seed=seed,
-                scheme=scheme,
-                sweep_value=sweep_value,
-                sum_rate_bps=report.sum_rate,
-                fairness=report.fairness,
-                satisfied_count=report.satisfied_count,
-                runtime_s=elapsed,
-            )
-        )
+        out.append(TrialResult(seed, scheme, sweep_value, report.sum_rate, report.fairness,
+                               report.satisfied_count, elapsed))
     return out
 
 

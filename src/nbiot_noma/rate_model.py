@@ -41,7 +41,6 @@ __all__ = [
     "validate",
     "structural_violations",
     "cluster_of",
-    "slot_table",
 ]
 
 # Relative tolerance for power-budget equality/limits (C2, C4).
@@ -83,14 +82,6 @@ def _unknown_ids(clusters: list[list[int]], num_devices: int) -> list:
     ]
 
 
-def _check_ids(clusters: list[list[int]], num_devices: int) -> None:
-    """Raise ``InvalidAssignmentError`` (C8/C9) naming the first member
-    that is not a device id."""
-    unknown = _unknown_ids(clusters, num_devices)
-    if unknown:
-        raise InvalidAssignmentError([Violation("C8/C9", f"unknown device id {unknown[0]!r}")])
-
-
 def cluster_of(clusters: list[list[int]], num_devices: int) -> np.ndarray:
     """device id -> the cluster listing it, else -1.  A device listed twice
     maps to its last cluster and members that are not device ids are
@@ -104,14 +95,18 @@ def cluster_of(clusters: list[list[int]], num_devices: int) -> np.ndarray:
     return np.array(out)
 
 
-def slot_table(clusters: list[list[int]], num_devices: int) -> np.ndarray:
-    """(cluster, rank) -> device id.  Short clusters are padded with the
-    sentinel id ``num_devices``, which callers give zero gain and power,
-    so a padding slot adds nothing to any rate or interference sum."""
+def _layout(clusters: list[list[int]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (C, K) slot table, (cluster, rank) -> device id, and the (n,)
+    :func:`cluster_of` map of members already checked to be device ids.
+    Short clusters are padded with the sentinel id ``n``, which callers give
+    zero gain and power, so a padding slot adds nothing to any sum."""
     depth = max(map(len, clusters), default=0)
-    pad = [num_devices] * depth
+    pad = [n] * depth
     rows = [[*members, *pad[len(members) :]] for members in clusters]
-    return np.array(rows, dtype=int).reshape(len(clusters), depth)
+    table = np.array(rows, dtype=int).reshape(len(clusters), depth)
+    group_of = np.full(n + 1, -1)
+    group_of[table] = np.arange(len(clusters))[:, None]  # a later cluster overwrites
+    return table, group_of[:n]
 
 
 def sic_log_terms(received: np.ndarray, noise_watts: float) -> np.ndarray:
@@ -177,7 +172,7 @@ def _check_allocation(scenario: Scenario, owner: np.ndarray, watts: np.ndarray) 
 def _sic_table(scenario, table, owner, watts):
     """(owners (T,), received power (K, T), ln(1 + SINR) (K, T)) over the T
     tones with a valid owner: a column holds its tone's owning cluster's
-    members in rank order, read from the :func:`slot_table` ``table``."""
+    members in rank order, read from the :func:`_layout` ``table``."""
     tones = np.flatnonzero((owner >= 0) & (owner < len(table)))
     owners = owner[tones]
     pad = np.zeros((1, scenario.config.num_subcarriers))
@@ -216,6 +211,27 @@ def build_report(scenario: Scenario, rates: np.ndarray) -> RateReport:
     )
 
 
+def _checked_layout(scenario, clusters, owner, watts):
+    """The front door of :func:`rate_report` and :func:`sic_chain_mismatch`:
+    the shapes, then the member ids (C8/C9 on the first unknown), then the layout."""
+    _check_allocation(scenario, owner, watts)
+    unknown = _unknown_ids(clusters, scenario.num_devices)
+    if unknown:
+        raise InvalidAssignmentError([Violation("C8/C9", f"unknown device id {unknown[0]!r}")])
+    return _layout(clusters, scenario.num_devices)
+
+
+def _report(scenario, table, owner, watts) -> RateReport:
+    """The report of a checked allocation on its clustering's slot table: one
+    :func:`owned_sums` call, scattered through the table (padding onto a
+    dropped entry), so a device listed twice gets its last cluster's rate."""
+    n = scenario.num_devices
+    owners, _, terms = _sic_table(scenario, table, owner, watts)
+    rates = np.zeros(n + 1)
+    rates[table.ravel()] = owned_sums(terms, owners, len(table)).ravel()
+    return build_report(scenario, scenario.config.subcarrier_bandwidth * rates[:n] / math.log(2.0))
+
+
 def rate_report(
     scenario: Scenario,
     clusters: list[list[int]],
@@ -231,24 +247,17 @@ def rate_report(
     device id (an integer, not a bool, in [0, n)) raises
     ``InvalidAssignmentError``, the first device in no cluster
     ``UnassignedDeviceError`` and the first negative or non-finite power
-    ``InvalidPowerError``.  Member rates come from one :func:`owned_sums`
-    call, scattered through the slot table (padding onto a dropped entry);
-    a device listed in two clusters gets its last cluster's rate."""
-    _check_allocation(scenario, owner, watts)
-    n = scenario.num_devices
-    _check_ids(clusters, n)
-    unplaced = np.flatnonzero(cluster_of(clusters, n) < 0)
+    ``InvalidPowerError``.  A device listed in two clusters gets its last
+    cluster's rate."""
+    table, group_of = _checked_layout(scenario, clusters, owner, watts)
+    unplaced = np.flatnonzero(group_of < 0)
     if unplaced.size:
         raise UnassignedDeviceError(f"device {unplaced[0]} is in no cluster")
     ok = (watts >= 0) & (watts < np.inf)
     if not ok.all():
         d, s = np.argwhere(~ok)[0]
         raise InvalidPowerError(f"device {d} has power {float(watts[d, s])!r} W on subcarrier {s}")
-    table = slot_table(clusters, n)
-    owners, _, terms = _sic_table(scenario, table, owner, watts)
-    rates = np.zeros(n + 1)
-    rates[table.ravel()] = owned_sums(terms, owners, len(clusters)).ravel()
-    return build_report(scenario, scenario.config.subcarrier_bandwidth * rates[:n] / math.log(2.0))
+    return _report(scenario, table, owner, watts)
 
 
 def sic_chain_mismatch(
@@ -265,9 +274,7 @@ def sic_chain_mismatch(
     nothing is allocated).  Misshapen arrays and members that are not
     device ids raise as in :func:`rate_report`.
     """
-    _check_allocation(scenario, owner, watts)
-    _check_ids(clusters, scenario.num_devices)
-    table = slot_table(clusters, scenario.num_devices)
+    table, _ = _checked_layout(scenario, clusters, owner, watts)
     _, received, terms = _sic_table(scenario, table, owner, watts)
     chain = terms.sum(axis=0)
     direct = np.log1p(received.sum(axis=0) / scenario.config.noise_per_subcarrier)

@@ -49,7 +49,7 @@ MUTANTS = (
     Mutant(
         "pad-slots-with-device-0",
         "src/nbiot_noma/rate_model.py",
-        "pad = [num_devices] * depth",
+        "pad = [n] * depth",
         "pad = [0] * depth",
         ("tests/test_rate_model_reference.py", "tests/test_allocation_reference.py"),
     ),
@@ -140,15 +140,23 @@ MUTANTS = (
     Mutant(
         "greedy-spends-double-budget",
         "src/nbiot_noma/allocation.py",
-        "    return owner, watts, rate_report(scenario, clusters, owner, watts)",
+        "    return owner, watts, _report(scenario, slot_dev, owner, watts)",
         "    watts *= 2\n"
-        "    return owner, watts, rate_report(scenario, clusters, owner, watts)",
+        "    return owner, watts, _report(scenario, slot_dev, owner, watts)",
         ("tests/test_baselines.py::TestMckpOracle::test_dominates_greedy",),
+    ),
+    Mutant(
+        "stale-layout",
+        "src/nbiot_noma/allocation.py",
+        "    return owner, watts, _report(scenario, slot_dev, owner, watts)",
+        "    stale, _ = _layout(clusters[::-1], scenario.num_devices)\n"
+        "    return owner, watts, _report(scenario, stale, owner, watts)",
+        ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
     ),
     Mutant(
         "greedy-drops-final-rate-pass",
         "src/nbiot_noma/allocation.py",
-        "    return owner, watts, rate_report(scenario, clusters, owner, watts)",
+        "    return owner, watts, _report(scenario, slot_dev, owner, watts)",
         "    from .rate_model import build_report\n"
         "    return owner, watts, build_report(scenario, rates)",
         ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
@@ -422,6 +430,13 @@ MUTANTS = (
         "return p[..., ::-1].cumsum(axis=-1)[..., ::-1]",
         "return p[..., ::-1].cumsum()[::-1]",
         ("tests/test_power_opt.py::TestArrayCores",),
+    ),
+    Mutant(
+        "c5-assumes-urllc-ids-first",
+        "src/nbiot_noma/rate_model.py",
+        "    is_urllc = scenario.is_urllc.tolist()\n",
+        "    is_urllc = [d < scenario.config.num_urllc for d in range(n)]\n",
+        ("tests/test_metamorphic.py",),
     ),
     Mutant(
         "ordering-stencil-loses-a-tail",

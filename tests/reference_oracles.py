@@ -12,12 +12,16 @@ them for identical maps, tail vectors, objectives and errors.
 ``reference_find_feasible_tail``, ``reference_certified_gap`` and
 ``reference_maximize_rates`` are the power solver as it stood when every
 linear program went to SciPy's HiGHS, kept verbatim but for the
-``optimality_gap`` field that ``PowerSolution`` no longer has.
+``optimality_gap`` field that ``PowerSolution`` no longer has and a
+``start`` argument that takes a least tail the caller already has.
 ``reference_highs_tail`` is the solver as it stood before the backward
 pass: the greatest feasible tail from one HiGHS program, then the flat
-tails of equal gains pushed down by a second.  The constraint rows these
-programs use (``_tail_rows``, ``_constraint_system``) and the objective
-gradient are written here, apart from the solver they check.
+tails of equal gains pushed down by a second.  ``reference_block_tails``
+gives the same least or greatest tails for many clusters known to be
+feasible from one program over their block-diagonal union.  The
+constraint rows these programs use (``_tail_rows``,
+``_constraint_system``) and the objective gradient are written here,
+apart from the solver they check.
 
 ``_valid_assignments`` is the clustering oracle's former search space,
 every labelled and rank-ordered assignment, which
@@ -37,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 from nbiot_noma.baselines import (
     EXHAUSTIVE_MAX_CLUSTERS,
@@ -376,6 +380,40 @@ def reference_find_feasible_tail(cluster: OrderedCluster) -> np.ndarray | None:
     return np.concatenate([[p_max], res.x])
 
 
+def reference_block_tails(clusters, sense: float) -> list[np.ndarray]:
+    """Every cluster's least (``sense`` 1) or greatest (``sense`` -1) tail,
+    as :func:`reference_find_feasible_tail` or :func:`reference_highs_tail`
+    gives it, from one HiGHS program over the clusters' block-diagonal union.
+
+    The blocks share no variable, so the program's optimum is an optimum
+    of every block's own program.  One infeasible block makes the whole
+    program infeasible, so every cluster must be known to be feasible.
+    A cluster with equal consecutive gains takes its greatest tail from
+    :func:`reference_highs_tail`, whose second stage lowers its flat tails.
+    """
+    systems = [_constraint_system(c) for c in clusters if c.size > 1]
+    if not systems:
+        return [np.array([c.total_power]) for c in clusters]
+    res = optimize.linprog(
+        c=np.full(sum(a.shape[1] for a, _ in systems), float(sense)),
+        A_ub=sparse.block_diag([a for a, _ in systems], format="csr"),
+        b_ub=np.concatenate([b for _, b in systems]),
+        bounds=[(0.0, c.total_power) for c in clusters for _ in range(c.size - 1)],
+        method="highs",
+    )
+    if not res.success:
+        raise ConvergenceError(f"block LP failed: {res.message}")
+    out, start = [], 0
+    for c in clusters:
+        stop = start + c.size - 1
+        out.append(np.concatenate([[c.total_power], res.x[start:stop]]))
+        start = stop
+        gains = c.normalized_gains
+        if sense < 0 and np.any(gains[1:] == gains[:-1]):
+            out[-1] = reference_highs_tail(c)
+    return out
+
+
 def reference_certified_gap(x, grad, a_ub, b_ub, p_max):
     """LP bound on how much any feasible point can improve on x."""
     res = optimize.linprog(
@@ -396,6 +434,7 @@ def reference_maximize_rates(
     gap_rtol: float = 1e-6,
     feasibility_atol: float = 1e-9,
     max_iterations: int = MAX_ITERATIONS,
+    start: np.ndarray | None = None,
 ) -> PowerSolution:
     """Maximize the cluster sum rate over the linear feasible set.
 
@@ -405,9 +444,11 @@ def reference_maximize_rates(
     that stay inside the polytope.  Raises :class:`InfeasibleClusterError`
     when no tail vector meets the thresholds and
     :class:`ConvergenceError` (carrying the best iterate) if tolerances
-    are unmet after ``max_iterations``.
+    are unmet after ``max_iterations``.  ``start``, when given, is
+    :func:`reference_find_feasible_tail`'s tail, computed elsewhere.
     """
-    start = reference_find_feasible_tail(cluster)
+    if start is None:
+        start = reference_find_feasible_tail(cluster)
     if start is None:
         raise InfeasibleClusterError(
             "rate thresholds are unreachable within the power budget"

@@ -47,6 +47,12 @@ class TestRunExperiment:
         assert results[0].scheme == "ofdma"
         assert results[0].error is None
 
+    def test_results_keep_no_instance_dict(self):
+        # A run holds every result until its CSV is written, so a result
+        # stores its fields in slots, without a per-instance dict.
+        (result,) = run_experiment(small_spec(trials=1, schemes=("ofdma",)))
+        assert not hasattr(result, "__dict__")
+
     def test_result_grid_complete(self):
         spec = small_spec(sweep_values=(8, 12), trials=2)
         results = run_experiment(spec)

@@ -49,6 +49,7 @@ from reference_oracles import (
     _tone_values_equal_split as reference_tone_values_equal_split,
     _valid_assignments,
     reference_exhaustive_clustering,
+    reference_block_tails,
     reference_find_feasible_tail,
     reference_grid_power_oracle,
     reference_highs_tail,
@@ -298,9 +299,11 @@ def test_exact_ties_go_to_the_smallest_map(num_c, num_s):
     assert first_use == sorted(first_use)
 
 
-def assert_greatest_tail(cluster, solution):
+def assert_greatest_tail(cluster, solution, greatest=None):
+    """``solution`` has HiGHS's greatest tail, ``greatest`` if given."""
     tol = 1e-9 * cluster.total_power
-    assert np.all(np.abs(solution.tail - reference_highs_tail(cluster)) <= tol), cluster
+    greatest = reference_highs_tail(cluster) if greatest is None else greatest
+    assert np.all(np.abs(solution.tail - greatest) <= tol), cluster
     assert solution.iterations == 0
 
 
@@ -316,20 +319,23 @@ def assert_decides_like_reference(cluster):
     return True
 
 
-def assert_no_worse_than_reference(cluster):
+def assert_no_worse_than_reference(cluster, greatest=None, least=None):
     # Only on clusters as drawn: scaled thresholds can leave a feasible set
     # so thin that the reference's SLSQP point, which may sit up to 1e-9 W
     # outside it, scores about 2e-12 above the exact greatest tail.
     new = maximize_rates(cluster)
-    assert_greatest_tail(cluster, new)
-    assert new.objective >= reference_maximize_rates(cluster).objective * (1 - 1e-12), cluster
+    assert_greatest_tail(cluster, new, greatest)
+    reference = reference_maximize_rates(cluster, start=least)
+    assert new.objective >= reference.objective * (1 - 1e-12), cluster
 
 
-def assert_least_tail(cluster):
-    """``find_feasible_tail`` is HiGHS's least-sum tail, and every row holds."""
+def assert_least_tail(cluster, least=None):
+    """``find_feasible_tail`` is HiGHS's least-sum tail (``least`` if given),
+    and every row holds."""
     tol = 1e-12 * cluster.total_power
     start = find_feasible_tail(cluster)
-    assert np.all(np.abs(start - reference_find_feasible_tail(cluster)) <= tol), cluster
+    least = reference_find_feasible_tail(cluster) if least is None else least
+    assert np.all(np.abs(start - least) <= tol), cluster
     if cluster.size > 1:  # one user has no rows beyond the budget
         a, b = _tail_rows(cluster)
         assert np.all(a @ start <= b + tol), cluster
@@ -351,18 +357,27 @@ def highs_calls(monkeypatch):
 
 def test_solver_matches_highs_reference():
     # Each cluster is solved as drawn and with its thresholds scaled up,
-    # which is often past feasibility.
+    # which is often past feasibility.  Clusters as drawn are feasible, and
+    # so are the scaled ones that HiGHS decides are: their HiGHS tails come
+    # from block-diagonal programs.  Each scaled cluster is decided alone.
     rng = np.random.default_rng(2024)
-    sizes = set()
-    feasible = 0
-    for _ in range(SOLVER_INSTANCES):
-        cluster = random_feasible_cluster(rng)
-        sizes.add(cluster.size)
-        assert_least_tail(cluster)
-        assert_no_worse_than_reference(cluster)
-        feasible += assert_decides_like_reference(infeasible(cluster, 4.0))
-    assert sizes == {1, 2, 3}
-    assert 0 < feasible < SOLVER_INSTANCES
+    drawn = [random_feasible_cluster(rng) for _ in range(SOLVER_INSTANCES)]
+    least = reference_block_tails(drawn, 1.0)
+    greatest = reference_block_tails(drawn, -1.0)
+    for cluster, low, high in zip(drawn, least, greatest):
+        assert_least_tail(cluster, low)
+        assert_no_worse_than_reference(cluster, high, low)
+    scaled = [infeasible(cluster, 4.0) for cluster in drawn]
+    decided = [reference_find_feasible_tail(cluster) is not None for cluster in scaled]
+    feasible = [cluster for cluster, ok in zip(scaled, decided) if ok]
+    for cluster, high in zip(feasible, reference_block_tails(feasible, -1.0)):
+        assert_greatest_tail(cluster, maximize_rates(cluster), high)
+    for cluster in (cluster for cluster, ok in zip(scaled, decided) if not ok):
+        assert reference_highs_tail(cluster) is None
+        with pytest.raises(InfeasibleClusterError):
+            maximize_rates(cluster)
+    assert {cluster.size for cluster in drawn} == {1, 2, 3}
+    assert 0 < len(feasible) < SOLVER_INSTANCES
 
 
 def test_solver_never_calls_highs(highs_calls):
