@@ -39,7 +39,8 @@ from .errors import InvalidAssignmentError, NonFiniteRateError
 from .rate_model import (
     RateReport,
     _layout,
-    _report,
+    _device_rates,
+    build_report,
     equal_split_powers,
     owned_sums,
     sic_log_terms,
@@ -107,9 +108,11 @@ def allocate(
         counts = np.bincount(owned, minlength=num_c)
         received = (slabs * (slot_budgets / (counts + 1)[:, None, None])).transpose(1, 0, 2)
         terms = sic_log_terms(received, noise)  # (K, C, S)
-        # grown[c, k]: member k's sum of ln(1 + SINR) over c's owned tones.
-        grown = owned_sums(terms[:, owned, np.arange(start)], owned, num_c)
-        rows = grown.T[:, :, None] + terms[:, :, start:]
+        rows = terms[:, :, start:]
+        if start:  # with no owned tones the sums are zeros, and 0.0 + x is x
+            # grown[c, k]: member k's sum of ln(1 + SINR) over c's owned tones.
+            grown = owned_sums(terms[:, owned, np.arange(start)], owned, num_c)
+            rows = grown.T[:, :, None] + rows
         cand[:, start:] = (tone_bw * rows / log2).transpose(1, 2, 0)
         cand_sum[start:] = cand[:, start:].sum(axis=2).T
 
@@ -167,4 +170,4 @@ def allocate(
             rebuild(c, s + 1)
 
     watts = equal_split_powers(scenario, group_of, owner)
-    return owner, watts, _report(scenario, slot_dev, owner, watts)
+    return owner, watts, build_report(scenario, _device_rates(scenario, slot_dev, owner, watts))

@@ -13,7 +13,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import GridResolutionError, InstanceTooLargeError, InvalidAssignmentError
+from .errors import (
+    GridResolutionError,
+    InstanceTooLargeError,
+    InvalidAssignmentError,
+    NonFiniteRateError,
+)
 from .power_opt import (
     OrderedCluster,
     cluster_objective,
@@ -22,8 +27,9 @@ from .power_opt import (
 )
 from .rate_model import (
     RateReport,
+    _device_rates,
+    _layout,
     build_report,
-    cluster_of,
     equal_split_powers,
     rate_report,
     sic_log_terms,
@@ -41,6 +47,7 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+_EPS = float(np.finfo(float).eps)
 
 # Exhaustive-search size limits, sized so a run stays in the seconds range.
 MCKP_MAX_SUBCARRIERS = 12
@@ -129,24 +136,23 @@ def fast_ofdm_allocate(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, Rate
     return ofdma_allocate(half_tone_scenario(scenario))
 
 
-def _cluster_tone_values(scenario, members) -> np.ndarray:
-    """value[s, k]: the cluster's sum rate on tone s when it owns k+1 tones.
+def _tone_values(scenario, table) -> np.ndarray:
+    """value[u, s, k]: the sum rate of the cluster listed in row u of the
+    (U, K) :func:`~nbiot_noma.rate_model._layout` ``table`` on tone s when
+    it owns k+1 tones.
 
     Under equal split every member transmits budget/(k+1) per owned tone,
     so the value of a tone depends only on how many tones the cluster owns.
-    An empty cluster is worth zero everywhere.
+    One SIC call covers the (K, U, S, S) stack: a padding slot has zero
+    gain and budget, so it adds 0.0 to every sum, and an empty cluster is
+    worth zero everywhere.
     """
     cfg = scenario.config
     shares = np.arange(1, cfg.num_subcarriers + 1)[:, None]  # (k, 1): owned-tone counts
-    gains = scenario.gain_matrix[members][:, None, :]  # (m, 1, S)
-    budgets = scenario.power_budgets[members][:, None, None]  # (m, 1, 1)
-    terms = sic_log_terms(gains * (budgets / shares), cfg.noise_per_subcarrier)
-    return (cfg.subcarrier_bandwidth * terms.sum(axis=0) / _LOG2).T
-
-
-def _tone_values_equal_split(scenario, clusters) -> np.ndarray:
-    """value[s, c, k]: cluster-c sum rate on tone s when it owns k+1 tones."""
-    return np.stack([_cluster_tone_values(scenario, members) for members in clusters], axis=1)
+    gains = np.vstack([scenario.gain_matrix, np.zeros(cfg.num_subcarriers)])[table.T]
+    budgets = np.append(scenario.power_budgets, 0.0)[table.T][:, :, None, None]  # (K, U, 1, 1)
+    terms = sic_log_terms(gains[:, :, None] * (budgets / shares), cfg.noise_per_subcarrier)
+    return (cfg.subcarrier_bandwidth * terms.sum(axis=0) / _LOG2).transpose(0, 2, 1)
 
 
 def _lex_maps(num_s: int, num_c: int):
@@ -162,19 +168,30 @@ def _lex_maps(num_s: int, num_c: int):
         yield digits, np.take_along_axis(counts, digits, axis=1)
 
 
-def _best_map(per_tone: np.ndarray, maps) -> tuple[float, np.ndarray]:
-    """The largest equal-split value and the first map of ``maps`` with it."""
-    tones = np.arange(per_tone.shape[0])[:, None]
-    best_obj, best_map = -math.inf, None
-    for digits, owned in maps:
-        # (S, maps), C-ordered: the axis-0 sum adds tones in order, as a
+def _best_maps(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The (A, S) best equal-split maps of A clusterings: row a of ``slots``
+    (A, C) gives each of its clusters' rows of the :func:`_tone_values`
+    ``values``.  The first of the largest values wins, in lexicographic
+    map order.  Raises :class:`~nbiot_noma.errors.NonFiniteRateError` when
+    a clustering's best value is NaN or infinite: as in the greedy, no
+    argmax is meaningful then."""
+    num_s = values.shape[1]
+    columns = np.arange(len(slots))
+    tones = np.arange(num_s)[:, None, None]
+    best_obj = np.full(len(slots), -math.inf)
+    best = np.zeros((len(slots), num_s), dtype=int)
+    for digits, owned in _lex_maps(num_s, slots.shape[1]):
+        # (S, maps, A), C-ordered: the axis-0 sum adds tones in order, as a
         # running total would; a last-axis sum is pairwise and can flip a near-tie.
-        obj = per_tone[tones, digits.T, owned.T - 1].sum(axis=0)
-        k = int(np.argmax(obj))  # first maximum keeps the lexicographic winner
-        if obj[k] > best_obj:
-            best_obj = float(obj[k])
-            best_map = digits[k].copy()
-    return best_obj, best_map.astype(int)
+        obj = values[slots.T[digits.T], tones, owned.T[:, :, None] - 1].sum(axis=0)
+        k = obj.argmax(axis=0)  # first maximum keeps the lexicographic winner
+        top = obj[k, columns]
+        better = top > best_obj  # an earlier chunk keeps its winner on a tie
+        best_obj[better] = top[better]
+        best[better] = digits[k[better]]
+    if not np.isfinite(best_obj).all():
+        raise NonFiniteRateError("no subcarrier map has a finite equal-split sum rate")
+    return best
 
 
 def mckp_oracle(
@@ -184,9 +201,10 @@ def mckp_oracle(
 
     The exact counterpart of :func:`nbiot_noma.allocation.allocate`: the
     same arguments, the same (owner, watts, report) triple, and the same
-    ``InvalidAssignmentError`` for a structurally invalid clustering.
-    Every candidate map is scored under the greedy's equal-split rule
-    (budget divided by the cluster's owned-tone count).  Ties go to the
+    ``InvalidAssignmentError`` for a structurally invalid clustering or
+    ``NonFiniteRateError`` when no map has a finite sum rate.  Every
+    candidate map is scored under the greedy's equal-split rule (budget
+    divided by the cluster's owned-tone count).  Ties go to the
     lexicographically smallest map.
     """
     violations = structural_violations(scenario, clusters)
@@ -199,9 +217,9 @@ def mckp_oracle(
             f"S={num_s}, C={num_c} exceeds the exhaustive bounds "
             f"({MCKP_MAX_SUBCARRIERS}, {MCKP_MAX_CLUSTERS})"
         )
-    per_tone = _tone_values_equal_split(scenario, clusters)  # (S, C, S)
-    owner = _best_map(per_tone, _lex_maps(num_s, num_c))[1]
-    watts = equal_split_powers(scenario, cluster_of(clusters, scenario.num_devices), owner)
+    table, group_of = _layout(clusters, scenario.num_devices)
+    owner = _best_maps(_tone_values(scenario, table), np.arange(num_c)[None])[0]
+    watts = equal_split_powers(scenario, group_of, owner)
     return owner, watts, rate_report(scenario, clusters, owner, watts)
 
 
@@ -220,12 +238,6 @@ def _labellings(n: int, num_clusters: int, k_max: int):
             yield labels
 
 
-def _first_use_labels(labels) -> tuple:
-    """``labels`` renumbered in order of first occurrence: one per partition."""
-    first: dict = {}
-    return tuple(first.setdefault(c, len(first)) for c in labels)
-
-
 def _orderings(scenario: Scenario, labels):
     """Every rank ordering of the clusters ``labels`` defines, the canonical
     one (URLLC before mMTC, each class by ascending id) first."""
@@ -238,75 +250,26 @@ def _orderings(scenario: Scenario, labels):
     return itertools.product(*per_cluster)
 
 
-class _ClusteringScorer:
-    """Equal-split scores of one scenario's ordered, labelled clusterings.
-
-    Its caches last as long as the scorer: the maps, each ordered
-    cluster's tone values and each clustering's best map.
-    """
-
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        cfg = scenario.config
-        self._maps = list(_lex_maps(cfg.num_subcarriers, cfg.num_clusters))
-        self._slices: dict = {}
-        self._best: dict = {}
-
-    def best_map(self, clusters) -> tuple[float, np.ndarray]:
-        """The map :func:`mckp_oracle` would choose, and its value."""
-        keys = tuple(tuple(members) for members in clusters)
-        if keys not in self._best:
-            for key in keys:
-                if key not in self._slices:
-                    self._slices[key] = _cluster_tone_values(self.scenario, list(key))
-            per_tone = np.stack([self._slices[key] for key in keys], axis=1)
-            self._best[keys] = _best_map(per_tone, self._maps)
-        return self._best[keys]
-
-
-def _partition_values(scorer: _ClusteringScorer, labellings) -> dict:
-    """Each partition's best-map value in canonical labels and rank order,
-    keyed by its labels."""
-    return {
-        labels: scorer.best_map(next(_orderings(scorer.scenario, labels)))[0]
-        for labels in labellings
-        if _first_use_labels(labels) == labels
-    }
-
-
-# Relative margin below the best partition value within which every
-# labelled, ordered assignment of a partition is scored.  Exactly,
-# neither rank order nor labels change the value of any map, so all of a
-# partition's assignments share one best value.  In floating point every
-# SIC log term is positive and within a few ulps of exact, and a map's
-# value or sum rate adds at most 3 members x 6 tones of them per cluster,
-# so each partition value and each score lies within about 1e-14 relative
-# of that exact best, whichever near-tied map wins: five orders of
-# magnitude inside this margin.
-_RESCORE_RTOL = 1e-9
-
-
 def exhaustive_clustering(
     scenario: Scenario,
 ) -> tuple[list[list[int]], np.ndarray, RateReport]:
     """Global optimum over all valid clusterings and subcarrier maps.
 
-    Every structurally valid assignment is paired with its best map under
-    equal-split powers, as :func:`mckp_oracle` would choose it, and scored
-    by :func:`rate_report` on those powers; the highest sum rate wins, the
-    first on a tie, and is returned as it was scored.  Only tractable for
-    a handful of devices and tones.
+    Every structurally valid assignment, each labelling in each rank
+    order, is paired with its best map under equal-split powers, as
+    :func:`mckp_oracle` would choose it, and scored on those powers by the
+    rate model; the highest sum rate wins, the first on a tie, and is
+    returned as it was scored.  Only tractable for a handful of devices
+    and tones.
 
-    Rank orders and cluster labels change a score by rounding only, so
-    each unordered partition is valued once, by its best map in canonical
-    labels and rank order.  Only the partitions within ``_RESCORE_RTOL``
-    of the best value have every labelled, ordered assignment scored, in
-    the order of a search of all assignments and keeping the same first
-    winner: any assignment of another partition scores below the best.
+    Each distinct ordered member list gets one row of tone values, every
+    assignment's best map comes from one gather per chunk of maps, and
+    one batched rate call scores all assignments.
     """
     cfg = scenario.config
+    n = scenario.num_devices
     if (
-        scenario.num_devices > EXHAUSTIVE_MAX_DEVICES
+        n > EXHAUSTIVE_MAX_DEVICES
         or cfg.num_clusters > EXHAUSTIVE_MAX_CLUSTERS
         or cfg.max_rank > EXHAUSTIVE_MAX_RANK
         or cfg.num_subcarriers > EXHAUSTIVE_MAX_SUBCARRIERS
@@ -316,24 +279,23 @@ def exhaustive_clustering(
             f"(devices<={EXHAUSTIVE_MAX_DEVICES}, clusters<={EXHAUSTIVE_MAX_CLUSTERS}, "
             f"rank<={EXHAUSTIVE_MAX_RANK}, subcarriers<={EXHAUSTIVE_MAX_SUBCARRIERS})"
         )
-    scorer = _ClusteringScorer(scenario)
-    labellings = list(_labellings(scenario.num_devices, cfg.num_clusters, cfg.max_rank))
-    values = _partition_values(scorer, labellings)
-    if not values:
-        raise InstanceTooLargeError("no structurally valid clustering exists")
-    top = max(values.values())
-    floor = top - _RESCORE_RTOL * abs(top)
-    best = None
-    for labels in labellings:
-        if values[_first_use_labels(labels)] < floor:
-            continue
+    rows: dict = {}  # ordered member list -> its row of the tone values
+    slots, labelled = [], []
+    for labels in _labellings(n, cfg.num_clusters, cfg.max_rank):
         for clusters in _orderings(scenario, labels):
-            owner = scorer.best_map(clusters)[1]
-            watts = equal_split_powers(scenario, cluster_of(clusters, scenario.num_devices), owner)
-            report = rate_report(scenario, clusters, owner, watts)
-            if best is None or report.sum_rate > best[2].sum_rate:
-                best = ([list(members) for members in clusters], owner, report)
-    return best
+            slots.append([rows.setdefault(tuple(members), len(rows)) for members in clusters])
+            labelled.append(labels)
+    if not slots:
+        raise InstanceTooLargeError("no structurally valid clustering exists")
+    lists = list(rows)
+    table = _layout(lists, n)[0]
+    slots = np.array(slots)
+    owner = _best_maps(_tone_values(scenario, table), slots)
+    watts = equal_split_powers(scenario, np.array(labelled), owner)
+    rates = _device_rates(scenario, table[slots], owner, watts)
+    sums = [math.fsum(row) for row in rates.tolist()]
+    best = max(range(len(sums)), key=sums.__getitem__)  # the first of equal maxima
+    return [list(lists[u]) for u in slots[best]], owner[best], build_report(scenario, rates[best])
 
 
 def _grid_box(axis, p_max, delta, rho, theta) -> tuple[int, int, int]:
@@ -369,8 +331,8 @@ def _first_true(holds, num_rows: int, num_cols: int) -> np.ndarray:
 
 
 def _grid_feasible(axis, p_max, delta, rho, theta) -> tuple[np.ndarray, np.ndarray]:
-    """(counts, j) of the feasible (T2, T3) = (axis[i], axis[j]) of the 3-user
-    mesh: counts[i] points on row i, and j of every point in row-major order.
+    """(start, stop) of the feasible (T2, T3) = (axis[i], axis[j]) of the
+    3-user mesh: row i's points are start[i] <= j < stop[i], none when equal.
 
     Inside :func:`_grid_box` each row's feasible columns are one interval.
     As T3 grows along a row, T3 <= delta[1]*T2 - rho[1] and T2 - T3 >= T3
@@ -385,10 +347,7 @@ def _grid_feasible(axis, p_max, delta, rho, theta) -> tuple[np.ndarray, np.ndarr
     t3 = np.append(t3, math.inf)  # column num_cols: both searches hold there
     lo = _first_true(lambda c: room >= t2 - t3[c], rows, t3.size - 1)
     hi = _first_true(lambda c: ~((t3[c] <= cap) & (t2 - t3[c] >= t3[c])), rows, t3.size - 1)
-    counts = np.maximum(hi - lo, 0)
-    # Column of the k-th point: its row's first column plus its rank within the row.
-    j = np.arange(counts.sum()) + np.repeat(first + lo - (np.cumsum(counts) - counts), counts)
-    return counts, j
+    return first + lo, first + np.maximum(hi, lo)
 
 
 def grid_power_oracle(
@@ -441,17 +400,35 @@ def grid_power_oracle(
         tail = np.array([p_max, t2[k]])
         return powers_from_tail(tail), float(obj[k])
 
-    counts, j = _grid_feasible(axis, p_max, delta, rho, theta)
-    if not j.size:
+    start, stop = _grid_feasible(axis, p_max, delta, rho, theta)
+    rows = np.flatnonzero(stop > start)
+    if not rows.size:
         raise GridResolutionError("no feasible grid point; refine the step")
     # Each log term is a 1-D table on the axis, summed left to right as the
     # full mesh's row-major form would be.  The first three terms depend on
     # the row only, so they are formed once per row and repeated.
-    t2 = axis[: counts.size]
-    log_g1 = np.log1p(g[1] * axis)
-    row_part = math.log1p(g[0] * p_max) + log_g1[: counts.size] - np.log1p(g[0] * t2)
-    obj = bw / _LOG2 * (np.repeat(row_part, counts) + np.log1p(g[2] * axis)[j] - log_g1[j])
+    scale = bw / _LOG2
+    log_g1, log_g2 = np.log1p(g[1] * axis), np.log1p(g[2] * axis)
+    row_part = math.log1p(g[0] * p_max) + log_g1[rows] - np.log1p(g[0] * axis[rows])
+    # Only rows that can hold the maximum are evaluated.  Every point scores
+    # at least ``lower``, the best at a row's last column.  Row i scores at
+    # most ``upper[i]``: its row part plus the largest rounded L2 - L1 up to
+    # its last column, plus a slack above the rounding of both sums.  With
+    # ascending gains neither term falls along a row, so ``lower`` is near
+    # the maximum and few rows are kept.
+    last = stop[rows] - 1
+    lower = (scale * (row_part + log_g2[last] - log_g1[last])).max()
+    peak = np.maximum.accumulate(log_g2 - log_g1)[last]
+    slack = 4 * _EPS * (np.abs(row_part) + np.abs(log_g1).max() + np.abs(log_g2).max())
+    upper = scale * (row_part + peak + slack)
+    if math.isfinite(lower) and np.isfinite(upper).all():
+        keep = upper >= lower
+        rows, row_part = rows[keep], row_part[keep]
+    counts = stop[rows] - start[rows]
+    # Column of the k-th point: its row's first column plus its rank within the row.
+    j = np.arange(counts.sum()) + np.repeat(start[rows] - (np.cumsum(counts) - counts), counts)
+    obj = scale * (np.repeat(row_part, counts) + log_g2[j] - log_g1[j])
     k = int(np.argmax(obj))
-    i = int(np.searchsorted(np.cumsum(counts), k, side="right"))
+    i = rows[np.searchsorted(np.cumsum(counts), k, side="right")]
     tail = np.array([p_max, float(axis[i]), float(axis[j[k]])])
     return powers_from_tail(tail), float(obj[k])

@@ -149,11 +149,13 @@ def equal_split_powers(scenario: Scenario, group_of, owner) -> np.ndarray:
     ``group_of[d]`` is device d's group and ``owner[s]`` the group that owns
     tone s, -1 meaning none.  Returns the (n, S) watts: p[d, s] =
     budget(d) / (tones its group owns) on those tones, 0 elsewhere; a group
-    with no tones keeps zero rows.
+    with no tones keeps zero rows.  Stacked inputs, ``group_of`` (B, n) and
+    ``owner`` (B, S), give the (B, n, S) watts of B allocations.
     """
-    on = (owner >= 0) & (owner == group_of[:, None])
-    share = scenario.power_budgets / np.maximum(on.sum(axis=1), 1)
-    return np.where(on, share[:, None], 0.0)
+    owner = owner[..., None, :]
+    on = (owner >= 0) & (owner == group_of[..., :, None])
+    share = scenario.power_budgets / np.maximum(on.sum(axis=-1), 1)
+    return np.where(on, share[..., None], 0.0)
 
 
 def _check_allocation(scenario: Scenario, owner: np.ndarray, watts: np.ndarray) -> None:
@@ -170,14 +172,24 @@ def _check_allocation(scenario: Scenario, owner: np.ndarray, watts: np.ndarray) 
 
 
 def _sic_table(scenario, table, owner, watts):
-    """(owners (T,), received power (K, T), ln(1 + SINR) (K, T)) over the T
-    tones with a valid owner: a column holds its tone's owning cluster's
-    members in rank order, read from the :func:`_layout` ``table``."""
-    tones = np.flatnonzero((owner >= 0) & (owner < len(table)))
-    owners = owner[tones]
-    pad = np.zeros((1, scenario.config.num_subcarriers))
-    received = np.vstack([scenario.gain_matrix * watts, pad])[table[owners].T, tones]
-    return owners, received, sic_log_terms(received, scenario.config.noise_per_subcarrier)
+    """(groups (T,), received power (K, T), ln(1 + SINR) (K, T)) over the T
+    (allocation, tone) pairs with a valid owner, allocation by allocation.
+
+    ``table`` (B, C, K), ``owner`` (B, S) and ``watts`` (B, n, S) hold B
+    allocations of one scenario, or one without the B axis.  Pair (b, s)
+    is group b*C + owner[b, s]; its column holds that cluster's members
+    in rank order, read from allocation b's :func:`_layout` table.
+    """
+    num_s = scenario.config.num_subcarriers
+    num_c, depth = table.shape[-2:]
+    owner = owner.reshape(-1, num_s)
+    b, tones = np.nonzero((owner >= 0) & (owner < num_c))
+    groups = b * num_c + owner[b, tones].astype(np.intp)
+    power = np.zeros((len(owner), scenario.num_devices + 1, num_s))  # a zero row for padding
+    np.multiply(scenario.gain_matrix, watts, out=power[:, :-1])
+    members = table.reshape(len(owner) * num_c, depth)[groups].T
+    received = power[b, members, tones]
+    return groups, received, sic_log_terms(received, scenario.config.noise_per_subcarrier)
 
 
 def jain_fairness(rates) -> float:
@@ -221,15 +233,22 @@ def _checked_layout(scenario, clusters, owner, watts):
     return _layout(clusters, scenario.num_devices)
 
 
-def _report(scenario, table, owner, watts) -> RateReport:
-    """The report of a checked allocation on its clustering's slot table: one
-    :func:`owned_sums` call, scattered through the table (padding onto a
-    dropped entry), so a device listed twice gets its last cluster's rate."""
+def _device_rates(scenario, table, owner, watts) -> np.ndarray:
+    """Every device's rate, bps, under checked allocations on their
+    clusterings' slot tables, shaped as :func:`_sic_table` takes them:
+    (B, n), or (n,) for one.  One :func:`owned_sums` call over every
+    (allocation, cluster) group, scattered through each allocation's table
+    (padding onto a dropped entry), so a device listed twice gets its last
+    cluster's rate."""
     n = scenario.num_devices
-    owners, _, terms = _sic_table(scenario, table, owner, watts)
-    rates = np.zeros(n + 1)
-    rates[table.ravel()] = owned_sums(terms, owners, len(table)).ravel()
-    return build_report(scenario, scenario.config.subcarrier_bandwidth * rates[:n] / math.log(2.0))
+    groups, _, terms = _sic_table(scenario, table, owner, watts)
+    batch = owner.shape[:-1]
+    num_b, size = math.prod(batch), table.shape[-2] * table.shape[-1]
+    rates = np.zeros((num_b, n + 1))
+    sums = owned_sums(terms, groups, num_b * table.shape[-2])
+    rates[np.arange(num_b)[:, None], table.reshape(num_b, size)] = sums.reshape(num_b, size)
+    bps = scenario.config.subcarrier_bandwidth * rates[:, :n] / math.log(2.0)
+    return bps.reshape(*batch, n)
 
 
 def rate_report(
@@ -257,7 +276,7 @@ def rate_report(
     if not ok.all():
         d, s = np.argwhere(~ok)[0]
         raise InvalidPowerError(f"device {d} has power {float(watts[d, s])!r} W on subcarrier {s}")
-    return _report(scenario, table, owner, watts)
+    return build_report(scenario, _device_rates(scenario, table, owner, watts))
 
 
 def sic_chain_mismatch(

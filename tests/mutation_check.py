@@ -140,24 +140,28 @@ MUTANTS = (
     Mutant(
         "greedy-spends-double-budget",
         "src/nbiot_noma/allocation.py",
-        "    return owner, watts, _report(scenario, slot_dev, owner, watts)",
+        "    return owner, watts, "
+        "build_report(scenario, _device_rates(scenario, slot_dev, owner, watts))",
         "    watts *= 2\n"
-        "    return owner, watts, _report(scenario, slot_dev, owner, watts)",
+        "    return owner, watts, "
+        "build_report(scenario, _device_rates(scenario, slot_dev, owner, watts))",
         ("tests/test_baselines.py::TestMckpOracle::test_dominates_greedy",),
     ),
     Mutant(
         "stale-layout",
         "src/nbiot_noma/allocation.py",
-        "    return owner, watts, _report(scenario, slot_dev, owner, watts)",
+        "    return owner, watts, "
+        "build_report(scenario, _device_rates(scenario, slot_dev, owner, watts))",
         "    stale, _ = _layout(clusters[::-1], scenario.num_devices)\n"
-        "    return owner, watts, _report(scenario, stale, owner, watts)",
+        "    return owner, watts, "
+        "build_report(scenario, _device_rates(scenario, stale, owner, watts))",
         ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
     ),
     Mutant(
         "greedy-drops-final-rate-pass",
         "src/nbiot_noma/allocation.py",
-        "    return owner, watts, _report(scenario, slot_dev, owner, watts)",
-        "    from .rate_model import build_report\n"
+        "    return owner, watts, "
+        "build_report(scenario, _device_rates(scenario, slot_dev, owner, watts))",
         "    return owner, watts, build_report(scenario, rates)",
         ("tests/test_allocation_reference.py::test_bench_cells_match_reference",),
     ),
@@ -202,8 +206,8 @@ MUTANTS = (
     Mutant(
         "rate-report-pads-onto-device-0",
         "src/nbiot_noma/rate_model.py",
-        "rates[table.ravel()] = ",
-        "rates[table.ravel() % n] = ",
+        "table.reshape(num_b, size)] = ",
+        "table.reshape(num_b, size) % n] = ",
         ("tests/test_rate_model_reference.py::test_edge_cases_match_reference",),
     ),
     Mutant(
@@ -285,8 +289,8 @@ MUTANTS = (
     Mutant(
         "exhaustive-cache-key-unordered",
         "src/nbiot_noma/baselines.py",
-        "keys = tuple(tuple(members) for members in clusters)",
-        "keys = tuple(tuple(sorted(members)) for members in clusters)",
+        "rows.setdefault(tuple(members), len(rows))",
+        "rows.setdefault(tuple(sorted(members)), len(rows))",
         (
             "tests/test_oracle_reference.py::test_exhaustive_clustering_matches_reference",
             "tests/test_oracle_reference.py::test_exhaustive_clustering_ties_match_reference",
@@ -356,8 +360,8 @@ MUTANTS = (
     Mutant(
         "exhaustive-last-tie-wins",
         "src/nbiot_noma/baselines.py",
-        "if best is None or report.sum_rate > best[2].sum_rate:",
-        "if best is None or report.sum_rate >= best[2].sum_rate:",
+        "best = max(range(len(sums)), key=sums.__getitem__)",
+        "best = len(sums) - 1 - max(range(len(sums)), key=sums[::-1].__getitem__)",
         ("tests/test_oracle_reference.py::test_exhaustive_clustering_ties_match_reference",),
     ),
     Mutant(
@@ -366,6 +370,20 @@ MUTANTS = (
         "    if violations:\n        raise InvalidAssignmentError(violations)\n",
         "    if False:\n        raise InvalidAssignmentError(violations)\n",
         ("tests/test_baselines.py::TestMckpOracle::test_rejects_what_allocate_rejects",),
+    ),
+    Mutant(
+        "best-map-accepts-nonfinite",
+        "src/nbiot_noma/baselines.py",
+        "    if not np.isfinite(best_obj).all():\n",
+        "    if False:\n",
+        ("tests/test_baselines.py::test_oracles_raise_where_allocate_raises_on_nonfinite_rates",),
+    ),
+    Mutant(
+        "grid-row-bound-without-slack",
+        "src/nbiot_noma/baselines.py",
+        "slack = 4 * _EPS * (",
+        "slack = 0 * _EPS * (",
+        ("tests/test_oracle_reference.py::test_grid_oracle_matches_reference[3]",),
     ),
     Mutant(
         "grid-bisection-one-column-late",

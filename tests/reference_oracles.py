@@ -23,8 +23,8 @@ constraint rows these programs use (``_tail_rows``,
 ``_constraint_system``) and the objective gradient are written here,
 apart from the solver they check.
 
-``_valid_assignments`` is the clustering oracle's former search space,
-every labelled and rank-ordered assignment, which
+``_valid_assignments`` is the clustering oracle's search space, every
+labelled and rank-ordered assignment, which
 ``reference_exhaustive_clustering`` scores one by one.
 ``ReferenceOrderedCluster`` keeps ``OrderedCluster``'s validation as it
 stood with numpy reductions, to pin the order and text of its errors.

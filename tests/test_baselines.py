@@ -19,6 +19,7 @@ from nbiot_noma.errors import (
     GridResolutionError,
     InstanceTooLargeError,
     InvalidAssignmentError,
+    NonFiniteRateError,
 )
 from nbiot_noma.power_opt import OrderedCluster, find_feasible_tail, maximize_rates
 from nbiot_noma.rate_model import RateReport, rate_report
@@ -195,6 +196,26 @@ class TestExhaustiveClustering:
             _, _, heuristic_report = allocate(sc, build_clusters(sc))
             _, _, best = exhaustive_clustering(sc)
             assert best.sum_rate >= heuristic_report.sum_rate * (1 - 1e-9)
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [mckp_oracle, lambda sc, _: exhaustive_clustering(sc)],
+    ids=["mckp_oracle", "exhaustive_clustering"],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+def test_oracles_raise_where_allocate_raises_on_nonfinite_rates(oracle):
+    # Two devices whose received power on tone 0 overflows: each cluster
+    # holding one has an infinite value there, and one holding both a NaN.
+    gains = np.ones((4, 3))
+    gains[:2, 0] = 1e300
+    sc = make_scenario(gains, "mmmm", budgets=[1e10] * 4, num_clusters=2, max_rank=2)
+    clusters = [[0, 1], [2, 3]]
+    with pytest.raises(NonFiniteRateError):
+        allocate(sc, clusters)
+    with pytest.raises(NonFiniteRateError):
+        oracle(sc, clusters)
 
 
 class TestGridOracle:

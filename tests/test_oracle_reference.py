@@ -21,14 +21,14 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from nbiot_noma import baselines
 from nbiot_noma.baselines import (
-    _ClusteringScorer,
+    EXHAUSTIVE_MAX_CLUSTERS,
+    EXHAUSTIVE_MAX_DEVICES,
+    EXHAUSTIVE_MAX_RANK,
+    EXHAUSTIVE_MAX_SUBCARRIERS,
     _grid_box,
     _grid_feasible,
-    _labellings,
-    _partition_values,
-    _tone_values_equal_split,
+    _tone_values,
     exhaustive_clustering,
     grid_power_oracle,
     mckp_oracle,
@@ -39,7 +39,7 @@ from nbiot_noma.power_opt import (
     maximize_rates,
     threshold_coefficients,
 )
-from nbiot_noma.rate_model import rate_report
+from nbiot_noma.rate_model import _layout, rate_report
 from nbiot_noma.scenario import ScenarioConfig, generate_scenario
 from nbiot_noma.selfcheck import random_feasible_cluster, tiny_config
 
@@ -64,6 +64,7 @@ GRID_DIVISIONS = (1000, 50, 7)  # step = total power / division
 TINY_INSTANCES = 100
 SOLVER_INSTANCES = 3000
 BOUNDARY_INSTANCES = 40
+FLAT_CLUSTERS = 30
 
 
 def clusters_of_size(n, count, seed):
@@ -89,10 +90,23 @@ def grid_outcome(oracle, cluster, step):
     return powers.tobytes(), objective
 
 
+def flat_clusters(count, seed):
+    """Three-user clusters whose objective is flat or near flat along rows:
+    g1 == g2, all three gains equal, and gains a few ulps apart.  Their
+    points tie up to rounding across many rows."""
+    ulps = 1.0 + np.array([0.0, 2.0, 5.0]) * np.finfo(float).eps
+    for cluster in clusters_of_size(3, count, seed):
+        g = cluster.normalized_gains
+        for gains in (g[[0, 2, 2]], np.full(3, g[2]), g[2] * ulps):
+            yield replace(cluster, normalized_gains=gains)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_grid_oracle_matches_reference(n):
     clusters = clusters_of_size(n, CLUSTERS_PER_SIZE, seed=100 + n)
     clusters += [infeasible(c, 4.0) for c in clusters[:30]]
+    if n == 3:
+        clusters += flat_clusters(FLAT_CLUSTERS, seed=403)
     errors = 0
     for cluster in clusters:
         for division in GRID_DIVISIONS:
@@ -147,8 +161,9 @@ def boundary_cases():
 def assert_same_feasible_set(cluster, step):
     delta, rho, theta = threshold_coefficients(cluster)
     axis = np.arange(0.0, cluster.total_power + step / 2.0, step)
-    counts, j = _grid_feasible(axis, cluster.total_power, delta, rho, theta)
-    i = np.repeat(np.arange(counts.size), counts)
+    start, stop = _grid_feasible(axis, cluster.total_power, delta, rho, theta)
+    i = np.repeat(np.arange(start.size), stop - start)
+    j = np.concatenate([np.arange(a, b) for a, b in zip(start, stop)] + [np.arange(0)])
     ref_i, ref_j = np.nonzero(reference_mesh_feasible(cluster, step))
     assert np.array_equal(i, ref_i), (cluster, step)
     assert np.array_equal(j, ref_j), (cluster, step)
@@ -178,9 +193,9 @@ def test_mckp_matches_reference_on_every_tiny_assignment():
         cfg = sc.config
         for clusters in _valid_assignments(sc, cfg.num_clusters, cfg.max_rank):
             assignments += 1
+            values = _tone_values(sc, _layout(clusters, sc.num_devices)[0])
             assert np.array_equal(
-                _tone_values_equal_split(sc, clusters),
-                reference_tone_values_equal_split(sc, clusters),
+                values.transpose(1, 0, 2), reference_tone_values_equal_split(sc, clusters)
             )
             owner, watts, report = mckp_oracle(sc, clusters)
             ref_owner = reference_mckp_oracle(sc, clusters)
@@ -204,6 +219,31 @@ def test_exhaustive_clustering_matches_reference():
         assert np.array_equal(report.rates, ref_report.rates)
         assert report.sum_rate == ref_report.sum_rate
         assert np.array_equal(report.satisfied, ref_report.satisfied)
+
+
+@pytest.mark.parametrize("num_urllc, assignments", [(0, 240), (2, 72)])
+def test_exhaustive_clustering_matches_reference_at_the_bounds(num_urllc, assignments):
+    # Five devices, two clusters, rank 3 and six tones: the largest search.
+    base = ScenarioConfig()
+    cfg = replace(
+        base,
+        num_urllc=num_urllc,
+        num_mmtc=EXHAUSTIVE_MAX_DEVICES - num_urllc,
+        num_clusters=EXHAUSTIVE_MAX_CLUSTERS,
+        max_rank=EXHAUSTIVE_MAX_RANK,
+        num_subcarriers=EXHAUSTIVE_MAX_SUBCARRIERS,
+        rb_bandwidth=max(base.rb_bandwidth, 6 * base.subcarrier_bandwidth),
+        rng_seed=41 + num_urllc,
+    )
+    sc = generate_scenario(cfg)
+    assert sum(1 for _ in _valid_assignments(sc, cfg.num_clusters, cfg.max_rank)) == assignments
+    clusters, owner, report = exhaustive_clustering(sc)
+    ref_clusters, ref_owner, ref_report = reference_exhaustive_clustering(sc)
+    assert clusters == ref_clusters
+    assert np.array_equal(owner, ref_owner)
+    assert np.array_equal(report.rates, ref_report.rates)
+    assert report.sum_rate == ref_report.sum_rate
+    assert np.array_equal(report.satisfied, ref_report.satisfied)
 
 
 def tie_scenarios():
@@ -243,27 +283,6 @@ def test_exhaustive_clustering_ties_match_reference():
         assert np.array_equal(owner, ref_owner)
         assert np.array_equal(report.rates, ref_report.rates)
         assert report.sum_rate == ref_report.sum_rate
-
-
-def test_canonical_pass_values_each_partition_once(monkeypatch):
-    calls = []
-    best_map = baselines._best_map
-
-    def counting(per_tone, maps):
-        calls.append(per_tone.shape)
-        return best_map(per_tone, maps)
-
-    monkeypatch.setattr(baselines, "_best_map", counting)
-    for sc in [*tie_scenarios(), *tiny_scenarios(20, seed=11)]:
-        cfg = sc.config
-        partitions = {
-            frozenset(frozenset(members) for members in a if members)
-            for a in _valid_assignments(sc, cfg.num_clusters, cfg.max_rank)
-        }
-        labellings = list(_labellings(sc.num_devices, cfg.num_clusters, cfg.max_rank))
-        calls.clear()
-        values = _partition_values(_ClusteringScorer(sc), labellings)
-        assert len(calls) == len(values) == len(partitions)
 
 
 def paired_clusters(gains):

@@ -27,6 +27,8 @@ from nbiot_noma.baselines import half_tone_scenario, ofdma_allocate
 from nbiot_noma.clustering import build_clusters
 from nbiot_noma.errors import InvalidAssignmentError, InvalidPowerError
 from nbiot_noma.rate_model import (
+    _device_rates,
+    _layout,
     cluster_of,
     equal_split_powers,
     rate_report,
@@ -240,6 +242,37 @@ def test_equal_split_matches_reference(cell):
                 cell_sc, [[d] for d in range(n)], owned_tones(owner, n)
             )
             assert np.array_equal(new, ref)
+
+
+def test_batched_rates_match_one_report_per_allocation():
+    """B allocations of one cell, each on its own clustering, in one call of
+    the batched rate core and its equal-split rule: row b equals what
+    ``equal_split_powers`` and ``rate_report`` give allocation b alone, bit
+    for bit.  Allocation 0's cluster 0 owns ten tones, past the eight at
+    which numpy sums in lanes."""
+    rng = np.random.default_rng(12)
+    n, num_s, num_c, batch = 12, 16, 4, 6
+    kinds = "uu" + "m" * (n - 2)
+    sc = make_scenario(rng.exponential(1.0, size=(n, num_s)), kinds,
+                       num_clusters=num_c, max_rank=n)
+    clusterings, owners = [], rng.integers(-1, num_c, size=(batch, num_s))
+    owners[0, :10] = 0
+    for _ in range(batch):
+        cuts = np.sort(rng.choice(np.arange(1, n), num_c - 1, replace=False))
+        parts = np.split(rng.permutation(n), cuts)
+        clusterings.append([sorted(p.tolist(), key=lambda d: kinds[d] != "u") for p in parts])
+    depth = max(len(members) for clusters in clusterings for members in clusters)
+    tables = np.stack([
+        np.pad(table, ((0, 0), (0, depth - table.shape[1])), constant_values=n)
+        for table in (_layout(clusters, n)[0] for clusters in clusterings)
+    ])
+    group_of = np.stack([cluster_of(clusters, n) for clusters in clusterings])
+    watts = equal_split_powers(sc, group_of, owners)
+    rates = _device_rates(sc, tables, owners, watts)
+    assert rates.shape == (batch, n)
+    for clusters, owner, power, row in zip(clusterings, owners, watts, rates):
+        assert np.array_equal(power, equal_split_powers(sc, cluster_of(clusters, n), owner))
+        assert np.array_equal(row, rate_report(sc, clusters, owner, power).rates)
 
 
 # Zero-gain tones and gains across 60 decades, log-uniform.
